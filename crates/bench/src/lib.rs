@@ -1,16 +1,14 @@
-//! Shared harness for the figure/table reproduction binaries and the
-//! `moon-cli` scenario runner.
+//! Shared harness for the `moon-cli` scenario runner.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! MOON paper (see DESIGN.md §3 for the index) by running a *scenario*
-//! from the [`scenarios`] registry — this crate adds the execution
-//! layer: a sweep runner fanning every (point, seed) task out across
+//! `moon-cli run <name>` regenerates one table or figure of the MOON
+//! paper (see DESIGN.md §3 for the index) by running a *scenario* from
+//! the [`scenarios`] registry — this crate adds the execution layer: a sweep runner fanning every (point, seed) task out across
 //! rayon's work-stealing pool (`MOON_THREADS` / `RAYON_NUM_THREADS`
 //! override the worker count), progress lines with run outcomes,
 //! paper-style text tables on stdout, and machine-readable JSON under
 //! `bench_results/`.
 //!
-//! The grid-construction helpers the binaries used to get from here
+//! The grid-construction helpers the figure code used to get from here
 //! (`Point`, `PAPER_RATES`, `quick_mode`, `maybe_shrink`, `cluster`,
 //! `seeds`, `measured_sleep`, `mean_time`, `mean_duplicates`) moved
 //! down into the `scenarios` crate and are re-exported unchanged.
@@ -25,7 +23,7 @@ pub mod obs;
 mod scenario;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignOutcome, DlqEntry};
-pub use scenario::{run_spec, scenario_main, write_report, ScenarioRun};
+pub use scenario::{run_spec, write_report, ScenarioRun};
 pub use scenarios::workload::measured_sleep;
 pub use scenarios::{
     cluster, maybe_shrink, mean_duplicates, mean_time, quick_mode, seed_list, seeds, Point,
@@ -87,7 +85,7 @@ pub fn run_grid_with_seeds(points: Vec<Point>, seeds: &[u64]) -> Vec<Vec<RunResu
     let flat: Vec<RunResult> = tasks
         .into_par_iter()
         .map(|(exp, stream, telemetry)| {
-            let r = exp.run_with_telemetry(stream, telemetry);
+            let r = exp.run_with_limits(stream, telemetry, moon::RunLimits::default());
             let k = done.fetch_add(1, Ordering::Relaxed) + 1;
             progress_line(k, total, &r);
             r

@@ -267,7 +267,7 @@ impl NameNode {
     }
 
     /// Registered nodes in id order, as (id, info). Only the drift
-    /// checks still walk the full table; every hot path goes through
+    /// audit still walks the full table; every hot path goes through
     /// the maintained indexes.
     fn nodes_iter(&self) -> impl Iterator<Item = (NodeId, &NodeInfo)> {
         self.nodes
@@ -312,56 +312,13 @@ impl NameNode {
         }
     }
 
-    /// From-scratch recomputation of every incremental index, compared
-    /// against the maintained state — the drift check behind the
-    /// O(active) refactor. Runs on every liveness sweep in debug builds
-    /// and directly from the churn unit tests.
-    #[cfg(any(test, debug_assertions))]
-    fn debug_check_indexes(&self) {
-        let mut dedicated = BTreeSet::new();
-        let mut volatile = BTreeSet::new();
-        let mut unthrottled = 0usize;
-        let mut n_volatile = 0usize;
-        let mut n_dedicated = 0usize;
-        let mut order = BTreeSet::new();
-        for (id, n) in self.nodes_iter() {
-            match n.class {
-                NodeClass::Volatile => n_volatile += 1,
-                NodeClass::Dedicated => n_dedicated += 1,
-            }
-            if n.liveness != NodeLiveness::Dead {
-                order.insert((n.last_heartbeat, id));
-            }
-            if n.liveness != NodeLiveness::Active {
-                continue;
-            }
-            match n.class {
-                NodeClass::Dedicated => {
-                    dedicated.insert(id);
-                    if !n.throttle.as_ref().is_some_and(|t| t.is_throttled()) {
-                        unthrottled += 1;
-                    }
-                }
-                NodeClass::Volatile => {
-                    volatile.insert(id);
-                }
-            }
-        }
-        assert_eq!(dedicated, self.active_dedicated, "active-dedicated drift");
-        assert_eq!(volatile, self.active_volatile, "active-volatile drift");
-        assert_eq!(n_volatile, self.n_volatile_total, "volatile-count drift");
-        assert_eq!(n_dedicated, self.n_dedicated_total, "dedicated-count drift");
-        assert_eq!(
-            unthrottled, self.unthrottled_active_dedicated,
-            "unthrottled-dedicated drift"
-        );
-        assert_eq!(order, self.heartbeat_order, "heartbeat-order drift");
-    }
-
-    /// Non-panicking variant of the index drift check, always compiled:
-    /// each discrepancy becomes one line. Used by the end-of-run audit
-    /// (`World::debug_final_audit`) so release-mode fuzzing surfaces
-    /// drift as a finding instead of a campaign-aborting panic.
+    /// Recount every incremental index from scratch and report each
+    /// discrepancy as one line (empty = no drift): the drift check
+    /// behind the O(active) refactor. Debug builds assert it is empty
+    /// on every liveness sweep; the end-of-run audit
+    /// (`World::debug_final_audit`) runs it in release builds too, so
+    /// fuzzing surfaces drift as a finding instead of a
+    /// campaign-aborting panic.
     pub fn audit_indexes(&self) -> Vec<String> {
         let mut issues = Vec::new();
         let mut dedicated = BTreeSet::new();
@@ -526,8 +483,7 @@ impl NameNode {
     /// hibernate/expiry transitions and queue the re-replications the
     /// paper calls for.
     pub fn check_liveness(&mut self, now: SimTime) -> LivenessReport {
-        #[cfg(debug_assertions)]
-        self.debug_check_indexes();
+        debug_assert_eq!(self.audit_indexes(), Vec::<String>::new());
         let mut report = LivenessReport::default();
         // The heartbeat-ordered index puts the longest-silent nodes
         // first, so the sweep inspects only nodes past the transition
@@ -614,28 +570,9 @@ impl NameNode {
     }
 
     fn observe_estimator(&mut self, now: SimTime) {
-        let (down, total) = self.volatile_down_count();
-        self.estimator.observe(now, down, total);
-    }
-
-    fn volatile_down_count(&self) -> (usize, usize) {
         let total = self.n_volatile_total;
-        let down = total - self.active_volatile.len();
-        #[cfg(debug_assertions)]
-        {
-            let mut scan_down = 0;
-            let mut scan_total = 0;
-            for n in self.nodes.iter().flatten() {
-                if n.class == NodeClass::Volatile {
-                    scan_total += 1;
-                    if n.liveness != NodeLiveness::Active {
-                        scan_down += 1;
-                    }
-                }
-            }
-            assert_eq!((down, total), (scan_down, scan_total), "estimator drift");
-        }
-        (down, total)
+        self.estimator
+            .observe(now, total - self.active_volatile.len(), total);
     }
 
     /// The NameNode's current estimate of the volatile-node
@@ -646,19 +583,6 @@ impl NameNode {
 
     /// True if at least one dedicated node is Active and unthrottled.
     pub fn dedicated_available_for_opportunistic(&self) -> bool {
-        debug_assert_eq!(
-            self.unthrottled_active_dedicated,
-            self.nodes
-                .iter()
-                .flatten()
-                .filter(|n| {
-                    n.class == NodeClass::Dedicated
-                        && n.liveness == NodeLiveness::Active
-                        && n.throttle.as_ref().is_none_or(|t| !t.is_throttled())
-                })
-                .count(),
-            "unthrottled-dedicated drift"
-        );
         self.unthrottled_active_dedicated > 0
     }
 
@@ -1683,8 +1607,7 @@ mod tests {
             let report = nn.check_liveness(now);
             produced[0] |= !report.hibernated.is_empty();
             produced[1] |= !report.expired.is_empty();
-            nn.debug_check_indexes();
-            let _ = nn.dedicated_available_for_opportunistic();
+            assert_eq!(nn.audit_indexes(), Vec::<String>::new());
         }
         assert_eq!(
             produced, [true; 3],

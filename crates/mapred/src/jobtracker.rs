@@ -192,8 +192,7 @@ pub struct SuccessResponse {
 /// jobs, the alive-slot counters make `available_slots` O(1), and the
 /// heartbeat-ordered tracker index turns liveness sweeps into a prefix
 /// scan of the silent trackers. Debug builds cross-check every index
-/// against a from-scratch recomputation (see
-/// [`Self::debug_check_indexes`]).
+/// against a from-scratch recount (see [`Self::audit_indexes`]).
 pub struct JobTracker {
     policy: SchedulerPolicy,
     fetch_policy: FetchFailurePolicy,
@@ -217,11 +216,8 @@ pub struct JobTracker {
     /// the earliest transition deadline; dead trackers leave the index
     /// and re-enter on their revival heartbeat.
     tracker_hb_order: BTreeSet<(SimTime, NodeId)>,
-    /// Fair-share ranking scratch, cleared and refilled per pick so
-    /// the fair-share hot path is allocation-free like FIFO.
-    fair_share_scratch: RefCell<Vec<(u32, JobId)>>,
-    /// Ranking scratch for the keyed policies (EDF / strict-priority /
-    /// tenant-fair), same refill discipline as `fair_share_scratch`.
+    /// Cross-job ranking scratch, cleared and refilled per pick so
+    /// steady-state picks allocate nothing.
     rank_scratch: RefCell<Vec<(u128, JobId)>>,
     /// Kill-and-requeue preemption: when on, a saturated tracker may
     /// reclaim an occupied slot for a more policy-deserving job.
@@ -251,7 +247,6 @@ impl JobTracker {
             alive_reduce_slots: 0,
             dedicated_trackers: BTreeSet::new(),
             tracker_hb_order: BTreeSet::new(),
-            fair_share_scratch: RefCell::new(Vec::new()),
             rank_scratch: RefCell::new(Vec::new()),
             preempt: false,
             tenant_weights: Vec::new(),
@@ -260,57 +255,11 @@ impl JobTracker {
         }
     }
 
-    /// Cross-check every incremental index against a from-scratch scan
-    /// (the `live_attempts_of` drift-check pattern, tracker-side).
-    /// Debug builds run this at each liveness sweep; churn tests call
-    /// it directly after every step.
-    #[cfg(any(test, debug_assertions))]
-    pub fn debug_check_indexes(&self) {
-        let running: BTreeSet<JobId> = self
-            .jobs
-            .iter()
-            .filter(|(_, j)| j.status == JobStatus::Running)
-            .map(|(&id, _)| id)
-            .collect();
-        assert_eq!(
-            self.running_jobs, running,
-            "running-job index drifted from job statuses"
-        );
-        let mut maps = 0u32;
-        let mut reduces = 0u32;
-        let mut hb_order: BTreeSet<(SimTime, NodeId)> = BTreeSet::new();
-        let mut dedicated: BTreeSet<NodeId> = BTreeSet::new();
-        for (&node, tr) in &self.trackers {
-            if tr.state == TrackerState::Alive {
-                maps += tr.map_slots;
-                reduces += tr.reduce_slots;
-            }
-            if tr.state != TrackerState::Dead {
-                hb_order.insert((tr.last_heartbeat, node));
-            }
-            if tr.dedicated {
-                dedicated.insert(node);
-            }
-        }
-        assert_eq!(self.alive_map_slots, maps, "alive map-slot counter drifted");
-        assert_eq!(
-            self.alive_reduce_slots, reduces,
-            "alive reduce-slot counter drifted"
-        );
-        assert_eq!(
-            self.tracker_hb_order, hb_order,
-            "heartbeat-ordered tracker index drifted"
-        );
-        assert_eq!(
-            self.dedicated_trackers, dedicated,
-            "dedicated-tracker index drifted"
-        );
-    }
-
-    /// Non-panicking variant of the index drift check, always compiled:
-    /// each discrepancy becomes one line. Release-mode fuzzing runs
-    /// this after every experiment (`World::debug_final_audit`), where
-    /// a panic would abort the whole campaign instead of becoming a
+    /// Recount every incremental index from scratch and report each
+    /// discrepancy as one line (empty = no drift). Debug builds assert
+    /// it is empty at each liveness sweep; release-mode fuzzing runs it
+    /// after every experiment (`World::debug_final_audit`), where a
+    /// panic would abort the whole campaign instead of becoming a
     /// shrinkable finding.
     pub fn audit_indexes(&self) -> Vec<String> {
         let mut issues = Vec::new();
@@ -465,8 +414,7 @@ impl JobTracker {
     /// Sweep tracker liveness (call periodically). Suspends and expires
     /// silent trackers per the policy's intervals.
     pub fn check_trackers(&mut self, now: SimTime) -> TrackerSweep {
-        #[cfg(any(test, debug_assertions))]
-        self.debug_check_indexes();
+        debug_assert_eq!(self.audit_indexes(), Vec::<String>::new());
         let mut sweep = TrackerSweep::default();
         let suspension = self.policy.suspension_interval();
         let expiry = self.policy.tracker_expiry();
@@ -861,99 +809,39 @@ impl JobTracker {
         self.pick_speculative(now, node, kind)
     }
 
-    /// Live attempts (running or inactive) across a job's tasks — the
-    /// job's current cluster share, which max-min fair-share equalises.
-    /// O(1): the counter is maintained at launch/kill/success/failure;
-    /// debug builds cross-check it against a full task scan.
-    fn live_attempts_of(job: &Job) -> u32 {
-        debug_assert_eq!(
-            job.live_attempts,
-            job.tasks.values().map(|t| t.n_live() as u32).sum::<u32>(),
-            "incremental live-attempt counter drifted from the task states"
-        );
-        job.live_attempts
-    }
-
-    /// Drive `f` over running jobs in cross-job policy order, stopping
-    /// at the first `Some`. FIFO walks ascending JobId (= submission
-    /// order) straight off the map — allocation-free, so the single-job
-    /// hot path is untouched; fair share sorts runnable jobs by live
-    /// attempt count (fewest first, JobId tie-break).
+    /// Drive `f` over running jobs in cross-job policy order, ascending
+    /// `(rank_key, JobId)`, stopping at the first `Some`. The ranking
+    /// Vec is owned by the tracker and refilled per pick (clear, don't
+    /// drop), so steady-state picks allocate nothing; it is taken out
+    /// of the cell for the duration so `f` never observes a held
+    /// borrow.
     fn pick_across_jobs<T>(&self, mut f: impl FnMut(JobId, &Job) -> Option<T>) -> Option<T> {
-        match self.cross_job {
-            CrossJobPolicy::Fifo => {
-                for &jid in &self.running_jobs {
-                    if let Some(x) = f(jid, &self.jobs[&jid]) {
-                        return Some(x);
-                    }
-                }
-                None
-            }
-            CrossJobPolicy::FairShare | CrossJobPolicy::FairShareInverted => {
-                // The ranking Vec is owned by the tracker and refilled
-                // per pick (clear, don't drop), so steady-state picks
-                // allocate nothing. Taken out of the cell for the
-                // duration so `f` can never observe a held borrow.
-                let mut order = self.fair_share_scratch.take();
-                order.clear();
-                order.extend(
-                    self.running_jobs
-                        .iter()
-                        .map(|&jid| (Self::live_attempts_of(&self.jobs[&jid]), jid)),
-                );
-                order.sort_unstable();
-                if self.cross_job == CrossJobPolicy::FairShareInverted {
-                    // Fault injection: most live attempts first, latest
-                    // submission among ties — starves the queue tail so
-                    // the fuzzer's tail-latency oracle has a known bug
-                    // to catch.
-                    order.reverse();
-                }
-                let mut found = None;
-                for &(_, jid) in order.iter() {
-                    if let Some(x) = f(jid, &self.jobs[&jid]) {
-                        found = Some(x);
-                        break;
-                    }
-                }
-                self.fair_share_scratch.replace(order);
-                found
-            }
-            CrossJobPolicy::Edf | CrossJobPolicy::StrictPriority | CrossJobPolicy::TenantFair => {
-                // Keyed ranking: one u128 per job (lower = more
-                // deserving), JobId tie-break in the tuple. Same
-                // owned-scratch discipline as the fair-share path.
-                let tenant_live = (self.cross_job == CrossJobPolicy::TenantFair)
-                    .then(|| self.tenant_live_counts());
-                let mut order = self.rank_scratch.take();
-                order.clear();
-                order.extend(
-                    self.running_jobs
-                        .iter()
-                        .map(|&jid| (self.rank_key(&self.jobs[&jid], tenant_live.as_ref()), jid)),
-                );
-                order.sort_unstable();
-                let mut found = None;
-                for &(_, jid) in order.iter() {
-                    if let Some(x) = f(jid, &self.jobs[&jid]) {
-                        found = Some(x);
-                        break;
-                    }
-                }
-                self.rank_scratch.replace(order);
-                found
-            }
-        }
+        let tenant_live = self.tenant_live_counts();
+        let mut order = self.rank_scratch.take();
+        order.clear();
+        order.extend(
+            self.running_jobs
+                .iter()
+                .map(|&jid| (self.rank_key(jid, &self.jobs[&jid], &tenant_live), jid)),
+        );
+        order.sort_unstable();
+        let found = order.iter().find_map(|&(_, jid)| f(jid, &self.jobs[&jid]));
+        self.rank_scratch.replace(order);
+        found
     }
 
-    /// Live attempts per tenant over running jobs — the shares the
-    /// tenant-fair ranking and preemption guards compare. O(running
-    /// jobs) per call; no maintained index to drift.
+    /// Live attempts per tenant over running jobs: the shares the
+    /// tenant-fair ranking and preemption guard compare. Empty under
+    /// every other policy, whose keys ignore tenants. O(running jobs),
+    /// computed once per pick and once per preemption attempt; no
+    /// maintained index to drift.
     fn tenant_live_counts(&self) -> BTreeMap<u32, u64> {
         let mut live = BTreeMap::new();
-        for &jid in &self.running_jobs {
-            let j = &self.jobs[&jid];
-            *live.entry(j.spec.tenant).or_insert(0u64) += u64::from(j.live_attempts);
+        if self.cross_job == CrossJobPolicy::TenantFair {
+            for &jid in &self.running_jobs {
+                let j = &self.jobs[&jid];
+                *live.entry(j.spec.tenant).or_insert(0u64) += u64::from(j.live_attempts);
+            }
         }
         live
     }
@@ -977,93 +865,102 @@ impl JobTracker {
         )
     }
 
-    /// One job's scheduling rank under the keyed cross-job policies
-    /// (lower = scheduled sooner; preemption kills the *highest*-ranked
-    /// slot holder). `tenant_live` is precomputed for picks and `None`
-    /// for one-off victim ranking.
+    /// One job's rank in the single cross-job order: lower is scheduled
+    /// sooner, and preemption kills the slot holder with the highest
+    /// rank. Every picker sorts by `(key, JobId)`, and the preemption
+    /// guard ([`Self::may_preempt`]) compares keys. `tenant_live` comes
+    /// from [`Self::tenant_live_counts`].
+    fn rank_key(&self, jid: JobId, job: &Job, tenant_live: &BTreeMap<u32, u64>) -> u128 {
+        let t_live = tenant_live.get(&job.spec.tenant).copied().unwrap_or(0);
+        self.key_at(jid, &job.spec, job.live_attempts, t_live)
+    }
+
+    /// [`Self::rank_key`] of job `jid` as if it held `live` attempts and
+    /// its tenant held `t_live`.
     ///
+    /// - FIFO: the JobId (submission order).
+    /// - Fair share: the live-attempt count (fewest first).
+    /// - Inverted fair share: `(u32::MAX − live) << 32 | (u32::MAX −
+    ///   jid)`, so the most live attempts and then the latest
+    ///   submission come first.
     /// - EDF: the absolute deadline in microseconds; deadline-less jobs
     ///   rank at `u128::MAX`, so an all-`None` stream degenerates to
     ///   FIFO via the JobId tie-break.
     /// - Strict priority: `i32::MAX - priority` (higher priority ⇒
     ///   smaller key), never negative.
     /// - Tenant-fair: `class · 2^120 | weighted_share · 2^40 |
-    ///   job_live` — tenants below their minimum share first, then
+    ///   job_live`: tenants below their minimum share first, then
     ///   ascending `tenant_live/weight`, then max-min within a tenant.
-    /// - FIFO / fair share: submission order and live-attempt count
-    ///   (victim-ranking only; their pick paths don't use keys).
-    fn rank_key(&self, job: &Job, tenant_live: Option<&BTreeMap<u32, u64>>) -> u128 {
+    fn key_at(&self, jid: JobId, spec: &JobSpec, live: u32, t_live: u64) -> u128 {
         match self.cross_job {
-            CrossJobPolicy::Fifo | CrossJobPolicy::FairShareInverted => 0,
-            CrossJobPolicy::FairShare => u128::from(job.live_attempts),
-            CrossJobPolicy::Edf => job
-                .spec
+            CrossJobPolicy::Fifo => u128::from(jid.0),
+            CrossJobPolicy::FairShare => u128::from(live),
+            CrossJobPolicy::FairShareInverted => {
+                (u128::from(u32::MAX - live) << 32) | u128::from(u32::MAX - jid.0)
+            }
+            CrossJobPolicy::Edf => spec
                 .deadline
                 .map_or(u128::MAX, |d| u128::from(d.as_micros())),
             CrossJobPolicy::StrictPriority => {
-                (i64::from(i32::MAX) - i64::from(job.spec.priority)) as u128
+                (i64::from(i32::MAX) - i64::from(spec.priority)) as u128
             }
             CrossJobPolicy::TenantFair => {
-                let tenant = job.spec.tenant;
-                let owned;
-                let live = match tenant_live {
-                    Some(m) => m,
-                    None => {
-                        owned = self.tenant_live_counts();
-                        &owned
-                    }
-                };
-                let t_live = live.get(&tenant).copied().unwrap_or(0);
-                let class: u128 = u128::from(t_live >= self.tenant_min(tenant));
+                let class = u128::from(t_live >= self.tenant_min(spec.tenant));
                 // < 2^52: live attempts are bounded by cluster slots.
-                let share = u128::from(t_live * 1_000_000 / self.tenant_weight(tenant));
-                (class << 120) | (share << 40) | u128::from(job.live_attempts)
+                let share = u128::from(t_live * 1_000_000 / self.tenant_weight(spec.tenant));
+                (class << 120) | (share << 40) | u128::from(live)
             }
         }
     }
 
     /// May a pending task of `challenger` kill a running attempt of
-    /// `victim`? Each guard is strict enough that a preemption strictly
-    /// improves a policy potential, so kill/relaunch ping-pong cannot
-    /// occur within or across scheduling rounds:
-    ///
-    /// - FIFO: earlier submission only.
-    /// - Fair share: only while the gap stays ≥ 2 (`ch + 1 < victim`) —
-    ///   after the transfer the loser still has at least as many slots.
-    /// - EDF / strict priority: strictly earlier deadline / strictly
-    ///   higher priority (static total orders).
-    /// - Tenant-fair: within a tenant, the fair-share rule; across
-    ///   tenants, only when the victim's tenant stays at or above its
-    ///   minimum share *and* either the challenger's tenant is below
-    ///   its own minimum or the weighted shares strictly rebalance
-    ///   (`(ch_live+1)·w_v ≤ (v_live−1)·w_c`).
-    /// - Inverted fair share never preempts (fault-injection variant).
-    fn may_preempt(&self, challenger: JobId, victim: JobId) -> bool {
-        let ch = &self.jobs[&challenger];
-        let vi = &self.jobs[&victim];
+    /// `victim`? The guard is derived from the rank key: the challenger
+    /// must rank strictly ahead, and must still rank at or ahead of the
+    /// victim after one live attempt moves from victim to challenger
+    /// (job and tenant counts both). The reverse kill would then need
+    /// the victim strictly ahead, which the transfer has just ruled
+    /// out, so kill/relaunch ping-pong cannot occur. Two policies keep
+    /// a hand-written rule instead; see their arms.
+    fn may_preempt(
+        &self,
+        challenger: JobId,
+        victim: JobId,
+        tenant_live: &BTreeMap<u32, u64>,
+    ) -> bool {
+        let (ch, vi) = (&self.jobs[&challenger], &self.jobs[&victim]);
+        let (ct, vt) = (ch.spec.tenant, vi.spec.tenant);
+        let cl = tenant_live.get(&ct).copied().unwrap_or(0);
+        let vl = tenant_live.get(&vt).copied().unwrap_or(0);
         match self.cross_job {
-            CrossJobPolicy::Fifo => challenger < victim,
-            CrossJobPolicy::FairShare => ch.live_attempts + 1 < vi.live_attempts,
+            // The inverted order ranks the biggest job first, so the
+            // derived rule would let it take slots from smaller jobs.
+            // This fault-injection variant starves the tail by never
+            // preempting at all.
             CrossJobPolicy::FairShareInverted => false,
-            CrossJobPolicy::Edf => match (ch.spec.deadline, vi.spec.deadline) {
-                (Some(c), Some(v)) => c < v,
-                (Some(_), None) => true,
-                (None, _) => false,
-            },
-            CrossJobPolicy::StrictPriority => ch.spec.priority > vi.spec.priority,
-            CrossJobPolicy::TenantFair => {
-                let (ct, vt) = (ch.spec.tenant, vi.spec.tenant);
-                if ct == vt {
-                    return ch.live_attempts + 1 < vi.live_attempts;
-                }
-                let live = self.tenant_live_counts();
-                let cl = live.get(&ct).copied().unwrap_or(0);
-                let vl = live.get(&vt).copied().unwrap_or(0);
-                if vl <= self.tenant_min(vt) {
-                    return false; // never push a tenant below its floor
-                }
-                cl < self.tenant_min(ct)
-                    || (cl + 1) * self.tenant_weight(vt) <= (vl - 1) * self.tenant_weight(ct)
+            // Across tenants the key is not the rule: the floor is a
+            // hard stop on the victim, a challenger below its own floor
+            // wins whatever the shares, the share term is rounded to
+            // integers, and the job-live tie term plays no part. So the
+            // floor-and-rebalance rule stays as written: never push a
+            // tenant below its floor, and move a slot only to a tenant
+            // below its floor or when the weighted shares strictly
+            // rebalance, `(ch_live+1)·w_v ≤ (v_live−1)·w_c`.
+            CrossJobPolicy::TenantFair if ct != vt => {
+                vl > self.tenant_min(vt)
+                    && (cl < self.tenant_min(ct)
+                        || (cl + 1) * self.tenant_weight(vt) <= (vl - 1) * self.tenant_weight(ct))
+            }
+            _ => {
+                let moved = u64::from(ct != vt);
+                self.key_at(challenger, &ch.spec, ch.live_attempts, cl)
+                    < self.key_at(victim, &vi.spec, vi.live_attempts, vl)
+                    && self.key_at(challenger, &ch.spec, ch.live_attempts + 1, cl + moved)
+                        <= self.key_at(
+                            victim,
+                            &vi.spec,
+                            vi.live_attempts.saturating_sub(1),
+                            vl.saturating_sub(moved),
+                        )
             }
         }
     }
@@ -1093,14 +990,15 @@ impl JobTracker {
         // one owned by the most policy-disfavored job the challenger may
         // preempt — preferring speculative copies, then the youngest
         // attempt, so the least progress is discarded.
+        let tenant_live = self.tenant_live_counts();
         let mut victim: Option<(u128, JobId, bool, AttemptId)> = None;
         let tr = &self.trackers[&node];
         for &aid in tr.running.iter().filter(|a| a.task.kind == kind) {
             let vjid = aid.task.job;
-            if vjid == challenger || !self.may_preempt(challenger, vjid) {
+            if vjid == challenger || !self.may_preempt(challenger, vjid, &tenant_live) {
                 continue;
             }
-            let key = self.rank_key(&self.jobs[&vjid], None);
+            let key = self.rank_key(vjid, &self.jobs[&vjid], &tenant_live);
             let speculative = self.attempt(aid).is_some_and(|a| a.reason.is_duplicate());
             let cand = (key, vjid, speculative, aid);
             if victim.is_none_or(|v| cand > v) {
@@ -1207,18 +1105,8 @@ impl JobTracker {
 
     /// Slots of `kind` across Alive trackers (the paper's "currently
     /// available execution slots"). O(1): the counters are maintained
-    /// on liveness transitions; debug builds cross-check them against
-    /// a full tracker scan.
+    /// on liveness transitions and recounted by [`Self::audit_indexes`].
     fn available_slots(&self, kind: Option<TaskKind>) -> u32 {
-        debug_assert_eq!(
-            self.alive_map_slots + self.alive_reduce_slots,
-            self.trackers
-                .values()
-                .filter(|t| t.state == TrackerState::Alive)
-                .map(|t| t.map_slots + t.reduce_slots)
-                .sum::<u32>(),
-            "incremental alive-slot counters drifted from tracker states"
-        );
         match kind {
             Some(TaskKind::Map) => self.alive_map_slots,
             Some(TaskKind::Reduce) => self.alive_reduce_slots,
@@ -2325,6 +2213,151 @@ mod tests {
         assert_eq!(jt.job_status(loose), crate::JobStatus::Succeeded);
     }
 
+    /// The per-policy cross-job order the unified `(rank_key, JobId)`
+    /// sort replaced, kept as the reference it must reproduce.
+    fn reference_order(jt: &JobTracker) -> Vec<JobId> {
+        let job = |jid: &JobId| &jt.jobs[jid];
+        let mut order: Vec<JobId> = jt.running_jobs.iter().copied().collect();
+        match jt.cross_job {
+            CrossJobPolicy::Fifo => {}
+            CrossJobPolicy::FairShare => order.sort_by_key(|j| (job(j).live_attempts, *j)),
+            CrossJobPolicy::FairShareInverted => {
+                order.sort_by_key(|j| (job(j).live_attempts, *j));
+                order.reverse();
+            }
+            CrossJobPolicy::Edf => {
+                order.sort_by_key(|j| (job(j).spec.deadline.is_none(), job(j).spec.deadline, *j))
+            }
+            CrossJobPolicy::StrictPriority => {
+                order.sort_by_key(|j| (std::cmp::Reverse(job(j).spec.priority), *j))
+            }
+            CrossJobPolicy::TenantFair => {
+                let live = reference_tenant_live(jt);
+                order.sort_by_key(|j| {
+                    let tenant = job(j).spec.tenant;
+                    let t_live = live.get(&tenant).copied().unwrap_or(0);
+                    (
+                        t_live >= jt.tenant_min(tenant),
+                        t_live * 1_000_000 / jt.tenant_weight(tenant),
+                        job(j).live_attempts,
+                        *j,
+                    )
+                })
+            }
+        }
+        order
+    }
+
+    fn reference_tenant_live(jt: &JobTracker) -> BTreeMap<u32, u64> {
+        let mut live = BTreeMap::new();
+        for jid in &jt.running_jobs {
+            let j = &jt.jobs[jid];
+            *live.entry(j.spec.tenant).or_insert(0u64) += u64::from(j.live_attempts);
+        }
+        live
+    }
+
+    /// The hand-written per-policy preemption guards the derived rule
+    /// replaced, kept as the reference it must reproduce.
+    fn reference_may_preempt(jt: &JobTracker, challenger: JobId, victim: JobId) -> bool {
+        let ch = &jt.jobs[&challenger];
+        let vi = &jt.jobs[&victim];
+        match jt.cross_job {
+            CrossJobPolicy::Fifo => challenger < victim,
+            CrossJobPolicy::FairShare => ch.live_attempts + 1 < vi.live_attempts,
+            CrossJobPolicy::FairShareInverted => false,
+            CrossJobPolicy::Edf => match (ch.spec.deadline, vi.spec.deadline) {
+                (Some(c), Some(v)) => c < v,
+                (Some(_), None) => true,
+                (None, _) => false,
+            },
+            CrossJobPolicy::StrictPriority => ch.spec.priority > vi.spec.priority,
+            CrossJobPolicy::TenantFair => {
+                let (ct, vt) = (ch.spec.tenant, vi.spec.tenant);
+                if ct == vt {
+                    return ch.live_attempts + 1 < vi.live_attempts;
+                }
+                let live = reference_tenant_live(jt);
+                let cl = live.get(&ct).copied().unwrap_or(0);
+                let vl = live.get(&vt).copied().unwrap_or(0);
+                if vl <= jt.tenant_min(vt) {
+                    return false;
+                }
+                cl < jt.tenant_min(ct)
+                    || (cl + 1) * jt.tenant_weight(vt) <= (vl - 1) * jt.tenant_weight(ct)
+            }
+        }
+    }
+
+    /// The single cross-job order and the guard derived from it agree
+    /// with the per-policy rules they replaced, on 10k random states per
+    /// policy: per-job live counts, deadlines (some `None`), priorities,
+    /// tenants (one beyond the configured ones), weights (zero counts
+    /// as one) and `min_slots`, over a random subset of running jobs.
+    #[test]
+    fn derived_guard_and_unified_order_match_the_per_policy_rules() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let policies = [
+            CrossJobPolicy::Fifo,
+            CrossJobPolicy::FairShare,
+            CrossJobPolicy::FairShareInverted,
+            CrossJobPolicy::Edf,
+            CrossJobPolicy::StrictPriority,
+            CrossJobPolicy::TenantFair,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x0DE7_0C0D);
+        for policy in policies {
+            let mut jt = hadoop_jt().with_cross_job(policy);
+            let jobs: Vec<JobId> = (0..6)
+                .map(|_| jt.submit_job(t(0), JobSpec::new(1, 0)))
+                .collect();
+            // [allowed, refused] verdicts seen, so both sides are exercised.
+            let mut seen = [0u32; 2];
+            for _ in 0..10_000 {
+                let n_tenants = rng.gen_range(1..=3u32);
+                jt.tenant_weights = (0..n_tenants).map(|_| rng.gen_range(0..=3)).collect();
+                jt.tenant_min_slots = (0..n_tenants).map(|_| rng.gen_range(0..=4)).collect();
+                jt.running_jobs.clear();
+                for &jid in &jobs {
+                    let job = jt.jobs.get_mut(&jid).expect("submitted");
+                    job.live_attempts = rng.gen_range(0..=6);
+                    job.spec.deadline = rng.gen_bool(0.75).then(|| t(rng.gen_range(1..=4)));
+                    job.spec.priority = rng.gen_range(-2..=2);
+                    job.spec.tenant = rng.gen_range(0..=n_tenants);
+                    if rng.gen_bool(0.8) {
+                        jt.running_jobs.insert(jid);
+                    }
+                }
+                let mut order = Vec::new();
+                jt.pick_across_jobs(|jid, _| {
+                    order.push(jid);
+                    None::<()>
+                });
+                assert_eq!(order, reference_order(&jt), "{policy:?} pick order");
+                let tenant_live = jt.tenant_live_counts();
+                for &c in &jt.running_jobs {
+                    for &v in jt.running_jobs.iter().filter(|&&v| v != c) {
+                        let want = reference_may_preempt(&jt, c, v);
+                        assert_eq!(
+                            jt.may_preempt(c, v, &tenant_live),
+                            want,
+                            "{policy:?}: {c:?} over {v:?}, challenger {:?}, victim {:?}, \
+                             weights {:?}, floors {:?}",
+                            jt.jobs[&c].spec,
+                            jt.jobs[&v].spec,
+                            jt.tenant_weights,
+                            jt.tenant_min_slots
+                        );
+                        seen[usize::from(!want)] += 1;
+                    }
+                }
+            }
+            let allowed_expected = policy != CrossJobPolicy::FairShareInverted;
+            assert_eq!(seen[0] > 0, allowed_expected, "{policy:?}: {seen:?}");
+            assert!(seen[1] > 0, "{policy:?}: {seen:?}");
+        }
+    }
+
     /// Randomized churn drift check: after every step of a mixed
     /// workload (job submissions, partial heartbeats, completions,
     /// suspensions, expiries, revivals) the incremental indexes —
@@ -2366,10 +2399,10 @@ mod tests {
                     }
                 }
             }
-            let sweep = jt.check_trackers(now); // runs debug_check_indexes
+            let sweep = jt.check_trackers(now); // audits on entry in debug builds
             produced[0] |= !sweep.suspended.is_empty();
             produced[1] |= !sweep.expired.is_empty();
-            jt.debug_check_indexes();
+            assert_eq!(jt.audit_indexes(), Vec::<String>::new());
         }
         assert_eq!(
             produced, [true; 4],

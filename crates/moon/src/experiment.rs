@@ -61,53 +61,33 @@ const _: () = {
     assert_send_sync::<RunResult>();
 };
 
-/// True when `MOON_PERF_LOG` is truthy (see [`simkit::env::env_flag`]
-/// for the workspace's truthiness rules): every run prints a perf line
-/// on stderr (events/sec plus the flow-network re-share counters) for
-/// bench triage.
-fn perf_log_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| simkit::env::env_flag("MOON_PERF_LOG"))
-}
-
 impl Experiment {
-    /// Run to completion (job output committed) or the horizon.
+    /// Run the paper's single-job experiment to completion (job output
+    /// committed) or the horizon, under the default limits.
     pub fn run(self) -> RunResult {
-        self.run_stream(None)
+        self.run_with_limits(None, None, RunLimits::default())
     }
 
-    /// Run with an optional multi-job arrival stream. `None` is the
-    /// paper's single-job run ([`Experiment::run`]); `Some` injects the
-    /// stream's jobs over the horizon, records per-job SLO rows in
-    /// [`RunResult::jobs`], and reports the *stream* makespan (first
-    /// submission → last output commit) as the run's `job_time`.
-    pub fn run_stream(self, jobs: Option<workloads::JobStream>) -> RunResult {
-        self.run_with_telemetry(jobs, None)
-    }
-
-    /// [`Experiment::run_stream`] with an optional telemetry recorder.
-    /// `None` (the common case) is exactly `run_stream`: the world
-    /// carries no recorder and every instrumentation hook reduces to a
-    /// null check, so results are byte-identical to pre-telemetry
-    /// builds. `Some(cfg)` samples gauges on `cfg`'s sim-time cadence
-    /// and collects spans, returning the recorder in
-    /// [`RunResult::telemetry`]. Enabling telemetry never changes the
-    /// simulation itself: the recorder is fed from the engine's
-    /// post-dispatch observer hook and from value reads at existing
-    /// transition points, with no access to the event queue or RNG.
-    pub fn run_with_telemetry(
-        self,
-        jobs: Option<workloads::JobStream>,
-        telemetry: Option<simkit::TelemetryConfig>,
-    ) -> RunResult {
-        self.run_with_limits(jobs, telemetry, RunLimits::default())
-    }
-
-    /// [`Experiment::run_with_telemetry`] under explicit containment
-    /// limits. The default limits reproduce the historical behaviour
-    /// exactly (same event budget, no wall deadline), so every
-    /// non-campaign caller keeps byte-identical results; the campaign
-    /// runner tightens them per cell to catch livelocks.
+    /// Run with an optional multi-job stream, an optional telemetry
+    /// recorder, and explicit containment limits.
+    ///
+    /// - `jobs`: `None` is the paper's single-job run ([`Self::run`]);
+    ///   `Some` injects the stream's jobs over the horizon, records
+    ///   per-job SLO rows in [`RunResult::jobs`], and reports the
+    ///   *stream* makespan (first submission → last output commit) as
+    ///   the run's `job_time`.
+    /// - `telemetry`: `None` (the common case) leaves the world without
+    ///   a recorder, so every instrumentation hook reduces to a null
+    ///   check and results are byte-identical to pre-telemetry builds.
+    ///   `Some(cfg)` samples gauges on `cfg`'s sim-time cadence and
+    ///   collects spans, returned in [`RunResult::telemetry`]. The
+    ///   recorder is fed from the engine's post-dispatch observer hook
+    ///   and from value reads at existing transition points, with no
+    ///   access to the event queue or RNG, so it never changes the
+    ///   simulation.
+    /// - `limits`: [`RunLimits::default`] reproduces the historical
+    ///   behaviour exactly (same event budget, no wall deadline); the
+    ///   campaign runner tightens them per cell to catch livelocks.
     pub fn run_with_limits(
         self,
         jobs: Option<workloads::JobStream>,
@@ -121,7 +101,6 @@ impl Experiment {
         let seed = self.seed;
         let multi_job = jobs.is_some();
 
-        let wall_start = perf_log_enabled().then(std::time::Instant::now);
         let mut world = World::with_stream(self.cluster, self.policy, self.workload, jobs);
         if let Some(cfg) = telemetry {
             world.enable_telemetry(cfg);
@@ -136,40 +115,6 @@ impl Experiment {
         let end = sim.now();
         let mut world = sim.into_model();
         let telemetry = world.finalize_telemetry(end).map(Box::new);
-        let world = world;
-        if let Some(t0) = wall_start {
-            let wall = t0.elapsed().as_secs_f64();
-            let net = world.net_stats();
-            let mean_component = if net.reshares > 0 {
-                net.reshare_flow_visits as f64 / net.reshares as f64
-            } else {
-                0.0
-            };
-            let (jobs_submitted, peak_active) = world.job_gauges();
-            let queue_gauge = if multi_job {
-                let rows = world.job_slo_rows();
-                let delays: Vec<f64> = rows.iter().filter_map(|r| r.queue_delay_secs()).collect();
-                let mean_queue = if delays.is_empty() {
-                    0.0
-                } else {
-                    delays.iter().sum::<f64>() / delays.len() as f64
-                };
-                format!(
-                    ", {jobs_submitted} jobs (peak {peak_active} active, \
-                     mean queue {mean_queue:.1}s)"
-                )
-            } else {
-                String::new()
-            };
-            eprintln!(
-                "MOON_PERF {label} w={workload_name} p={unavailability} seed={seed}: \
-                 {events} events in {wall:.3}s ({:.0} ev/s), {} reshares \
-                 (mean component {mean_component:.1} flows, peak {} live){queue_gauge}",
-                events as f64 / wall.max(1e-9),
-                net.reshares,
-                net.peak_live_flows,
-            );
-        }
 
         let job = world.job_metrics().unwrap_or_default();
         let finished = world.metrics.job_finished.is_some()

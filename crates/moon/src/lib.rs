@@ -30,7 +30,7 @@
 //!
 //! ## Multi-job streams
 //!
-//! Beyond the paper's one-job-per-run setup, [`Experiment::run_stream`]
+//! Beyond the paper's one-job-per-run setup, [`Experiment::run_with_limits`]
 //! serves a whole [`workloads::JobStream`] on one shared cluster —
 //! deterministic batches, open Poisson arrivals, or closed think-time
 //! clients — with cross-job FIFO or max-min fair-share scheduling

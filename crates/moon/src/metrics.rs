@@ -216,11 +216,11 @@ pub struct RunResult {
     pub audit: Vec<String>,
     /// Telemetry recorder of the run (gauge series + spans), present
     /// only when the run was started via
-    /// [`Experiment::run_with_telemetry`] with a config. Never rendered
+    /// [`Experiment::run_with_limits`] with a config. Never rendered
     /// in tables or the per-run JSON rows; the sweep-level exporters
     /// turn it into the metrics JSONL and Chrome-trace artifacts.
     ///
-    /// [`Experiment::run_with_telemetry`]: crate::Experiment::run_with_telemetry
+    /// [`Experiment::run_with_limits`]: crate::Experiment::run_with_limits
     pub telemetry: Option<Box<simkit::Telemetry>>,
 }
 

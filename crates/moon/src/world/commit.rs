@@ -136,8 +136,7 @@ impl World {
     /// factor (spawning each closed-stream successor), and report
     /// whether the entire stream is now committed.
     fn commit_finished_jobs(&mut self, ctx: &mut Ctx<'_, Ev>) -> bool {
-        #[cfg(any(test, debug_assertions))]
-        self.debug_check_job_counters();
+        debug_assert_eq!(self.audit_job_counters(), Vec::<String>::new());
         // Only slots with tasks done and output still replicating can
         // commit — the maintained pending set visits exactly those, in
         // slot order, instead of sweeping every slot each scan. The

@@ -17,59 +17,14 @@ impl World {
     /// jobs, nothing awaiting commit). Returns one line per
     /// discrepancy; empty means the conservation invariants hold.
     ///
-    /// Unlike the debug-only drift asserts this never panics and is
-    /// compiled in release builds, so the fuzzer can run it after
-    /// every experiment and turn violations into shrinkable findings
-    /// rather than campaign-aborting aborts.
+    /// It never panics and is compiled in release builds, so the
+    /// fuzzer can run it after every experiment and turn violations
+    /// into shrinkable findings rather than campaign-aborting aborts.
+    /// Debug builds also assert its recount parts mid-run: the job-slot
+    /// counters at each commit sweep, the subsystem indexes at each
+    /// liveness sweep.
     pub fn debug_final_audit(&self) -> Vec<String> {
-        let mut issues = Vec::new();
-
-        // World-side job-slot counters vs a from-scratch recount.
-        let submitted = self
-            .jobs
-            .iter()
-            .filter(|s| s.submitted_at.is_some())
-            .count();
-        if self.n_submitted as usize != submitted {
-            issues.push(format!(
-                "submitted-slot counter drifted: counter {}, recount {submitted}",
-                self.n_submitted
-            ));
-        }
-        let incomplete = self.jobs.iter().filter(|s| !s.tasks_done).count();
-        if self.n_tasks_incomplete != incomplete {
-            issues.push(format!(
-                "tasks-incomplete counter drifted: counter {}, recount {incomplete}",
-                self.n_tasks_incomplete
-            ));
-        }
-        let committed = self.jobs.iter().filter(|s| s.finished_at.is_some()).count();
-        if self.n_committed as usize != committed {
-            issues.push(format!(
-                "committed-slot counter drifted: counter {}, recount {committed}",
-                self.n_committed
-            ));
-        }
-        if self.client_budget_total != self.client_budget.iter().sum::<u32>() {
-            issues.push(format!(
-                "closed-stream budget counter drifted: counter {}, recount {}",
-                self.client_budget_total,
-                self.client_budget.iter().sum::<u32>()
-            ));
-        }
-        let pending: BTreeSet<usize> = self
-            .jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.tasks_done && s.finished_at.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        if self.commit_pending != pending {
-            issues.push(format!(
-                "commit-pending set drifted: tracked {:?}, recount {pending:?}",
-                self.commit_pending
-            ));
-        }
+        let mut issues = self.audit_job_counters();
 
         // Every committed job must be genuinely finished: tasks done,
         // JobTracker agrees, and time flows forward.
@@ -175,6 +130,61 @@ impl World {
                 ));
             }
         }
+        issues
+    }
+
+    /// Recount the world's job-slot counters and commit-pending set
+    /// from scratch, one line per discrepancy (empty = no drift).
+    /// Debug builds assert it is empty at each commit sweep; the
+    /// end-of-run audit runs it in release builds too.
+    pub(super) fn audit_job_counters(&self) -> Vec<String> {
+        let mut issues = Vec::new();
+        let submitted = self
+            .jobs
+            .iter()
+            .filter(|s| s.submitted_at.is_some())
+            .count();
+        if self.n_submitted as usize != submitted {
+            issues.push(format!(
+                "submitted-slot counter drifted: counter {}, recount {submitted}",
+                self.n_submitted
+            ));
+        }
+        let incomplete = self.jobs.iter().filter(|s| !s.tasks_done).count();
+        if self.n_tasks_incomplete != incomplete {
+            issues.push(format!(
+                "tasks-incomplete counter drifted: counter {}, recount {incomplete}",
+                self.n_tasks_incomplete
+            ));
+        }
+        let committed = self.jobs.iter().filter(|s| s.finished_at.is_some()).count();
+        if self.n_committed as usize != committed {
+            issues.push(format!(
+                "committed-slot counter drifted: counter {}, recount {committed}",
+                self.n_committed
+            ));
+        }
+        if self.client_budget_total != self.client_budget.iter().sum::<u32>() {
+            issues.push(format!(
+                "closed-stream budget counter drifted: counter {}, recount {}",
+                self.client_budget_total,
+                self.client_budget.iter().sum::<u32>()
+            ));
+        }
+        let pending: BTreeSet<usize> = self
+            .jobs
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.tasks_done && s.finished_at.is_none())
+            .map(|(i, _)| i)
+            .collect();
+        if self.commit_pending != pending {
+            issues.push(format!(
+                "commit-pending set drifted: tracked {:?}, recount {pending:?}",
+                self.commit_pending
+            ));
+        }
+
         issues
     }
 

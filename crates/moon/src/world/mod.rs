@@ -468,44 +468,6 @@ impl World {
         self.n_submitted > 0 && (self.n_tasks_incomplete > 0 || self.more_submissions_pending())
     }
 
-    /// Cross-check the incremental job-slot counters against a
-    /// from-scratch scan (the `live_attempts_of` drift-check pattern).
-    /// Debug builds run this at each commit sweep.
-    #[cfg(any(test, debug_assertions))]
-    pub(super) fn debug_check_job_counters(&self) {
-        assert_eq!(
-            self.n_submitted as usize,
-            self.jobs
-                .iter()
-                .filter(|s| s.submitted_at.is_some())
-                .count(),
-            "submitted-slot counter drifted"
-        );
-        assert_eq!(
-            self.n_tasks_incomplete,
-            self.jobs.iter().filter(|s| !s.tasks_done).count(),
-            "tasks-incomplete counter drifted"
-        );
-        assert_eq!(
-            self.n_committed as usize,
-            self.jobs.iter().filter(|s| s.finished_at.is_some()).count(),
-            "committed-slot counter drifted"
-        );
-        assert_eq!(
-            self.client_budget_total,
-            self.client_budget.iter().sum::<u32>(),
-            "closed-stream budget counter drifted"
-        );
-        let pending: BTreeSet<usize> = self
-            .jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.tasks_done && s.finished_at.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(self.commit_pending, pending, "commit-pending set drifted");
-    }
-
     /// Resource chain for a transfer src → dst (skipping the network for
     /// local transfers).
     fn transfer_path(&self, src: NodeId, dst: NodeId) -> Vec<ResourceId> {
@@ -655,7 +617,7 @@ impl World {
             .collect()
     }
 
-    /// Perf-log gauges: (jobs submitted, peak concurrently active).
+    /// Job gauges: (jobs submitted, peak concurrently active).
     pub fn job_gauges(&self) -> (u32, u32) {
         let submitted = self.jobs.iter().filter(|s| s.job.is_some()).count() as u32;
         (submitted, self.peak_active_jobs)
@@ -666,7 +628,7 @@ impl World {
         &self.nn
     }
 
-    /// Flow-network re-sharing counters (behind `MOON_PERF_LOG=1`).
+    /// Flow-network re-sharing counters.
     pub fn net_stats(&self) -> netsim::NetStats {
         self.net.stats()
     }

@@ -81,14 +81,18 @@ fn closed_stream_clients_keep_their_own_workloads() {
         workload: quick(),
         seed: 3,
     }
-    .run_stream(Some(JobStream {
-        workloads: vec![slow, fast],
-        ..JobStream::new(ArrivalModel::Closed {
-            clients: 2,
-            jobs_per_client: 2,
-            think: DurationModel::Fixed(SimDuration::from_secs(5)),
-        })
-    }));
+    .run_with_limits(
+        Some(JobStream {
+            workloads: vec![slow, fast],
+            ..JobStream::new(ArrivalModel::Closed {
+                clients: 2,
+                jobs_per_client: 2,
+                think: DurationModel::Fixed(SimDuration::from_secs(5)),
+            })
+        }),
+        None,
+        crate::RunLimits::default(),
+    );
     let rows = r.jobs.as_ref().expect("stream run");
     assert_eq!(rows.len(), 4, "{rows:?}");
     let names: Vec<&str> = rows.iter().map(|j| j.workload.as_str()).collect();

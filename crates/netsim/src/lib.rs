@@ -18,7 +18,7 @@
 //! touches, through the reusable scratch-buffer [`Solver`] — zero
 //! steady-state allocation, bit-identical to a from-scratch
 //! [`maxmin_rates`] solve (see `DESIGN.md` §5). [`FlowNet::stats`]
-//! exposes the re-share work counters behind `MOON_PERF_LOG=1`.
+//! exposes the re-share work counters the benchmark reports.
 //!
 //! ## Example
 //!

@@ -103,7 +103,7 @@ impl Changes {
 }
 
 /// Counters describing how much re-sharing work a [`FlowNet`] performed
-/// (exposed for the `MOON_PERF_LOG=1` per-run perf line and benches).
+/// (exposed for benches: `perfbench --trace 1` reports them per workload).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NetStats {
     /// Incremental reshare invocations (one per effective mutation).

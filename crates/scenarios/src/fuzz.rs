@@ -543,7 +543,7 @@ fn run_spec(spec: &ScenarioSpec, runs: &mut u64) -> Result<Vec<Vec<RunResult>>, 
                     workload: pt.workload.clone(),
                     seed,
                 }
-                .run_stream(pt.jobs.clone()),
+                .run_with_limits(pt.jobs.clone(), None, moon::RunLimits::default()),
             );
         }
         results.push(per_seed);

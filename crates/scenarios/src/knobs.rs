@@ -1,5 +1,5 @@
 //! Environment-driven run knobs shared by every sweep entry point
-//! (`moon-cli`, the figure binaries, tests). Moved here from `bench`
+//! (`moon-cli`, benches, tests). Moved here from `bench`
 //! so scenario expansion and the sweep harness agree on quick-mode
 //! shrinking and default seeds; `bench` re-exports them unchanged.
 

@@ -17,8 +17,8 @@
 //!   [`codec`].
 //!
 //! The `bench` crate layers the parallel sweep harness and the
-//! `moon-cli` binary on top; the fig/table binaries are thin wrappers
-//! over registry entries.
+//! `moon-cli` binary on top; `moon-cli run <name>` regenerates each
+//! paper figure and table from its registry entry.
 
 #![warn(missing_docs)]
 

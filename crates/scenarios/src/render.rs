@@ -3,8 +3,8 @@
 //!
 //! The table output is byte-compatible with what the hand-written fig/
 //! table binaries printed (same `moon::report` formatting, same title
-//! strings via the spec's templates), which is what lets those
-//! binaries become thin wrappers without changing their tables.
+//! strings via the spec's templates), which is what let `moon-cli run`
+//! replace those binaries without changing their tables.
 
 use crate::expand::Plan;
 use crate::spec::{TableKind, TableSpec};

@@ -1,9 +1,8 @@
 //! Environment-knob parsing shared by every crate in the workspace.
 //!
-//! The repo's runtime knobs (`MOON_QUICK`, `MOON_PERF_LOG`,
-//! `MOON_SEEDS`, `MOON_THREADS`) historically each parsed their
-//! variable ad hoc — one accepted only the literal `"1"`, another any
-//! parseable integer. This module is the single documented contract:
+//! The repo's runtime knobs (`MOON_QUICK`, `MOON_SEEDS`, `MOON_THREADS`)
+//! historically each parsed their variable ad hoc — one accepted only
+//! the literal `"1"`, another any parseable integer. This module is the single documented contract:
 //!
 //! - **Boolean knobs** ([`env_flag`]): truthy values are `1`, `true`,
 //!   `yes`, and `on`, case-insensitive, surrounding whitespace ignored.

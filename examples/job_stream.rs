@@ -36,7 +36,7 @@ fn main() {
             workload: moon::quick_workload(),
             seed: 42,
         }
-        .run_stream(Some(stream));
+        .run_with_limits(Some(stream), None, moon::RunLimits::default());
         let rows = result.jobs.as_ref().expect("stream runs carry SLO rows");
         assert_eq!(rows.len(), 4, "all four jobs were submitted");
         println!("  cross-job = {}:", cross_job.as_str());

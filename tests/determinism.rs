@@ -241,7 +241,11 @@ fn parallel_sweep_matches_single_thread_sweep() {
                         workload: pt.workload.clone(),
                         seed,
                     }
-                    .run_stream(pt.jobs.clone())
+                    .run_with_limits(
+                        pt.jobs.clone(),
+                        None,
+                        moon::RunLimits::default(),
+                    )
                 })
                 .collect()
         })
@@ -309,7 +313,11 @@ fn fleet_scale_parallel_sweep_matches_serial() {
                         workload: pt.workload.clone(),
                         seed,
                     }
-                    .run_stream(pt.jobs.clone())
+                    .run_with_limits(
+                        pt.jobs.clone(),
+                        None,
+                        moon::RunLimits::default(),
+                    )
                 })
                 .collect()
         })
@@ -334,12 +342,16 @@ fn job_stream_runs_are_deterministic_per_seed() {
             workload: moon::quick_workload(),
             seed,
         }
-        .run_stream(Some(workloads::JobStream::new(
-            workloads::ArrivalModel::Poisson {
-                rate_per_hour: 240.0,
-                count: 4,
-            },
-        )))
+        .run_with_limits(
+            Some(workloads::JobStream::new(
+                workloads::ArrivalModel::Poisson {
+                    rate_per_hour: 240.0,
+                    count: 4,
+                },
+            )),
+            None,
+            moon::RunLimits::default(),
+        )
     };
     let a = run(7);
     let b = run(7);

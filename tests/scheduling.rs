@@ -50,7 +50,7 @@ fn run(policy: PolicyConfig, stream: JobStream) -> RunResult {
         workload: moon::quick_workload(),
         seed: 42,
     }
-    .run_stream(Some(stream))
+    .run_with_limits(Some(stream), None, moon::RunLimits::default())
 }
 
 fn rows(r: &RunResult) -> &[JobSlo] {

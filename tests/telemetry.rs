@@ -55,8 +55,11 @@ fn enabling_telemetry_does_not_perturb_the_simulation() {
     // touched simulation state would most likely show up.
     for (seed, rate) in [(1u64, 0.0), (7, 0.3), (99, 0.5)] {
         let bare = experiment(seed, rate).run();
-        let instrumented = experiment(seed, rate)
-            .run_with_telemetry(None, Some(simkit::TelemetryConfig::default()));
+        let instrumented = experiment(seed, rate).run_with_limits(
+            None,
+            Some(simkit::TelemetryConfig::default()),
+            moon::RunLimits::default(),
+        );
         assert!(bare.telemetry.is_none());
         let t = instrumented
             .telemetry
@@ -71,8 +74,16 @@ fn enabling_telemetry_does_not_perturb_the_simulation() {
 
 #[test]
 fn identical_seeds_produce_identical_recorders() {
-    let a = experiment(7, 0.3).run_with_telemetry(None, Some(simkit::TelemetryConfig::default()));
-    let b = experiment(7, 0.3).run_with_telemetry(None, Some(simkit::TelemetryConfig::default()));
+    let a = experiment(7, 0.3).run_with_limits(
+        None,
+        Some(simkit::TelemetryConfig::default()),
+        moon::RunLimits::default(),
+    );
+    let b = experiment(7, 0.3).run_with_limits(
+        None,
+        Some(simkit::TelemetryConfig::default()),
+        moon::RunLimits::default(),
+    );
     let (ta, tb) = (a.telemetry.unwrap(), b.telemetry.unwrap());
     let mut ja = String::new();
     let mut jb = String::new();
@@ -126,7 +137,11 @@ fn artifacts_are_identical_across_thread_counts() {
                         workload: pt.workload.clone(),
                         seed,
                     }
-                    .run_with_telemetry(pt.jobs.clone(), pt.telemetry.clone())
+                    .run_with_limits(
+                        pt.jobs.clone(),
+                        pt.telemetry.clone(),
+                        moon::RunLimits::default(),
+                    )
                 })
                 .collect()
         })
