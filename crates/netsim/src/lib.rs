@@ -14,11 +14,14 @@
 //! reported to the host so it can model fetch timeouts.
 //!
 //! Re-sharing is *incremental*: flows live in a slab, and each mutation
-//! re-solves only the connected component of the flow↔resource graph it
+//! re-solves only the connected component of the sharing graph (running
+//! flows and live resources; stalled flows are outside it) that it
 //! touches, through the reusable scratch-buffer [`Solver`] — zero
 //! steady-state allocation, bit-identical to a from-scratch
-//! [`maxmin_rates`] solve (see `DESIGN.md` §5). [`FlowNet::stats`]
-//! exposes the re-share work counters the benchmark reports.
+//! [`maxmin_rates`] solve except when bottleneck shares in different
+//! components lie within the solver's 1e-12 freeze tolerance without
+//! being equal (see `DESIGN.md` §5). [`FlowNet::stats`] exposes the
+//! re-share work counters the benchmark reports.
 //!
 //! ## Example
 //!

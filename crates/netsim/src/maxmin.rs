@@ -71,7 +71,8 @@ pub fn maxmin_rates(capacities: &[f64], flow_resources: &[Vec<usize>]) -> Vec<f6
 /// subtractions interleave). Callers that need reproducible results must
 /// therefore add flows in a canonical order — [`FlowNet`] uses flow
 /// creation order, which also makes the incremental component solve
-/// bit-identical to a from-scratch solve of the whole network.
+/// bit-identical to a from-scratch solve of the whole network, up to
+/// near-ties across components (see `DESIGN.md` §5).
 ///
 /// [`FlowNet`]: crate::FlowNet
 #[derive(Debug, Default)]

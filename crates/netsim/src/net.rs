@@ -14,19 +14,30 @@
 //! Flows live in a slab (`Vec` slots + free list, handles tagged with a
 //! monotone serial so stale [`FlowId`]s never alias a reused slot), and
 //! every resource keeps the list of live flows crossing it. Disjoint
-//! connected components of the flow↔resource bipartite graph have
-//! independent max-min allocations, so a mutation re-solves only the
-//! component it touches: a bipartite BFS from the touched resources
-//! collects the dirty component into persistent scratch buffers and a
-//! reusable [`maxmin::Solver`](crate::maxmin::Solver) re-runs
-//! progressive filling on just that slice of the network, with zero
-//! steady-state allocation. Paths are deduplicated once at
-//! [`start_flow`](FlowNet::start_flow), never per solve. Rates, stall
-//! transitions, and completion order are bit-identical to a from-scratch
+//! connected components of the *sharing graph* have independent max-min
+//! allocations, so a mutation re-solves only the component it touches: a
+//! bipartite BFS from the touched resources collects the dirty component
+//! into persistent scratch buffers and a reusable
+//! [`maxmin::Solver`](crate::maxmin::Solver) re-runs progressive filling
+//! on just that slice of the network, with zero steady-state allocation.
+//! Paths are deduplicated once at [`start_flow`](FlowNet::start_flow),
+//! never per solve.
+//!
+//! The sharing graph links running flows to live resources. A flow whose
+//! path crosses a zero-capacity resource is *stalled*: its rate is 0
+//! exactly then, it takes no capacity, and so it is left out of the graph
+//! (it stays in the slab and its resources' lists). Killing a resource
+//! stalls its running flows directly and re-shares only what they freed;
+//! starting, cancelling or completing a stalled flow re-shares nothing.
+//!
+//! Rates, stall transitions, and completion order match a from-scratch
 //! global solve because component flows are processed in flow-creation
 //! order and untouched components would re-derive exactly the same rates
-//! from unchanged inputs (see `DESIGN.md` §5 for the determinism
-//! argument).
+//! from unchanged inputs. The match is bit-for-bit except for near-ties
+//! *across* components: two components whose bottleneck shares lie
+//! within the solver's relative freeze tolerance (1e-12) without being
+//! equal each keep their own share here, where a global solve freezes
+//! both at the smaller one. See `DESIGN.md` §5 for the argument.
 
 use crate::maxmin::Solver;
 use simkit::{SimDuration, SimTime};
@@ -106,9 +117,14 @@ impl Changes {
 /// (exposed for benches: `perfbench --trace 1` reports them per workload).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NetStats {
-    /// Incremental reshare invocations (one per effective mutation).
+    /// Incremental reshare invocations: one per mutation that can move a
+    /// running flow's rate. Mutations that touch only stalled flows
+    /// (starting, cancelling or completing a flow over a dead resource,
+    /// killing a resource with no running flows) re-share nothing and do
+    /// not count.
     pub reshares: u64,
-    /// Total flows visited across all reshared components. Divide by
+    /// Total running flows solved across all reshared components (stalled
+    /// flows are outside the sharing graph and never visited). Divide by
     /// `reshares` for the mean dirty-component size; compare against
     /// `peak_live_flows` to see what a full recompute would have cost.
     pub reshare_flow_visits: u64,
@@ -189,10 +205,33 @@ impl FlowNet {
     pub fn set_capacity(&mut self, now: SimTime, r: ResourceId, capacity: f64) -> Changes {
         assert!(capacity >= 0.0 && capacity.is_finite());
         self.advance(now);
-        self.resources[r.0 as usize].capacity = capacity;
         self.begin_component();
-        self.seed_resource(r.0);
-        self.reshare_component()
+        let mut changes = Changes::default();
+        let ri = r.0 as usize;
+        if capacity <= 0.0 && self.resources[ri].capacity > 0.0 {
+            // The resource dies: its running flows stall here, leaving the
+            // sharing graph, and the capacity they held on the rest of
+            // their paths is re-shared among the flows still running.
+            for k in 0..self.resources[ri].flows.len() {
+                let s = self.resources[ri].flows[k];
+                let f = &mut self.slots[s as usize];
+                if f.rate > 0.0 {
+                    f.rate = 0.0;
+                    if f.remaining > EPS_BYTES {
+                        changes.stalled.push(FlowId {
+                            serial: f.serial,
+                            slot: s,
+                        });
+                    }
+                    self.seed_path(s);
+                }
+            }
+        } else {
+            self.seed_resource(r.0);
+        }
+        self.resources[ri].capacity = capacity;
+        changes.merge(self.reshare_component());
+        changes
     }
 
     /// Start a transfer of `bytes` across `path`. The flow exists until it
@@ -243,8 +282,7 @@ impl FlowNet {
         self.stats.peak_live_flows = self.stats.peak_live_flows.max(self.n_live as u64);
         // Register with each crossed resource (new serial is the largest,
         // so pushing keeps the list in creation order).
-        let path_vec = std::mem::take(&mut self.slots[slot as usize].path);
-        for &r in &path_vec {
+        for &r in &self.slots[slot as usize].path {
             self.resources[r as usize].flows.push(slot);
         }
         let id = FlowId { serial, slot };
@@ -254,13 +292,10 @@ impl FlowNet {
             self.finished.push((slot, serial));
         }
         self.begin_component();
-        for &r in &path_vec {
-            self.seed_resource(r);
-        }
-        self.slots[slot as usize].path = path_vec;
+        self.seed_path(slot);
         let mut changes = self.reshare_component();
         let f = &self.slots[slot as usize];
-        if f.rate <= 0.0 && f.remaining > EPS_BYTES && !changes.stalled.contains(&id) {
+        if f.rate <= 0.0 && f.remaining > EPS_BYTES {
             changes.stalled.push(id);
         }
         (id, changes)
@@ -274,11 +309,8 @@ impl FlowNet {
             return None;
         }
         self.begin_component();
-        let path_vec = self.unlink_flow(id.slot);
-        for &r in &path_vec {
-            self.seed_resource(r);
-        }
-        self.slots[id.slot as usize].path = path_vec;
+        self.seed_path(id.slot);
+        self.unlink_flow(id.slot);
         Some(self.reshare_component())
     }
 
@@ -307,11 +339,8 @@ impl FlowNet {
         done.sort_unstable();
         self.begin_component();
         for id in &done {
-            let path_vec = self.unlink_flow(id.slot);
-            for &r in &path_vec {
-                self.seed_resource(r);
-            }
-            self.slots[id.slot as usize].path = path_vec;
+            self.seed_path(id.slot);
+            self.unlink_flow(id.slot);
         }
         let changes = self.reshare_component();
         (done, changes)
@@ -399,28 +428,26 @@ impl FlowNet {
         self.last_advance = now;
     }
 
-    /// Remove a flow from the slab and all resource lists, returning its
-    /// path (taken out so the caller can seed the component BFS while
-    /// holding `&mut self`; the caller puts it back to keep the slot's
-    /// path allocation for reuse).
-    fn unlink_flow(&mut self, slot: u32) -> Vec<u32> {
-        let path_vec = std::mem::take(&mut self.slots[slot as usize].path);
-        let serial = self.slots[slot as usize].serial;
-        for &r in &path_vec {
-            let slots = &self.slots;
-            let flows = &mut self.resources[r as usize].flows;
+    /// Remove a flow from the slab and all resource lists. The slot keeps
+    /// its path allocation for reuse.
+    fn unlink_flow(&mut self, slot: u32) {
+        let FlowNet {
+            resources, slots, ..
+        } = self;
+        let f = &slots[slot as usize];
+        for &r in &f.path {
+            let flows = &mut resources[r as usize].flows;
             // The list is sorted by occupant serial (creation order).
             let pos = flows
-                .binary_search_by_key(&serial, |&s| slots[s as usize].serial)
+                .binary_search_by_key(&f.serial, |&s| slots[s as usize].serial)
                 .expect("flow missing from resource list");
             flows.remove(pos);
         }
-        let f = &mut self.slots[slot as usize];
+        let f = &mut slots[slot as usize];
         f.live = false;
         f.rate = 0.0;
         self.free.push(slot);
         self.n_live -= 1;
-        path_vec
     }
 
     // ------------------------------------------------------------------
@@ -453,11 +480,31 @@ impl FlowNet {
         }
     }
 
+    /// Add every resource on a flow's path to the dirty set, unless the
+    /// flow is stalled: it crosses a dead resource, holds no capacity, and
+    /// so is outside the sharing graph.
+    fn seed_path(&mut self, slot: u32) {
+        let path = &self.slots[slot as usize].path;
+        if crosses_dead(&self.resources, path) {
+            return;
+        }
+        for &r in path {
+            let res = &mut self.resources[r as usize];
+            if res.mark != self.epoch {
+                res.mark = self.epoch;
+                self.comp_res.push(r);
+            }
+        }
+    }
+
     /// Expand the seeded dirty set to its full connected component(s) in
-    /// the flow↔resource bipartite graph, solve max-min on that
-    /// subproblem, apply the rates, and report zero-crossings in flow
-    /// creation order.
+    /// the sharing graph (running flows ↔ live resources), solve max-min
+    /// on that subproblem, apply the rates, and report zero-crossings in
+    /// flow creation order. An empty seed set is no reshare at all.
     fn reshare_component(&mut self) -> Changes {
+        if self.comp_res.is_empty() {
+            return Changes::default();
+        }
         let FlowNet {
             resources,
             slots,
@@ -471,18 +518,26 @@ impl FlowNet {
         let epoch = *epoch;
 
         // Two-cursor bipartite BFS: resources pull in their flows, flows
-        // pull in the rest of their path.
+        // pull in the rest of their path. Stalled flows are not part of
+        // the graph: a dead resource pulls in nothing, and a flow crossing
+        // one is marked but neither solved nor expanded, so it never
+        // joins two otherwise separate components.
         let mut ri = 0;
         let mut fi = 0;
         while ri < comp_res.len() || fi < comp_flows.len() {
             if ri < comp_res.len() {
                 let r = comp_res[ri] as usize;
                 ri += 1;
+                if resources[r].capacity <= 0.0 {
+                    continue;
+                }
                 for &s in &resources[r].flows {
                     let f = &mut slots[s as usize];
                     if f.mark != epoch {
                         f.mark = epoch;
-                        comp_flows.push(s);
+                        if !crosses_dead(resources, &f.path) {
+                            comp_flows.push(s);
+                        }
                     }
                 }
             } else {
@@ -543,6 +598,12 @@ impl FlowNet {
         }
         changes
     }
+}
+
+/// True if `path` crosses a zero-capacity resource, i.e. a flow over it
+/// is stalled.
+fn crosses_dead(resources: &[Resource], path: &[u32]) -> bool {
+    path.iter().any(|&r| resources[r as usize].capacity <= 0.0)
 }
 
 #[cfg(test)]
@@ -735,6 +796,91 @@ mod tests {
         assert_eq!(net.rate(a1), Some(50.0));
         assert_eq!(net.rate(a2), Some(50.0));
         assert_eq!(net.rate(b1), Some(40.0));
+    }
+
+    #[test]
+    fn stalled_flow_does_not_join_components() {
+        // `s` crosses a dead resource between two live ones. It takes no
+        // capacity, so it must not glue the two sides into one component.
+        let mut net = FlowNet::new();
+        let nic_a = net.add_resource(100.0);
+        let dead = net.add_resource(0.0);
+        let nic_b = net.add_resource(80.0);
+        let (a1, _) = net.start_flow(t(0), &[nic_a], 1e9);
+        let (b1, _) = net.start_flow(t(0), &[nic_b], 1e9);
+        let (b2, _) = net.start_flow(t(0), &[nic_b], 1e9);
+        let (s, _) = net.start_flow(t(0), &[nic_a, dead, nic_b], 1e9);
+        let visits_before = net.stats().reshare_flow_visits;
+        let ch = net.set_capacity(t(1), nic_b, 40.0);
+        assert!(ch.is_empty());
+        let visits = net.stats().reshare_flow_visits - visits_before;
+        assert_eq!(visits, 2, "dirty component is just b1 and b2");
+        assert_eq!(net.rate(a1), Some(100.0));
+        assert_eq!(net.rate(b1), Some(20.0));
+        assert_eq!(net.rate(b2), Some(20.0));
+        assert_eq!(net.rate(s), Some(0.0));
+    }
+
+    #[test]
+    fn stalled_flows_cost_no_reshare() {
+        let mut net = FlowNet::new();
+        let nic = net.add_resource(100.0);
+        let dead = net.add_resource(0.0);
+        net.start_flow(t(0), &[nic], 1e9);
+        let before = net.stats().reshares;
+        // Born stalled over a dead resource.
+        let (s, ch) = net.start_flow(t(1), &[nic, dead], 500.0);
+        assert_eq!(ch.stalled, vec![s]);
+        assert_eq!(net.stats().reshares, before, "start over a dead resource");
+        // Cancelled while stalled.
+        assert_eq!(net.cancel_flow(t(2), s), Some(Changes::default()));
+        assert_eq!(net.stats().reshares, before, "cancel of a stalled flow");
+        // A zero-byte flow born on a dead resource, polled to completion.
+        let (z, ch) = net.start_flow(t(3), &[dead], 0.0);
+        assert!(ch.is_empty());
+        let (done, ch) = net.poll(t(3));
+        assert_eq!(done, vec![z]);
+        assert!(ch.is_empty());
+        assert_eq!(net.stats().reshares, before, "poll of a stalled flow");
+    }
+
+    #[test]
+    fn restore_resumes_only_fully_alive_paths() {
+        let mut net = FlowNet::new();
+        let x = net.add_resource(90.0);
+        let y = net.add_resource(90.0);
+        let (f1, _) = net.start_flow(t(0), &[x], 1e9);
+        let (f2, _) = net.start_flow(t(0), &[x, y], 1e9);
+        let (f3, _) = net.start_flow(t(0), &[x], 1e9);
+        let ch = net.set_capacity(t(1), y, 0.0);
+        assert_eq!(ch.stalled, vec![f2]);
+        assert_eq!(net.rate(f1), Some(45.0), "freed capacity re-shared");
+        let ch = net.set_capacity(t(2), x, 0.0);
+        assert_eq!(ch.stalled, vec![f1, f3], "creation order");
+        let ch = net.set_capacity(t(3), x, 90.0);
+        assert_eq!(ch.resumed, vec![f1, f3], "f2 still crosses dead y");
+        assert!(ch.stalled.is_empty());
+        assert_eq!(net.rate(f2), Some(0.0));
+        assert_eq!(net.rate(f3), Some(45.0));
+    }
+
+    #[test]
+    fn near_tie_across_components_is_solved_per_component() {
+        // The one case where a component solve is not bit-identical to a
+        // global one: shares within the solver's freeze tolerance
+        // (1e-12 relative) in *different* components. The global solve
+        // freezes both in one round at the smaller share; each component
+        // solved alone keeps its own.
+        let caps = [100.0, 100.0 * (1.0 + 1e-13)];
+        let mut net = FlowNet::new();
+        let a = net.add_resource(caps[0]);
+        let b = net.add_resource(caps[1]);
+        let (fa, _) = net.start_flow(t(0), &[a], 1e9);
+        let (fb, _) = net.start_flow(t(0), &[b], 1e9);
+        assert_eq!(net.rate(fa), Some(100.0));
+        assert_eq!(net.rate(fb), Some(100.00000000000999));
+        let global = crate::maxmin_rates(&caps, &[vec![0], vec![1]]);
+        assert_eq!(global, vec![100.0, 100.0]);
     }
 
     #[test]

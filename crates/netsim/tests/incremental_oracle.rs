@@ -5,11 +5,16 @@
 //! * every live flow's rate is **bit-identical** to a from-scratch
 //!   [`maxmin_rates`] solve of the whole network (the oracle the
 //!   component-dirtying engine must be indistinguishable from),
+//! * every mutation's [`Changes`] lists exactly the oracle's zero
+//!   crossings, in creation order: `stalled` holds the flows whose rate
+//!   fell from positive to 0 with bytes left, `resumed` those whose rate
+//!   rose from 0 (a new flow is reported as resumed if it is born
+//!   running and as stalled if it is born stalled with bytes to send),
 //! * no resource is oversubscribed (capacity conservation on the slab
 //!   path),
 //! * the slab never resurrects a stale [`FlowId`] after slot reuse.
 
-use netsim::{maxmin_rates, FlowId, FlowNet, ResourceId};
+use netsim::{maxmin_rates, Changes, FlowId, FlowNet, ResourceId};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use simkit::{SimDuration, SimTime};
 
@@ -17,6 +22,9 @@ use simkit::{SimDuration, SimTime};
 struct ShadowFlow {
     id: FlowId,
     path: Vec<usize>,
+    /// Oracle rate after the previous mutation (`None` before the first
+    /// solve that includes the flow).
+    rate: Option<f64>,
 }
 
 struct Harness {
@@ -59,11 +67,25 @@ impl Harness {
         rs
     }
 
-    /// Compare the engine against a from-scratch global solve.
-    fn check_against_oracle(&self, step: usize) {
+    /// Compare the engine against a from-scratch global solve, and the
+    /// zero crossings the last mutation reported against the oracle's.
+    fn check_against_oracle(&mut self, step: usize, changes: &Changes) {
         assert_eq!(self.net.n_flows(), self.live.len(), "live count diverged");
         let paths: Vec<Vec<usize>> = self.live.iter().map(|f| f.path.clone()).collect();
         let oracle = maxmin_rates(&self.caps, &paths);
+        let mut stalled = Vec::new();
+        let mut resumed = Vec::new();
+        for (f, &want) in self.live.iter_mut().zip(&oracle) {
+            let remaining = self.net.remaining_bytes(f.id).unwrap_or(0.0);
+            if f.rate.is_none_or(|r| r > 0.0) && want <= 0.0 && remaining > 1e-3 {
+                stalled.push(f.id);
+            } else if f.rate.is_none_or(|r| r <= 0.0) && want > 0.0 {
+                resumed.push(f.id);
+            }
+            f.rate = Some(want);
+        }
+        assert_eq!(changes.stalled, stalled, "step {step}: stalled diverged");
+        assert_eq!(changes.resumed, resumed, "step {step}: resumed diverged");
         for (f, want) in self.live.iter().zip(&oracle) {
             let got = self
                 .net
@@ -90,7 +112,8 @@ impl Harness {
         }
     }
 
-    fn step(&mut self, rng: &mut StdRng) {
+    /// Apply one random mutation and return the changes it reported.
+    fn step(&mut self, rng: &mut StdRng) -> Changes {
         match rng.gen_range(0..100u32) {
             // Start a flow (sometimes zero-byte, sometimes over a path
             // with duplicate entries to exercise start-time dedup).
@@ -105,26 +128,21 @@ impl Harness {
                     rng.gen_range(1.0..50_000.0)
                 };
                 let rpath: Vec<ResourceId> = path.iter().map(|&r| self.resources[r]).collect();
-                let (id, _ch) = self.net.start_flow(self.now, &rpath, bytes);
-                // Shadow keeps the deduped path (the oracle dedups anyway;
-                // dedup here keeps capacity-conservation sums honest).
-                let mut dpath = path.clone();
-                dpath.sort_unstable();
-                dpath.dedup();
-                self.live.push(ShadowFlow { id, path: dpath });
+                let (id, ch) = self.net.start_flow(self.now, &rpath, bytes);
+                self.push_shadow(id, path);
+                ch
             }
             // Cancel a random live flow.
             40..=59 => {
                 if self.live.is_empty() {
-                    return;
+                    return Changes::default();
                 }
                 let k = rng.gen_range(0..self.live.len());
                 let f = self.live.remove(k);
-                assert!(
-                    self.net.cancel_flow(self.now, f.id).is_some(),
-                    "cancel of live flow failed"
-                );
                 self.dead.push(f.id);
+                self.net
+                    .cancel_flow(self.now, f.id)
+                    .expect("cancel of live flow failed")
             }
             // Change a capacity (sometimes to zero — a node outage).
             60..=79 => {
@@ -135,7 +153,7 @@ impl Harness {
                     rng.gen_range(10.0..200.0)
                 };
                 self.caps[r] = cap;
-                self.net.set_capacity(self.now, self.resources[r], cap);
+                self.net.set_capacity(self.now, self.resources[r], cap)
             }
             // Advance time and poll: sometimes exactly at the predicted
             // completion, sometimes at a random instant.
@@ -151,19 +169,37 @@ impl Harness {
                     })
                     .max(self.now);
                 self.now = target;
-                let (done, _ch) = self.net.poll(self.now);
-                for id in done {
-                    let k = self
-                        .live
-                        .iter()
-                        .position(|f| f.id == id)
-                        .expect("completed flow unknown to shadow");
-                    // Completion implies (nearly) all bytes transferred.
-                    self.live.remove(k);
-                    self.dead.push(id);
-                }
+                self.poll()
             }
         }
+    }
+
+    /// Track a newly started flow. The shadow keeps the deduped path (the
+    /// oracle dedups anyway; dedup here keeps capacity-conservation sums
+    /// honest).
+    fn push_shadow(&mut self, id: FlowId, mut path: Vec<usize>) {
+        path.sort_unstable();
+        path.dedup();
+        self.live.push(ShadowFlow {
+            id,
+            path,
+            rate: None,
+        });
+    }
+
+    /// Poll at the current instant and retire the completed flows.
+    fn poll(&mut self) -> Changes {
+        let (done, ch) = self.net.poll(self.now);
+        for id in done {
+            let k = self
+                .live
+                .iter()
+                .position(|f| f.id == id)
+                .expect("completed flow unknown to shadow");
+            self.live.remove(k);
+            self.dead.push(id);
+        }
+        ch
     }
 }
 
@@ -173,8 +209,8 @@ fn incremental_rates_match_fresh_solve_under_churn() {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut h = Harness::new(rng.gen_range(3..12), &mut rng);
         for step in 0..1500 {
-            h.step(&mut rng);
-            h.check_against_oracle(step);
+            let ch = h.step(&mut rng);
+            h.check_against_oracle(step, &ch);
         }
         // The engine must actually have exercised slot reuse.
         assert!(!h.dead.is_empty(), "seed {seed}: no flow ever retired");
@@ -187,27 +223,19 @@ fn completion_drains_network() {
     // poll and confirm the slab fully drains with conserved capacity.
     let mut rng = StdRng::seed_from_u64(99);
     let mut h = Harness::new(5, &mut rng);
-    for _ in 0..40 {
+    for i in 0..40 {
         let path = h.random_path(&mut rng);
         let rpath: Vec<ResourceId> = path.iter().map(|&r| h.resources[r]).collect();
         let bytes = rng.gen_range(1.0..10_000.0);
-        let (id, _) = h.net.start_flow(h.now, &rpath, bytes);
-        let mut dpath = path;
-        dpath.sort_unstable();
-        dpath.dedup();
-        h.live.push(ShadowFlow { id, path: dpath });
+        let (id, ch) = h.net.start_flow(h.now, &rpath, bytes);
+        h.push_shadow(id, path);
+        h.check_against_oracle(i, &ch);
     }
-    h.check_against_oracle(0);
     let mut polls = 0;
     while let Some(eta) = h.net.next_completion() {
         h.now = eta.max(h.now);
-        let (done, _) = h.net.poll(h.now);
-        for id in done {
-            let k = h.live.iter().position(|f| f.id == id).unwrap();
-            h.live.remove(k);
-            h.dead.push(id);
-        }
-        h.check_against_oracle(polls);
+        let ch = h.poll();
+        h.check_against_oracle(polls, &ch);
         polls += 1;
         assert!(polls < 10_000, "network failed to drain");
     }
