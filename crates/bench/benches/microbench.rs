@@ -198,74 +198,15 @@ fn bench_namenode(c: &mut Criterion) {
     });
 }
 
-/// Fleet-scale hot paths: the per-event costs that must stay O(active)
-/// as the node count grows from the paper's 66 to 1k/10k fleets.
+/// Fleet-scale hot path: a replication pick whose cost must track the
+/// active candidate set as the node count grows from the paper's 66 to
+/// 1k/10k fleets.
 fn bench_scale(c: &mut Criterion) {
     use dfs::{FileKind, NameNode, NameNodeConfig, NodeClass, NodeId, ReplicationFactor};
-    use mapred::{FetchFailurePolicy, HadoopPolicy, JobTracker, SchedulerPolicy};
 
     let mut g = c.benchmark_group("scale");
     for &n in &[66u32, 1_066, 10_066] {
         let n_volatile = n - 6;
-        // Liveness sweep over an all-live fleet: with the maintained
-        // heartbeat-ordered index this visits only overdue nodes (none
-        // here), so cost must stay flat as the fleet grows — the old
-        // full-table walk was O(fleet) per sweep.
-        g.bench_with_input(
-            BenchmarkId::new("availability_sweep_live_fleet", n),
-            &n,
-            |b, &n| {
-                let mut nn = NameNode::new(NameNodeConfig::default());
-                for i in 0..n {
-                    let class = if i >= n_volatile {
-                        NodeClass::Dedicated
-                    } else {
-                        NodeClass::Volatile
-                    };
-                    nn.register_node(SimTime::ZERO, NodeId(i), class);
-                }
-                for i in 0..n {
-                    nn.heartbeat(SimTime::from_secs(1), NodeId(i), 1e6);
-                }
-                let mut k = 0u32;
-                b.iter(|| {
-                    // A few heartbeats per sweep keep the index churning
-                    // (remove + reinsert of the ordered key) without
-                    // making any node overdue.
-                    for j in 0..3 {
-                        nn.heartbeat(SimTime::from_secs(2), NodeId((k + j) % n), 1e6);
-                    }
-                    k = (k + 3) % n;
-                    black_box(nn.check_liveness(SimTime::from_secs(2)))
-                })
-            },
-        );
-        // Same shape on the JobTracker: heartbeats plus a tracker sweep
-        // with nothing overdue must not walk the full tracker table.
-        g.bench_with_input(
-            BenchmarkId::new("tracker_sweep_live_fleet", n),
-            &n,
-            |b, &n| {
-                let mut jt = JobTracker::new(
-                    SchedulerPolicy::Hadoop(HadoopPolicy::default()),
-                    FetchFailurePolicy::HadoopMajority,
-                );
-                for i in 0..n {
-                    jt.register_tracker(SimTime::ZERO, NodeId(i), 2, 2, i >= n_volatile);
-                }
-                for i in 0..n {
-                    jt.heartbeat(SimTime::from_secs(1), NodeId(i));
-                }
-                let mut k = 0u32;
-                b.iter(|| {
-                    for j in 0..3 {
-                        jt.heartbeat(SimTime::from_secs(2), NodeId((k + j) % n));
-                    }
-                    k = (k + 3) % n;
-                    black_box(jt.check_trackers(SimTime::from_secs(2)))
-                })
-            },
-        );
         // Replication-scan pick on a big live fleet: queue one block
         // (an opportunistic output escalated to reliable) and place its
         // copies. Cost tracks the active candidate set and reuses the

@@ -180,10 +180,6 @@ pub struct NameNode {
     active_dedicated: BTreeSet<NodeId>,
     /// Active volatile nodes, ascending id.
     active_volatile: BTreeSet<NodeId>,
-    /// Non-dead nodes keyed by last heartbeat (oldest first), so a
-    /// liveness sweep inspects only nodes silent past the hibernate
-    /// threshold instead of the whole fleet.
-    heartbeat_order: BTreeSet<(SimTime, NodeId)>,
     /// Registered volatile nodes (estimator denominator).
     n_volatile_total: usize,
     /// Registered dedicated nodes (capacity clamp for replication
@@ -215,7 +211,6 @@ impl NameNode {
             estimator,
             active_dedicated: BTreeSet::new(),
             active_volatile: BTreeSet::new(),
-            heartbeat_order: BTreeSet::new(),
             n_volatile_total: 0,
             n_dedicated_total: 0,
             unthrottled_active_dedicated: 0,
@@ -266,9 +261,9 @@ impl NameNode {
         self.files.get_mut(f.0 as usize)?.as_mut()
     }
 
-    /// Registered nodes in id order, as (id, info). Only the drift
-    /// audit still walks the full table; every hot path goes through
-    /// the maintained indexes.
+    /// Registered nodes in id order, as (id, info). The liveness sweep
+    /// and the drift audit walk the full table; placement goes through
+    /// the maintained Active-node indexes.
     fn nodes_iter(&self) -> impl Iterator<Item = (NodeId, &NodeInfo)> {
         self.nodes
             .iter()
@@ -326,14 +321,10 @@ impl NameNode {
         let mut unthrottled = 0usize;
         let mut n_volatile = 0usize;
         let mut n_dedicated = 0usize;
-        let mut order = BTreeSet::new();
         for (id, n) in self.nodes_iter() {
             match n.class {
                 NodeClass::Volatile => n_volatile += 1,
                 NodeClass::Dedicated => n_dedicated += 1,
-            }
-            if n.liveness != NodeLiveness::Dead {
-                order.insert((n.last_heartbeat, id));
             }
             if n.liveness != NodeLiveness::Active {
                 continue;
@@ -374,9 +365,6 @@ impl NameNode {
                 self.unthrottled_active_dedicated
             ));
         }
-        if order != self.heartbeat_order {
-            issues.push("namenode heartbeat-order index drifted".into());
-        }
         issues
     }
 
@@ -390,12 +378,9 @@ impl NameNode {
         if self.nodes[id.0 as usize].is_some() {
             // Re-registration: retire the old identity's index entries.
             let old = self.node_ref(id);
-            let (liveness, hb, old_class) = (old.liveness, old.last_heartbeat, old.class);
+            let (liveness, old_class) = (old.liveness, old.class);
             if liveness == NodeLiveness::Active {
                 self.index_remove_active(id);
-            }
-            if liveness != NodeLiveness::Dead {
-                self.heartbeat_order.remove(&(hb, id));
             }
             match old_class {
                 NodeClass::Volatile => self.n_volatile_total -= 1,
@@ -414,7 +399,6 @@ impl NameNode {
             NodeClass::Dedicated => self.n_dedicated_total += 1,
         }
         self.index_insert_active(id);
-        self.heartbeat_order.insert((now, id));
         self.observe_estimator(now);
     }
 
@@ -434,7 +418,6 @@ impl NameNode {
     pub fn heartbeat(&mut self, now: SimTime, id: NodeId, io_bandwidth: f64) {
         let node = self.node_mut(id);
         let was = node.liveness;
-        let old_hb = node.last_heartbeat;
         let was_open = was == NodeLiveness::Active
             && node.class == NodeClass::Dedicated
             && !node.throttle.as_ref().is_some_and(|t| t.is_throttled());
@@ -445,10 +428,6 @@ impl NameNode {
         let node = self.node_ref(id);
         let now_open = node.class == NodeClass::Dedicated
             && !node.throttle.as_ref().is_some_and(|t| t.is_throttled());
-        if was != NodeLiveness::Dead {
-            self.heartbeat_order.remove(&(old_hb, id));
-        }
-        self.heartbeat_order.insert((now, id));
         if was == NodeLiveness::Active {
             // Only the throttle can have changed index state.
             match (was_open, now_open) {
@@ -485,19 +464,20 @@ impl NameNode {
     pub fn check_liveness(&mut self, now: SimTime) -> LivenessReport {
         debug_assert_eq!(self.audit_indexes(), Vec::<String>::new());
         let mut report = LivenessReport::default();
-        // The heartbeat-ordered index puts the longest-silent nodes
-        // first, so the sweep inspects only nodes past the transition
-        // threshold — O(silent), not O(fleet). Hibernated nodes keep
-        // their stale heartbeat and are revisited until they expire or
-        // return, which bounds the revisit set by the down population.
+        // Longest-silent first: each transition queues replication
+        // requests that record how many holders are still live, so the
+        // order in which holders change state is observable. Hibernated
+        // nodes keep their stale heartbeat and are revisited until they
+        // expire or return.
         let threshold = self.cfg.hibernate_interval.min(self.cfg.expiry_interval);
-        let candidates: Vec<NodeId> = self
-            .heartbeat_order
-            .iter()
-            .take_while(|&&(hb, _)| now.since(hb) >= threshold)
-            .map(|&(_, id)| id)
+        let mut candidates: Vec<(SimTime, NodeId)> = self
+            .nodes_iter()
+            .filter(|(_, n)| n.liveness != NodeLiveness::Dead)
+            .filter(|(_, n)| now.since(n.last_heartbeat) >= threshold)
+            .map(|(id, n)| (n.last_heartbeat, id))
             .collect();
-        for id in candidates {
+        candidates.sort_unstable();
+        for (_, id) in candidates {
             let node = self.node_ref(id);
             let silent = now.since(node.last_heartbeat);
             match node.liveness {
@@ -519,8 +499,7 @@ impl NameNode {
                 NodeLiveness::Dead => {}
             }
         }
-        // The index yields silence order; reports stay in id order as
-        // the full-table walk produced them.
+        // Reports list nodes in id order, not processing order.
         report.hibernated.sort_unstable();
         report.expired.sort_unstable();
         if !report.hibernated.is_empty() || !report.expired.is_empty() {
@@ -556,8 +535,6 @@ impl NameNode {
         if self.node_ref(id).liveness == NodeLiveness::Active {
             self.index_remove_active(id);
         }
-        let hb = self.node_ref(id).last_heartbeat;
-        self.heartbeat_order.remove(&(hb, id));
         let node = self.node_mut(id);
         node.liveness = NodeLiveness::Dead;
         let held: Vec<BlockId> = node.blocks.iter().copied().collect();
@@ -1345,6 +1322,34 @@ mod tests {
         // Heartbeat revives it.
         nn.heartbeat(t(700), NodeId(2), 0.0);
         assert_eq!(nn.node_liveness(NodeId(2)), NodeLiveness::Active);
+    }
+
+    /// A sweep applies transitions longest-silent first, and the order
+    /// shows in the replication queue: each request records the live
+    /// replica count at the moment it was queued.
+    #[test]
+    fn sweep_applies_longest_silent_first() {
+        let mut nn = small_cluster(NameNodeConfig::default());
+        let f = nn.create_file(FileKind::Opportunistic, ReplicationFactor::new(0, 2));
+        let b = nn.allocate_block(f, 64);
+        nn.commit_replica(b, NodeId(2));
+        nn.commit_replica(b, NodeId(5));
+        for i in [0, 1, 2, 3, 4] {
+            nn.heartbeat(t(1000), NodeId(i), 0.0);
+        }
+        for i in [0, 1, 3, 4] {
+            nn.heartbeat(t(1800), NodeId(i), 0.0);
+        }
+        let report = nn.check_liveness(t(1800));
+        assert_eq!(report.expired, vec![NodeId(5)]);
+        assert_eq!(report.hibernated, vec![NodeId(2)]);
+        // n5 (silent since 0 s) expires before n2 (silent since 1000 s)
+        // hibernates, so the block is queued with n2 still holding it.
+        // Processing in id order would queue it from n2's hibernation
+        // first, with both replicas still recorded.
+        let req = nn.queue.pop().expect("block queued");
+        assert_eq!(req.block, b);
+        assert_eq!(req.live_replicas, 1);
     }
 
     #[test]

@@ -189,10 +189,12 @@ pub struct SuccessResponse {
 ///
 /// Hot-path state is indexed so per-event cost tracks *active* work,
 /// not lifetime totals: `running_jobs` keeps the pickers off completed
-/// jobs, the alive-slot counters make `available_slots` O(1), and the
-/// heartbeat-ordered tracker index turns liveness sweeps into a prefix
-/// scan of the silent trackers. Debug builds cross-check every index
-/// against a from-scratch recount (see [`Self::audit_indexes`]).
+/// jobs and the alive-slot counters make `available_slots` O(1).
+/// Liveness sweeps walk the tracker table: heartbeats outnumber sweeps
+/// about 3:1 per tracker, so an index kept in heartbeat order would cost
+/// more to maintain than the walk it saves. Debug builds cross-check
+/// every index against a from-scratch recount (see
+/// [`Self::audit_indexes`]).
 pub struct JobTracker {
     policy: SchedulerPolicy,
     fetch_policy: FetchFailurePolicy,
@@ -211,11 +213,6 @@ pub struct JobTracker {
     /// Dedicated trackers (a registration-time property, state-blind —
     /// mirrors the set the MOON speculative picker used to rebuild).
     dedicated_trackers: BTreeSet<NodeId>,
-    /// Non-dead trackers keyed by last heartbeat, oldest first. A
-    /// liveness sweep only visits the prefix that has been silent past
-    /// the earliest transition deadline; dead trackers leave the index
-    /// and re-enter on their revival heartbeat.
-    tracker_hb_order: BTreeSet<(SimTime, NodeId)>,
     /// Cross-job ranking scratch, cleared and refilled per pick so
     /// steady-state picks allocate nothing.
     rank_scratch: RefCell<Vec<(u128, JobId)>>,
@@ -246,7 +243,6 @@ impl JobTracker {
             alive_map_slots: 0,
             alive_reduce_slots: 0,
             dedicated_trackers: BTreeSet::new(),
-            tracker_hb_order: BTreeSet::new(),
             rank_scratch: RefCell::new(Vec::new()),
             preempt: false,
             tenant_weights: Vec::new(),
@@ -277,15 +273,11 @@ impl JobTracker {
         }
         let mut maps = 0u32;
         let mut reduces = 0u32;
-        let mut hb_order: BTreeSet<(SimTime, NodeId)> = BTreeSet::new();
         let mut dedicated: BTreeSet<NodeId> = BTreeSet::new();
         for (&node, tr) in &self.trackers {
             if tr.state == TrackerState::Alive {
                 maps += tr.map_slots;
                 reduces += tr.reduce_slots;
-            }
-            if tr.state != TrackerState::Dead {
-                hb_order.insert((tr.last_heartbeat, node));
             }
             if tr.dedicated {
                 dedicated.insert(node);
@@ -302,9 +294,6 @@ impl JobTracker {
                 "alive reduce-slot counter drifted: counter {}, recount {reduces}",
                 self.alive_reduce_slots
             ));
-        }
-        if self.tracker_hb_order != hb_order {
-            issues.push("heartbeat-ordered tracker index drifted".into());
         }
         if self.dedicated_trackers != dedicated {
             issues.push("dedicated-tracker index drifted".into());
@@ -393,9 +382,6 @@ impl JobTracker {
                 self.alive_map_slots -= old.map_slots;
                 self.alive_reduce_slots -= old.reduce_slots;
             }
-            if old.state != TrackerState::Dead {
-                self.tracker_hb_order.remove(&(old.last_heartbeat, node));
-            }
             self.dedicated_trackers.remove(&node);
         }
         self.alive_map_slots += map_slots;
@@ -403,7 +389,6 @@ impl JobTracker {
         if dedicated {
             self.dedicated_trackers.insert(node);
         }
-        self.tracker_hb_order.insert((now, node));
     }
 
     /// Current tracker state.
@@ -418,21 +403,18 @@ impl JobTracker {
         let mut sweep = TrackerSweep::default();
         let suspension = self.policy.suspension_interval();
         let expiry = self.policy.tracker_expiry();
-        // Only trackers silent past the earlier deadline can transition;
-        // the heartbeat-ordered index yields exactly that prefix instead
-        // of a full-table walk. Suspended trackers keep their stale key
-        // and are revisited until they expire or heartbeat — bounded by
-        // the silent population, not the fleet. Candidates are processed
-        // in ascending node order to match the old walk exactly (sweep
-        // vectors and kill ordering feed the deterministic event stream).
+        // Only trackers silent past the earlier deadline can transition.
+        // They are processed in ascending node order (the table's order):
+        // sweep vectors and kill ordering feed the deterministic event
+        // stream.
         let threshold = suspension.min(expiry);
-        let mut nodes: Vec<NodeId> = self
-            .tracker_hb_order
+        let nodes: Vec<NodeId> = self
+            .trackers
             .iter()
-            .take_while(|&&(hb, _)| now.since(hb) >= threshold)
-            .map(|&(_, node)| node)
+            .filter(|(_, tr)| tr.state != TrackerState::Dead)
+            .filter(|(_, tr)| now.since(tr.last_heartbeat) >= threshold)
+            .map(|(&node, _)| node)
             .collect();
-        nodes.sort_unstable();
         for node in nodes {
             let tr = &self.trackers[&node];
             let silent = now.since(tr.last_heartbeat);
@@ -476,13 +458,11 @@ impl JobTracker {
         let was_alive = tr.state == TrackerState::Alive;
         tr.state = TrackerState::Dead;
         let (map_slots, reduce_slots) = (tr.map_slots, tr.reduce_slots);
-        let hb_key = (tr.last_heartbeat, node);
         let attempts: Vec<AttemptId> = std::mem::take(&mut tr.running).into_iter().collect();
         if was_alive {
             self.alive_map_slots -= map_slots;
             self.alive_reduce_slots -= reduce_slots;
         }
-        self.tracker_hb_order.remove(&hb_key);
         for &a in &attempts {
             self.kill_attempt(a);
             if let Some(job) = self.jobs.get_mut(&a.task.job) {
@@ -657,19 +637,13 @@ impl JobTracker {
     /// work for its free slots.
     pub fn heartbeat(&mut self, now: SimTime, node: NodeId) -> HeartbeatResponse {
         let mut resp = HeartbeatResponse::default();
-        let (old_hb, old_state, map_slots, reduce_slots) = {
+        let (old_state, map_slots, reduce_slots) = {
             let tr = self.trackers.get_mut(&node).expect("unknown tracker");
-            let prior = (tr.last_heartbeat, tr.state, tr.map_slots, tr.reduce_slots);
+            let prior = (tr.state, tr.map_slots, tr.reduce_slots);
             tr.last_heartbeat = now;
             tr.state = TrackerState::Alive;
             prior
         };
-        // Dead trackers left the heartbeat index at expiry; everyone
-        // else moves from their stale key to (now, node).
-        if old_state != TrackerState::Dead {
-            self.tracker_hb_order.remove(&(old_hb, node));
-        }
-        self.tracker_hb_order.insert((now, node));
         match old_state {
             TrackerState::Alive => {}
             TrackerState::Suspended => {
@@ -1699,6 +1673,38 @@ mod tests {
         assert_eq!(m.duplicated_tasks, 2);
     }
 
+    /// A sweep applies transitions in node order, not silence order:
+    /// the kill list feeds the deterministic event stream.
+    #[test]
+    fn tracker_sweep_transitions_in_node_order() {
+        let mut jt = JobTracker::new(
+            SchedulerPolicy::Hadoop(HadoopPolicy::with_expiry(SimDuration::from_mins(1))),
+            FetchFailurePolicy::HadoopMajority,
+        );
+        cluster(&mut jt, 3, 0);
+        jt.submit_job(t(0), JobSpec::new(4, 0));
+        let on_n2: Vec<AttemptId> = jt
+            .heartbeat(t(0), NodeId(2))
+            .assignments
+            .iter()
+            .map(|a| a.attempt)
+            .collect();
+        let on_n1: Vec<AttemptId> = jt
+            .heartbeat(t(10), NodeId(1))
+            .assignments
+            .iter()
+            .map(|a| a.attempt)
+            .collect();
+        assert_eq!((on_n1.len(), on_n2.len()), (2, 2));
+        jt.heartbeat(t(70), NodeId(0));
+        // n2 has been silent longer, but n1 comes first.
+        let sweep = jt.check_trackers(t(75));
+        assert_eq!(sweep.expired, vec![NodeId(1), NodeId(2)]);
+        let mut killed = on_n1.clone();
+        killed.extend(&on_n2);
+        assert_eq!(sweep.killed, killed);
+    }
+
     #[test]
     fn moon_suspension_freezes_then_new_copy() {
         let mut jt = moon_jt(false);
@@ -2361,8 +2367,8 @@ mod tests {
     /// Randomized churn drift check: after every step of a mixed
     /// workload (job submissions, partial heartbeats, completions,
     /// suspensions, expiries, revivals) the incremental indexes —
-    /// running jobs, alive-slot counters, heartbeat order, dedicated
-    /// set — must equal a from-scratch recomputation. Coverage flags
+    /// running jobs, alive-slot counters, dedicated set — must equal
+    /// a from-scratch recomputation. Coverage flags
     /// ensure the churn actually exercised every transition.
     #[test]
     fn incremental_indexes_survive_randomized_churn() {

@@ -123,31 +123,22 @@ pub fn profile_table(title: &str, results: &[RunResult]) -> String {
 pub mod json {
     use crate::metrics::{JobSlo, RunResult};
 
-    /// Escape a string for inclusion in a JSON string literal.
+    /// Escape a string for inclusion in a JSON string literal
+    /// ([`simkit::telemetry::push_json_str`] without the quotes).
     pub fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
+        let mut out = String::with_capacity(s.len() + 2);
+        simkit::telemetry::push_json_str(&mut out, s);
+        out.pop();
+        out.remove(0);
         out
     }
 
     /// Render a float as a JSON number (`null` for NaN/inf, which JSON
     /// cannot represent).
     pub fn number(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x}")
-        } else {
-            "null".into()
-        }
+        let mut out = String::new();
+        simkit::telemetry::push_json_f64(&mut out, x);
+        out
     }
 
     /// `number` lifted over `Option` (`None` → `null`).

@@ -169,19 +169,7 @@ impl FuzzReport {
     /// Deterministic JSON rendering (keys and order fixed; no
     /// timestamps or map iteration).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
+        use moon::report::json::escape;
         let mut s = String::new();
         s.push_str("{\n  \"fuzz\": {\n");
         s.push_str(&format!("    \"n_cases\": {},\n", self.n_cases));
@@ -208,10 +196,10 @@ impl FuzzReport {
                  \"detail\": \"{}\", \"repro\": {}}}",
                 v.case,
                 v.mutation.as_str(),
-                esc(&v.invariant),
-                esc(&v.detail),
+                escape(&v.invariant),
+                escape(&v.detail),
                 match &v.repro {
-                    Some(p) => format!("\"{}\"", esc(p)),
+                    Some(p) => format!("\"{}\"", escape(p)),
                     None => "null".into(),
                 }
             ));
@@ -1042,6 +1030,28 @@ mod tests {
         assert!(j.contains("\"fault\": \"invert-fair\""), "{j}");
         assert!(j.contains("\\\"bad\\\""), "{j}");
         assert!(j.contains("\"mutations\": [\"add-nodes\", \"fair-vs-fifo\"]"));
+    }
+
+    #[test]
+    fn report_json_escapes_tab_in_short_form() {
+        let r = FuzzReport {
+            n_cases: 1,
+            seed: 7,
+            quick: true,
+            fault: None,
+            experiments: 2,
+            case_mutations: vec![Mutation::AddNodes],
+            violations: vec![Violation {
+                case: 0,
+                mutation: Mutation::AddNodes,
+                invariant: "inv1-add-nodes".into(),
+                detail: "before\tafter".into(),
+                repro: None,
+            }],
+        };
+        let j = r.to_json();
+        assert!(j.contains("\"detail\": \"before\\tafter\""), "{j}");
+        assert!(!j.contains("\\u0009"), "{j}");
     }
 
     #[test]

@@ -343,8 +343,9 @@ impl Telemetry {
     }
 }
 
-/// Append `s` as a JSON string literal (quoted, escaped).
-fn push_json_str(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal (quoted, escaped). The one JSON
+/// string escaper of the workspace: report writers reuse it.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -362,7 +363,7 @@ fn push_json_str(out: &mut String, s: &str) {
 
 /// Append an f64 as JSON: shortest round-trip decimal, `null` for
 /// non-finite values (JSON has no NaN/Infinity).
-fn push_json_f64(out: &mut String, v: f64) {
+pub fn push_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         out.push_str(&format!("{v}"));
     } else {

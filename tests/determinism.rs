@@ -272,9 +272,9 @@ fn parallel_sweep_matches_single_thread_sweep() {
 /// Fleet-scale determinism: a 4-thread sweep over the `fleet-1k`
 /// scenario (trimmed to two load columns and a shorter horizon so the
 /// debug-build test stays fast) must be bit-identical to the same grid
-/// run serially. This drives the O(active) index paths — the
-/// heartbeat-ordered liveness sweeps, maintained slot counters, and
-/// per-column scaled arrival streams — at 1000-node scale, where any
+/// run serially. This drives the fleet-scale paths — the liveness
+/// sweeps, maintained slot counters, and per-column scaled arrival
+/// streams — at 1000-node scale, where any
 /// iteration-order or shared-state dependence they introduced would
 /// surface as cross-thread divergence.
 #[test]
