@@ -458,6 +458,29 @@ impl NameNode {
         self.observe_estimator(now);
     }
 
+    /// Record a beat of an Active, unthrottled node at `at` — all that
+    /// [`heartbeat`](Self::heartbeat) does for such a node. Lets the
+    /// embedding model skip beats that only stamp the time and stamp
+    /// the last one before the next liveness sweep reads it.
+    pub fn stamp_heartbeat(&mut self, id: NodeId, at: SimTime) {
+        let node = self.node_mut(id);
+        debug_assert!(node.liveness == NodeLiveness::Active && node.throttle.is_none());
+        debug_assert!(at >= node.last_heartbeat);
+        node.last_heartbeat = at;
+    }
+
+    /// Does the node's heartbeat carry a bandwidth sample anyone reads?
+    /// True exactly for nodes with an I/O throttle (dedicated nodes in
+    /// hybrid mode), whose samples drive Algorithm 1.
+    pub fn needs_bandwidth(&self, id: NodeId) -> bool {
+        self.node_ref(id).throttle.is_some()
+    }
+
+    /// Time of the node's last heartbeat.
+    pub fn last_heartbeat(&self, id: NodeId) -> SimTime {
+        self.node_ref(id).last_heartbeat
+    }
+
     /// Sweep for nodes whose heartbeats have stopped; apply the
     /// hibernate/expiry transitions and queue the re-replications the
     /// paper calls for.
@@ -1224,6 +1247,18 @@ mod tests {
     fn beat_all(nn: &mut NameNode, now: SimTime) {
         for i in 0..6 {
             nn.heartbeat(now, NodeId(i), 0.0);
+        }
+    }
+
+    #[test]
+    fn only_hybrid_dedicated_nodes_need_bandwidth_samples() {
+        // Only the throttle reads a heartbeat's bandwidth sample, and
+        // only hybrid mode gives dedicated nodes one.
+        let hybrid = small_cluster(NameNodeConfig::default());
+        let stock = small_cluster(NameNodeConfig::hadoop(SimDuration::from_mins(10)));
+        for i in 0..6 {
+            assert_eq!(hybrid.needs_bandwidth(NodeId(i)), i < 2, "hybrid n{i}");
+            assert!(!stock.needs_bandwidth(NodeId(i)), "stock n{i}");
         }
     }
 

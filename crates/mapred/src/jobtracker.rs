@@ -633,6 +633,21 @@ impl JobTracker {
     // Heartbeats & assignment
     // ------------------------------------------------------------------
 
+    /// Record a beat of an Alive tracker at `at` while no job runs —
+    /// all that [`heartbeat`](Self::heartbeat) does then. Lets the
+    /// embedding model skip beats that only stamp the time and stamp
+    /// the last one before the next tracker sweep reads it.
+    pub fn stamp_heartbeat(&mut self, node: NodeId, at: SimTime) {
+        let tr = self.trackers.get_mut(&node).expect("unknown tracker");
+        debug_assert!(tr.state == TrackerState::Alive && at >= tr.last_heartbeat);
+        tr.last_heartbeat = at;
+    }
+
+    /// Time of the tracker's last heartbeat.
+    pub fn last_heartbeat(&self, node: NodeId) -> SimTime {
+        self.trackers[&node].last_heartbeat
+    }
+
     /// Process a TaskTracker heartbeat: revive it if needed, then hand it
     /// work for its free slots.
     pub fn heartbeat(&mut self, now: SimTime, node: NodeId) -> HeartbeatResponse {

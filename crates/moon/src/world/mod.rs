@@ -89,7 +89,17 @@ struct NodeRt {
     disk: ResourceId,
     nic_up: ResourceId,
     nic_down: ResourceId,
+    /// The queued `Heartbeat`, or `NONE` while the node is down or its
+    /// beat is parked (see `nodes`).
     heartbeat_ev: EventId,
+    /// Due time of the node's next beat, queued or parked.
+    next_beat: SimTime,
+    /// Rank of the node's beat among beats due at the same instant:
+    /// `−id` while the node still runs the beat chain pushed at
+    /// [`World::init`], a fresh increasing value from each `NodeUp`.
+    /// Sorting by it reproduces the queue's FIFO order of
+    /// self-rescheduled beats when parked beats are re-pushed.
+    hb_key: i64,
     /// Live attempts running on this node (mirror of `World::attempts`
     /// filtered by node, so per-node sweeps — heartbeats, suspends,
     /// resumes — do not scan every attempt in the world). Ordered, so
@@ -212,6 +222,8 @@ pub struct World {
     flows: HashMap<FlowId, FlowPurpose>,
     stall_timeouts: HashMap<FlowId, EventId>,
     net_poll_ev: EventId,
+    /// Next `NodeRt::hb_key` handed out by a `NodeUp`.
+    next_hb_key: i64,
     /// Peak concurrently-active (submitted, not yet committed) jobs —
     /// perf-log gauge.
     peak_active_jobs: u32,
@@ -303,6 +315,7 @@ impl World {
             flows: HashMap::new(),
             stall_timeouts: HashMap::new(),
             net_poll_ev: EventId::NONE,
+            next_hb_key: 1,
             peak_active_jobs: 0,
             telemetry: None,
             metrics: RunMetrics::default(),
@@ -346,6 +359,8 @@ impl World {
                 nic_up,
                 nic_down,
                 heartbeat_ev: EventId::NONE,
+                next_beat: SimTime::ZERO,
+                hb_key: -(i as i64),
                 local_attempts: BTreeSet::new(),
             });
             w.traces.push(trace);
@@ -383,11 +398,11 @@ impl World {
         }
         // Heartbeats, staggered so they do not all land on one instant.
         for i in 0..n_nodes {
-            let ev = sim.schedule(
-                SimDuration::from_micros(50_000 * i as u64 + 1),
-                Ev::Heartbeat(NodeId(i)),
-            );
-            sim.model_mut().nodes[i as usize].heartbeat_ev = ev;
+            let at = SimTime::from_micros(50_000 * i as u64 + 1);
+            let ev = sim.schedule_at(at, Ev::Heartbeat(NodeId(i)));
+            let rt = &mut sim.model_mut().nodes[i as usize];
+            rt.heartbeat_ev = ev;
+            rt.next_beat = at;
         }
         let tci = sim.model().cluster.tracker_check_interval;
         sim.schedule(tci, Ev::TrackerCheck);
@@ -459,9 +474,10 @@ impl World {
     /// the heartbeat runs from the first submission until the last
     /// job's tasks complete — *including* idle gaps between stream
     /// arrivals (an unsubmitted slot or an owed closed-stream
-    /// successor keeps it on), where withholding heartbeats would make
-    /// the JobTracker suspend and expire perfectly healthy trackers:
-    /// its liveness sweep only sees `last_heartbeat`. Off before any
+    /// successor keeps it on). Parked beats in such a gap still count:
+    /// the JobTracker's liveness sweep only sees `last_heartbeat`, so
+    /// each sweep is preceded by stamping the parked beats it would
+    /// have seen, and healthy trackers stay alive. Off before any
     /// submission and in the final output-replication tail, exactly as
     /// in the single-job run.
     pub(super) fn control_plane_active(&self) -> bool {

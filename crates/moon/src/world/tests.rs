@@ -298,3 +298,137 @@ mod failure_path_tests {
         assert_eq!(r.job.killed_by_tracker_expiry, 0, "{r:?}");
     }
 }
+
+/// Second job of [`idle_gap_sim`] arrives this long after the first:
+/// longer than every hibernate, suspend and expiry deadline of MOON.
+const IDLE_GAP: SimDuration = SimDuration::from_mins(50);
+
+/// A stable 64 + 2 node cluster serving two quick jobs [`IDLE_GAP`]
+/// apart, with optional per-node trace overrides.
+fn idle_gap_sim(traces: Option<Vec<AvailabilityTrace>>) -> simkit::Simulation<World> {
+    let mut cluster = ClusterConfig {
+        n_volatile: 64,
+        n_dedicated: 2,
+        unavailability: 0.0,
+        ..ClusterConfig::default()
+    };
+    cluster.trace_overrides = traces;
+    let stream = workloads::JobStream::new(ArrivalModel::Batch(vec![SimDuration::ZERO, IDLE_GAP]));
+    let world = World::with_stream(cluster, PolicyConfig::moon_hybrid(), quick(), Some(stream));
+    let mut sim = simkit::Simulation::new(world, 3);
+    World::init(&mut sim);
+    sim
+}
+
+/// Node `i`'s last beat on its initial 3 s grid (first beat at
+/// 50 ms·i + 1 µs) strictly before `t`.
+fn grid_beat_before(i: u32, t: SimTime) -> SimTime {
+    let first = 50_000 * i as u64 + 1;
+    let k = (t.as_micros() - 1 - first) / 3_000_000;
+    SimTime::from_micros(first + k * 3_000_000)
+}
+
+/// A 10 s sweep inside an idle gap longer than every liveness deadline
+/// must see each parked node's last grid beat, so nothing is suspended,
+/// hibernated or expired, and the job after the gap finds every stamp
+/// on the grid.
+#[test]
+fn parked_beats_keep_idle_nodes_alive() {
+    let mut sim = idle_gap_sim(None);
+    let submit = SimTime::from_secs(1) + IDLE_GAP;
+    let mut parked_seen = 0;
+    let mut sweep = SimTime::from_secs(300);
+    while sweep < submit {
+        sim.run_until(sweep);
+        let w = sim.model();
+        assert!(w.jobs[0].finished_at.is_some(), "first job still running");
+        for i in 0..w.nodes.len() as u32 {
+            let n = NodeId(i);
+            assert_eq!(
+                w.nn.node_liveness(n),
+                dfs::NodeLiveness::Active,
+                "{n} at {sweep}"
+            );
+            assert_eq!(
+                w.jt.tracker_state(n),
+                mapred::TrackerState::Alive,
+                "{n} at {sweep}"
+            );
+            let beat = grid_beat_before(i, sweep);
+            assert_eq!(
+                w.nn.last_heartbeat(n),
+                beat,
+                "{n} namenode stamp at {sweep}"
+            );
+            assert_eq!(w.jt.last_heartbeat(n), beat, "{n} tracker stamp at {sweep}");
+            if w.nodes[i as usize].heartbeat_ev == EventId::NONE {
+                parked_seen += 1;
+            }
+        }
+        sweep += SimDuration::from_secs(10);
+    }
+    assert!(parked_seen > 0, "no beat was parked during the gap");
+    sim.run_until(submit);
+    let w = sim.model();
+    assert!(w.jobs[1].submitted_at.is_some());
+    for (i, rt) in w.nodes.iter().enumerate() {
+        let n = NodeId(i as u32);
+        assert_ne!(
+            rt.heartbeat_ev,
+            EventId::NONE,
+            "{n} still parked after the submit"
+        );
+        let beat = grid_beat_before(n.0, submit);
+        assert_eq!(w.nn.last_heartbeat(n), beat, "{n} namenode stamp at submit");
+        assert_eq!(w.jt.last_heartbeat(n), beat, "{n} tracker stamp at submit");
+    }
+}
+
+/// A node that goes down while its beat is parked falls silent from
+/// its last grid beat strictly before the NodeDown — the trace event
+/// leaves the queue before a beat due at the same microsecond — and is
+/// hibernated, suspended and expired at exactly the sweeps that beat
+/// implies.
+#[test]
+fn node_down_while_parked_is_silent_from_its_last_grid_beat() {
+    const N: u32 = 5;
+    let horizon = ClusterConfig::default().horizon;
+    // On node 5's grid: the beat due at the NodeDown instant never fires.
+    let down = SimTime::from_micros(50_000 * N as u64 + 1 + 200 * 3_000_000);
+    let mut traces = vec![AvailabilityTrace::always_available(horizon); 66];
+    traces[N as usize] = AvailabilityTrace::new(
+        vec![availability::Outage {
+            start: down,
+            end: down + SimDuration::from_mins(40),
+        }],
+        horizon,
+    );
+    let mut sim = idle_gap_sim(Some(traces));
+    let n = NodeId(N);
+    let last = grid_beat_before(N, down);
+    sim.run_until(down);
+    let w = sim.model();
+    assert!(w.jobs[0].finished_at.is_some(), "first job still running");
+    assert_eq!(w.nn.last_heartbeat(n), last);
+    assert_eq!(w.jt.last_heartbeat(n), last);
+    let mut sweep = SimTime::from_secs(down.as_micros() / 10_000_000 * 10 + 10);
+    let end = last + SimDuration::from_mins(32);
+    while sweep < end {
+        sim.run_until(sweep);
+        let w = sim.model();
+        let silent = sweep.since(last);
+        let (liveness, tracker) = if silent >= SimDuration::from_mins(30) {
+            (dfs::NodeLiveness::Dead, mapred::TrackerState::Dead)
+        } else if silent >= SimDuration::from_mins(1) {
+            (
+                dfs::NodeLiveness::Hibernated,
+                mapred::TrackerState::Suspended,
+            )
+        } else {
+            (dfs::NodeLiveness::Active, mapred::TrackerState::Alive)
+        };
+        assert_eq!(w.nn.node_liveness(n), liveness, "namenode at {sweep}");
+        assert_eq!(w.jt.tracker_state(n), tracker, "tracker at {sweep}");
+        sweep += SimDuration::from_secs(10);
+    }
+}

@@ -371,3 +371,51 @@ fn different_seeds_actually_differ() {
         "seeds 1 and 2 produced identical runs — seed plumbed through?"
     );
 }
+
+/// FNV-1a over a run's result JSON with its `"events"` line removed:
+/// the event count is the one field that may move when the simulator
+/// drops events that change nothing.
+fn result_digest(r: &RunResult) -> u64 {
+    let row = moon::report::json::result_row(r);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for line in row.lines().filter(|l| !l.contains("\"events\"")) {
+        for b in line.bytes().chain([b'\n']) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Golden digest of a Poisson stream with idle gaps between jobs on 74
+/// nodes. Beats of nodes i and i + 60 share an instant (50 ms stagger,
+/// 3 s period), so the run pins the order in which same-instant beats
+/// are served when a job arrives after an idle gap, not only which
+/// beats happen. The constant was recorded before idle beats were
+/// parked; every field but the event count must still match it.
+#[test]
+fn idle_gap_stream_matches_recorded_digest() {
+    let r = Experiment {
+        cluster: ClusterConfig {
+            n_volatile: 70,
+            n_dedicated: 4,
+            ..ClusterConfig::paper(0.3)
+        },
+        policy: PolicyConfig::moon_hybrid(),
+        workload: moon::quick_workload(),
+        seed: 11,
+    }
+    .run_with_limits(
+        Some(workloads::JobStream::new(
+            workloads::ArrivalModel::Poisson {
+                rate_per_hour: 12.0,
+                count: 5,
+            },
+        )),
+        None,
+        moon::RunLimits::default(),
+    );
+    let rows = r.jobs.as_ref().expect("stream runs carry SLO rows");
+    assert_eq!(rows.len(), 5, "{rows:?}");
+    let digest = result_digest(&r);
+    assert_eq!(digest, 0x182a_c836_6c73_4441, "digest {digest:#018x}");
+}
