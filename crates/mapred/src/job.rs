@@ -118,6 +118,9 @@ pub struct TaskState {
     /// For completed maps: output later became unavailable and the task
     /// returned to the runnable pool.
     pub output_lost_count: u32,
+    /// Position of this task's first launch in its job's launch order
+    /// (`u32::MAX` until attempt 0 launches).
+    pub first_launch_seq: u32,
 }
 
 impl TaskState {
@@ -130,6 +133,7 @@ impl TaskState {
             completed_by: None,
             failures: 0,
             output_lost_count: 0,
+            first_launch_seq: u32::MAX,
         }
     }
 

@@ -84,7 +84,9 @@ impl FetchReports {
 #[derive(Debug)]
 struct Job {
     spec: JobSpec,
-    tasks: BTreeMap<TaskId, TaskState>,
+    /// Map and reduce tasks, each indexed by `TaskId::index`.
+    maps: Vec<TaskState>,
+    reduces: Vec<TaskState>,
     status: JobStatus,
     completed_maps: u32,
     completed_reduces: u32,
@@ -92,8 +94,7 @@ struct Job {
     finished: Option<SimTime>,
     /// When the job's first attempt launched (queueing-delay endpoint).
     first_launch: Option<SimTime>,
-    /// Launch order: task → sequence number of first launch.
-    first_launch_seq: BTreeMap<TaskId, u32>,
+    /// The next task's `first_launch_seq` (launch order).
     next_launch_seq: u32,
     /// map task → fetch-failure reports as (reporting reduce, time).
     /// Reports expire so that disjoint outage episodes do not accumulate
@@ -113,6 +114,42 @@ struct Job {
     /// Attempts of *this* job killed by cross-job preemption (subset of
     /// the killed counts, like `killed_by_tracker_expiry`).
     preempted_attempts: u32,
+}
+
+impl Job {
+    /// The job's tasks of `kind`, indexed by `TaskId::index`.
+    fn tasks(&self, kind: TaskKind) -> &[TaskState] {
+        match kind {
+            TaskKind::Map => &self.maps,
+            TaskKind::Reduce => &self.reduces,
+        }
+    }
+
+    fn task(&self, id: TaskId) -> &TaskState {
+        &self.tasks(id.kind)[id.index as usize]
+    }
+
+    fn task_mut(&mut self, id: TaskId) -> &mut TaskState {
+        let tasks = match id.kind {
+            TaskKind::Map => &mut self.maps,
+            TaskKind::Reduce => &mut self.reduces,
+        };
+        &mut tasks[id.index as usize]
+    }
+
+    fn all_tasks(&self) -> impl Iterator<Item = &TaskState> {
+        self.maps.iter().chain(&self.reduces)
+    }
+
+    /// Is `task` a map whose input split has a replica on `node`?
+    fn input_local(&self, task: TaskId, node: NodeId) -> bool {
+        task.kind == TaskKind::Map
+            && self
+                .spec
+                .map_input_locations
+                .get(task.index as usize)
+                .is_some_and(|locs| locs.contains(&node))
+    }
 }
 
 /// Per-job counters used by the paper's figures and Table II.
@@ -187,9 +224,12 @@ pub struct SuccessResponse {
 
 /// The MapReduce master.
 ///
-/// Hot-path state is indexed so per-event cost tracks *active* work,
-/// not lifetime totals: `running_jobs` keeps the pickers off completed
-/// jobs and the alive-slot counters make `available_slots` O(1).
+/// Jobs, trackers, tasks and attempts live in tables indexed by their
+/// dense ids (`JobId`, `NodeId`, `TaskId::index`, `AttemptId::attempt`),
+/// as the NameNode's do, so every lookup is an index. Hot-path state is
+/// indexed so per-event cost tracks *active* work, not lifetime totals:
+/// `running_jobs` keeps the pickers off completed jobs and the
+/// alive-slot counters make `available_slots` O(1).
 /// Liveness sweeps walk the tracker table: heartbeats outnumber sweeps
 /// about 3:1 per tracker, so an index kept in heartbeat order would cost
 /// more to maintain than the walk it saves. Debug builds cross-check
@@ -199,9 +239,10 @@ pub struct JobTracker {
     policy: SchedulerPolicy,
     fetch_policy: FetchFailurePolicy,
     cross_job: CrossJobPolicy,
-    trackers: BTreeMap<NodeId, Tracker>,
-    jobs: BTreeMap<JobId, Job>,
-    next_job: u32,
+    /// Tracker table indexed by `NodeId` (`None` = never registered).
+    trackers: Vec<Option<Tracker>>,
+    /// Every job ever submitted, indexed by `JobId` (never removed).
+    jobs: Vec<Job>,
     /// Jobs with status Running, ascending JobId (= submission order,
     /// so iterating it *is* the FIFO ranking). Maintained at submit /
     /// completion / failure.
@@ -210,9 +251,6 @@ pub struct JobTracker {
     /// liveness transition.
     alive_map_slots: u32,
     alive_reduce_slots: u32,
-    /// Dedicated trackers (a registration-time property, state-blind —
-    /// mirrors the set the MOON speculative picker used to rebuild).
-    dedicated_trackers: BTreeSet<NodeId>,
     /// Cross-job ranking scratch, cleared and refilled per pick so
     /// steady-state picks allocate nothing.
     rank_scratch: RefCell<Vec<(u128, JobId)>>,
@@ -236,13 +274,11 @@ impl JobTracker {
             policy,
             fetch_policy,
             cross_job: CrossJobPolicy::default(),
-            trackers: BTreeMap::new(),
-            jobs: BTreeMap::new(),
-            next_job: 0,
+            trackers: Vec::new(),
+            jobs: Vec::new(),
             running_jobs: BTreeSet::new(),
             alive_map_slots: 0,
             alive_reduce_slots: 0,
-            dedicated_trackers: BTreeSet::new(),
             rank_scratch: RefCell::new(Vec::new()),
             preempt: false,
             tenant_weights: Vec::new(),
@@ -260,10 +296,8 @@ impl JobTracker {
     pub fn audit_indexes(&self) -> Vec<String> {
         let mut issues = Vec::new();
         let running: BTreeSet<JobId> = self
-            .jobs
-            .iter()
-            .filter(|(_, j)| j.status == JobStatus::Running)
-            .map(|(&id, _)| id)
+            .job_ids()
+            .filter(|&id| self.job(id).status == JobStatus::Running)
             .collect();
         if self.running_jobs != running {
             issues.push(format!(
@@ -273,14 +307,10 @@ impl JobTracker {
         }
         let mut maps = 0u32;
         let mut reduces = 0u32;
-        let mut dedicated: BTreeSet<NodeId> = BTreeSet::new();
-        for (&node, tr) in &self.trackers {
+        for tr in self.trackers.iter().flatten() {
             if tr.state == TrackerState::Alive {
                 maps += tr.map_slots;
                 reduces += tr.reduce_slots;
-            }
-            if tr.dedicated {
-                dedicated.insert(node);
             }
         }
         if self.alive_map_slots != maps {
@@ -295,11 +325,8 @@ impl JobTracker {
                 self.alive_reduce_slots
             ));
         }
-        if self.dedicated_trackers != dedicated {
-            issues.push("dedicated-tracker index drifted".into());
-        }
-        for (&jid, job) in &self.jobs {
-            let live: u32 = job.tasks.values().map(|t| t.n_live() as u32).sum();
+        for (jid, job) in self.job_ids().zip(&self.jobs) {
+            let live: u32 = job.all_tasks().map(|t| t.n_live() as u32).sum();
             if job.live_attempts != live {
                 issues.push(format!(
                     "job {jid:?} live-attempt counter drifted: counter {}, recount {live}",
@@ -366,34 +393,44 @@ impl JobTracker {
         reduce_slots: u32,
         dedicated: bool,
     ) {
-        if let Some(old) = self.trackers.insert(
-            node,
-            Tracker {
-                dedicated,
-                map_slots,
-                reduce_slots,
-                last_heartbeat: now,
-                state: TrackerState::Alive,
-                running: BTreeSet::new(),
-            },
-        ) {
-            // Re-registration: retire the old tracker's index entries.
+        let i = node.0 as usize;
+        if self.trackers.len() <= i {
+            self.trackers.resize_with(i + 1, || None);
+        }
+        let tracker = Tracker {
+            dedicated,
+            map_slots,
+            reduce_slots,
+            last_heartbeat: now,
+            state: TrackerState::Alive,
+            running: BTreeSet::new(),
+        };
+        if let Some(old) = self.trackers[i].replace(tracker) {
+            // Re-registration: retire the old tracker's slot counts.
             if old.state == TrackerState::Alive {
                 self.alive_map_slots -= old.map_slots;
                 self.alive_reduce_slots -= old.reduce_slots;
             }
-            self.dedicated_trackers.remove(&node);
         }
         self.alive_map_slots += map_slots;
         self.alive_reduce_slots += reduce_slots;
-        if dedicated {
-            self.dedicated_trackers.insert(node);
-        }
+    }
+
+    fn tracker(&self, node: NodeId) -> &Tracker {
+        self.trackers[node.0 as usize]
+            .as_ref()
+            .expect("unknown tracker")
+    }
+
+    fn tracker_mut(&mut self, node: NodeId) -> &mut Tracker {
+        self.trackers[node.0 as usize]
+            .as_mut()
+            .expect("unknown tracker")
     }
 
     /// Current tracker state.
     pub fn tracker_state(&self, node: NodeId) -> TrackerState {
-        self.trackers[&node].state
+        self.tracker(node).state
     }
 
     /// Sweep tracker liveness (call periodically). Suspends and expires
@@ -408,15 +445,15 @@ impl JobTracker {
         // sweep vectors and kill ordering feed the deterministic event
         // stream.
         let threshold = suspension.min(expiry);
-        let nodes: Vec<NodeId> = self
-            .trackers
-            .iter()
+        let nodes: Vec<NodeId> = (0u32..)
+            .zip(&self.trackers)
+            .filter_map(|(i, tr)| Some((NodeId(i), tr.as_ref()?)))
             .filter(|(_, tr)| tr.state != TrackerState::Dead)
             .filter(|(_, tr)| now.since(tr.last_heartbeat) >= threshold)
-            .map(|(&node, _)| node)
+            .map(|(node, _)| node)
             .collect();
         for node in nodes {
-            let tr = &self.trackers[&node];
+            let tr = self.tracker(node);
             let silent = now.since(tr.last_heartbeat);
             match tr.state {
                 TrackerState::Alive if silent >= expiry => {
@@ -438,23 +475,22 @@ impl JobTracker {
     }
 
     fn suspend_tracker(&mut self, node: NodeId) {
-        let tr = self.trackers.get_mut(&node).unwrap();
+        let tr = self.tracker_mut(node);
         tr.state = TrackerState::Suspended;
         let (map_slots, reduce_slots) = (tr.map_slots, tr.reduce_slots);
         let attempts: Vec<AttemptId> = tr.running.iter().copied().collect();
         self.alive_map_slots -= map_slots;
         self.alive_reduce_slots -= reduce_slots;
         for a in attempts {
-            if let Some(info) = self.attempt_mut(a) {
-                if info.state == AttemptState::Running {
-                    info.state = AttemptState::Inactive;
-                }
+            let info = self.attempt_mut(a);
+            if info.state == AttemptState::Running {
+                info.state = AttemptState::Inactive;
             }
         }
     }
 
     fn expire_tracker(&mut self, node: NodeId) -> Vec<AttemptId> {
-        let tr = self.trackers.get_mut(&node).unwrap();
+        let tr = self.tracker_mut(node);
         let was_alive = tr.state == TrackerState::Alive;
         tr.state = TrackerState::Dead;
         let (map_slots, reduce_slots) = (tr.map_slots, tr.reduce_slots);
@@ -465,47 +501,40 @@ impl JobTracker {
         }
         for &a in &attempts {
             self.kill_attempt(a);
-            if let Some(job) = self.jobs.get_mut(&a.task.job) {
-                job.killed_by_tracker_expiry += 1;
-            }
+            self.job_mut(a.task.job).killed_by_tracker_expiry += 1;
         }
         attempts
     }
 
     fn kill_attempt(&mut self, id: AttemptId) {
-        let kind = id.task.kind;
-        let job = self.jobs.get_mut(&id.task.job).expect("unknown job");
-        match kind {
+        let job = self.job_mut(id.task.job);
+        match id.task.kind {
             TaskKind::Map => job.killed_map_attempts += 1,
             TaskKind::Reduce => job.killed_reduce_attempts += 1,
         }
-        let task = job.tasks.get_mut(&id.task).expect("unknown task");
-        if let Some(info) = task.attempts.iter_mut().find(|a| a.id == id) {
-            if info.state.is_live() {
-                info.state = AttemptState::Killed;
-                job.live_attempts -= 1;
-            }
+        let info = &mut job.task_mut(id.task).attempts[id.attempt as usize];
+        if info.state.is_live() {
+            info.state = AttemptState::Killed;
+            job.live_attempts -= 1;
         }
     }
 
-    fn attempt_mut(&mut self, id: AttemptId) -> Option<&mut AttemptInfo> {
-        self.jobs
-            .get_mut(&id.task.job)?
-            .tasks
-            .get_mut(&id.task)?
-            .attempts
-            .iter_mut()
-            .find(|a| a.id == id)
+    /// An attempt's record: attempts are numbered by launch position and
+    /// never removed, so the number is the index.
+    fn attempt(&self, id: AttemptId) -> &AttemptInfo {
+        &self.job(id.task.job).task(id.task).attempts[id.attempt as usize]
     }
 
-    fn attempt(&self, id: AttemptId) -> Option<&AttemptInfo> {
-        self.jobs
-            .get(&id.task.job)?
-            .tasks
-            .get(&id.task)?
-            .attempts
-            .iter()
-            .find(|a| a.id == id)
+    fn attempt_mut(&mut self, id: AttemptId) -> &mut AttemptInfo {
+        &mut self.job_mut(id.task.job).task_mut(id.task).attempts[id.attempt as usize]
+    }
+
+    fn job(&self, id: JobId) -> &Job {
+        &self.jobs[id.0 as usize]
+    }
+
+    fn job_mut(&mut self, id: JobId) -> &mut Job {
+        &mut self.jobs[id.0 as usize]
     }
 
     // ------------------------------------------------------------------
@@ -514,71 +543,61 @@ impl JobTracker {
 
     /// Submit a job; its tasks become schedulable immediately.
     pub fn submit_job(&mut self, now: SimTime, spec: JobSpec) -> JobId {
-        let id = JobId(self.next_job);
-        self.next_job += 1;
-        let mut tasks = BTreeMap::new();
-        for i in 0..spec.n_maps {
-            let t = TaskId {
-                job: id,
-                kind: TaskKind::Map,
-                index: i,
-            };
-            tasks.insert(t, TaskState::new(t));
-        }
-        for i in 0..spec.n_reduces {
-            let t = TaskId {
-                job: id,
-                kind: TaskKind::Reduce,
-                index: i,
-            };
-            tasks.insert(t, TaskState::new(t));
-        }
-        self.jobs.insert(
-            id,
-            Job {
-                spec,
-                tasks,
-                status: JobStatus::Running,
-                completed_maps: 0,
-                completed_reduces: 0,
-                submitted: now,
-                finished: None,
-                first_launch: None,
-                first_launch_seq: BTreeMap::new(),
-                next_launch_seq: 0,
-                fetch_failures: BTreeMap::new(),
-                live_attempts: 0,
-                duplicated_launches: 0,
-                killed_map_attempts: 0,
-                killed_reduce_attempts: 0,
-                killed_by_tracker_expiry: 0,
-                map_output_relaunches: 0,
-                preempted_attempts: 0,
-            },
-        );
+        let id = JobId(self.jobs.len() as u32);
+        let tasks = |kind, n| {
+            (0..n)
+                .map(|index| {
+                    TaskState::new(TaskId {
+                        job: id,
+                        kind,
+                        index,
+                    })
+                })
+                .collect()
+        };
+        self.jobs.push(Job {
+            maps: tasks(TaskKind::Map, spec.n_maps),
+            reduces: tasks(TaskKind::Reduce, spec.n_reduces),
+            spec,
+            status: JobStatus::Running,
+            completed_maps: 0,
+            completed_reduces: 0,
+            submitted: now,
+            finished: None,
+            first_launch: None,
+            next_launch_seq: 0,
+            fetch_failures: BTreeMap::new(),
+            live_attempts: 0,
+            duplicated_launches: 0,
+            killed_map_attempts: 0,
+            killed_reduce_attempts: 0,
+            killed_by_tracker_expiry: 0,
+            map_output_relaunches: 0,
+            preempted_attempts: 0,
+        });
         self.running_jobs.insert(id);
         id
     }
 
     /// Job status.
     pub fn job_status(&self, job: JobId) -> JobStatus {
-        self.jobs[&job].status
+        self.job(job).status
     }
 
     /// When the job was submitted.
     pub fn job_submitted(&self, job: JobId) -> SimTime {
-        self.jobs[&job].submitted
+        self.job(job).submitted
     }
 
     /// When the job's first attempt launched (None while it still
     /// queues) — the endpoint of its queueing delay.
     pub fn job_first_launch(&self, job: JobId) -> Option<SimTime> {
-        self.jobs[&job].first_launch
+        self.job(job).first_launch
     }
 
     /// Ids of every job ever submitted, ascending.
     pub fn job_ids(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.jobs.keys().copied()
+        (0..self.jobs.len() as u32).map(JobId)
     }
 
     /// Jobs currently running (submitted, not yet succeeded/failed) —
@@ -594,18 +613,18 @@ impl JobTracker {
     pub fn queued_job_count(&self) -> usize {
         self.running_jobs
             .iter()
-            .filter(|jid| self.jobs[jid].first_launch.is_none())
+            .filter(|&&jid| self.job(jid).first_launch.is_none())
             .count()
     }
 
     /// When the job finished (all tasks completed), if it has.
     pub fn job_finished(&self, job: JobId) -> Option<SimTime> {
-        self.jobs[&job].finished
+        self.job(job).finished
     }
 
     /// Snapshot of the job's counters.
     pub fn job_metrics(&self, job: JobId) -> JobMetrics {
-        let j = &self.jobs[&job];
+        let j = self.job(job);
         JobMetrics {
             duplicated_tasks: j.duplicated_launches,
             killed_maps: j.killed_map_attempts,
@@ -621,12 +640,12 @@ impl JobTracker {
     /// The job's spec as submitted (deadline / priority / tenant reads
     /// for the world's SLO rows).
     pub fn job_spec(&self, job: JobId) -> &JobSpec {
-        &self.jobs[&job].spec
+        &self.job(job).spec
     }
 
     /// State of one task (for tests and the world model).
     pub fn task(&self, id: TaskId) -> &TaskState {
-        &self.jobs[&id.task_job()].tasks[&id]
+        self.job(id.job).task(id)
     }
 
     // ------------------------------------------------------------------
@@ -638,14 +657,14 @@ impl JobTracker {
     /// embedding model skip beats that only stamp the time and stamp
     /// the last one before the next tracker sweep reads it.
     pub fn stamp_heartbeat(&mut self, node: NodeId, at: SimTime) {
-        let tr = self.trackers.get_mut(&node).expect("unknown tracker");
+        let tr = self.tracker_mut(node);
         debug_assert!(tr.state == TrackerState::Alive && at >= tr.last_heartbeat);
         tr.last_heartbeat = at;
     }
 
     /// Time of the tracker's last heartbeat.
     pub fn last_heartbeat(&self, node: NodeId) -> SimTime {
-        self.trackers[&node].last_heartbeat
+        self.tracker(node).last_heartbeat
     }
 
     /// Process a TaskTracker heartbeat: revive it if needed, then hand it
@@ -653,7 +672,7 @@ impl JobTracker {
     pub fn heartbeat(&mut self, now: SimTime, node: NodeId) -> HeartbeatResponse {
         let mut resp = HeartbeatResponse::default();
         let (old_state, map_slots, reduce_slots) = {
-            let tr = self.trackers.get_mut(&node).expect("unknown tracker");
+            let tr = self.tracker_mut(node);
             let prior = (tr.state, tr.map_slots, tr.reduce_slots);
             tr.last_heartbeat = now;
             tr.state = TrackerState::Alive;
@@ -664,17 +683,16 @@ impl JobTracker {
             TrackerState::Suspended => {
                 self.alive_map_slots += map_slots;
                 self.alive_reduce_slots += reduce_slots;
-                let attempts: Vec<AttemptId> =
-                    self.trackers[&node].running.iter().copied().collect();
+                let attempts: Vec<AttemptId> = self.tracker(node).running.iter().copied().collect();
                 for a in attempts {
                     // Reactivate attempts unless the task finished (or
                     // the attempt was individually killed) meanwhile.
-                    let completed = self.jobs[&a.task.job].tasks[&a.task].completed;
-                    if completed {
+                    if self.task(a.task).completed {
                         self.release_attempt(a);
                         self.kill_attempt(a);
                         resp.kill.push(a);
-                    } else if let Some(info) = self.attempt_mut(a) {
+                    } else {
+                        let info = self.attempt_mut(a);
                         if info.state == AttemptState::Inactive {
                             info.state = AttemptState::Running;
                         }
@@ -715,7 +733,7 @@ impl JobTracker {
     }
 
     fn free_slots(&self, node: NodeId, kind: TaskKind) -> u32 {
-        let tr = &self.trackers[&node];
+        let tr = self.tracker(node);
         let cap = match kind {
             TaskKind::Map => tr.map_slots,
             TaskKind::Reduce => tr.reduce_slots,
@@ -731,12 +749,12 @@ impl JobTracker {
         node: NodeId,
         reason: LaunchReason,
     ) -> TaskAssignment {
-        let job = self.jobs.get_mut(&task.job).unwrap();
-        let state = job.tasks.get_mut(&task).unwrap();
-        let attempt_no = state.attempts.len() as u32;
+        let job = self.job_mut(task.job);
+        let seq = job.next_launch_seq;
+        let state = job.task_mut(task);
         let id = AttemptId {
             task,
-            attempt: attempt_no,
+            attempt: state.attempts.len() as u32,
         };
         state.attempts.push(AttemptInfo {
             id,
@@ -746,17 +764,16 @@ impl JobTracker {
             started: now,
             reason,
         });
+        if id.attempt == 0 {
+            state.first_launch_seq = seq;
+            job.next_launch_seq += 1;
+        }
         job.first_launch.get_or_insert(now);
         job.live_attempts += 1;
-        job.first_launch_seq.entry(task).or_insert_with(|| {
-            let s = job.next_launch_seq;
-            job.next_launch_seq += 1;
-            s
-        });
         if reason.is_duplicate() {
             job.duplicated_launches += 1;
         }
-        self.trackers.get_mut(&node).unwrap().running.insert(id);
+        self.tracker_mut(node).running.insert(id);
         TaskAssignment {
             attempt: id,
             node,
@@ -766,12 +783,8 @@ impl JobTracker {
 
     /// Remove the attempt from its tracker's running set.
     fn release_attempt(&mut self, id: AttemptId) {
-        if let Some(info) = self.attempt(id) {
-            let node = info.node;
-            if let Some(tr) = self.trackers.get_mut(&node) {
-                tr.running.remove(&id);
-            }
-        }
+        let node = self.attempt(id).node;
+        self.tracker_mut(node).running.remove(&id);
     }
 
     /// Choose the next task of `kind` for `node`, with the launch reason.
@@ -781,7 +794,7 @@ impl JobTracker {
         node: NodeId,
         kind: TaskKind,
     ) -> Option<(TaskId, LaunchReason)> {
-        let dedicated = self.trackers[&node].dedicated;
+        let dedicated = self.tracker(node).dedicated;
         // MOON treats dedicated nodes as data servers; only the hybrid
         // variant runs (speculative) tasks there (§V-C).
         if dedicated && !self.policy.dedicated_runs_originals() {
@@ -811,10 +824,10 @@ impl JobTracker {
         order.extend(
             self.running_jobs
                 .iter()
-                .map(|&jid| (self.rank_key(jid, &self.jobs[&jid], &tenant_live), jid)),
+                .map(|&jid| (self.rank_key(jid, self.job(jid), &tenant_live), jid)),
         );
         order.sort_unstable();
-        let found = order.iter().find_map(|&(_, jid)| f(jid, &self.jobs[&jid]));
+        let found = order.iter().find_map(|&(_, jid)| f(jid, self.job(jid)));
         self.rank_scratch.replace(order);
         found
     }
@@ -828,7 +841,7 @@ impl JobTracker {
         let mut live = BTreeMap::new();
         if self.cross_job == CrossJobPolicy::TenantFair {
             for &jid in &self.running_jobs {
-                let j = &self.jobs[&jid];
+                let j = self.job(jid);
                 *live.entry(j.spec.tenant).or_insert(0u64) += u64::from(j.live_attempts);
             }
         }
@@ -916,7 +929,7 @@ impl JobTracker {
         victim: JobId,
         tenant_live: &BTreeMap<u32, u64>,
     ) -> bool {
-        let (ch, vi) = (&self.jobs[&challenger], &self.jobs[&victim]);
+        let (ch, vi) = (self.job(challenger), self.job(victim));
         let (ct, vt) = (ch.spec.tenant, vi.spec.tenant);
         let cl = tenant_live.get(&ct).copied().unwrap_or(0);
         let vl = tenant_live.get(&vt).copied().unwrap_or(0);
@@ -964,14 +977,14 @@ impl JobTracker {
         // Dedicated nodes under MOON-style policies run speculative
         // copies only (§V-C); reclaiming a slot there would grant it to
         // an original, which those nodes never run.
-        if self.trackers[&node].dedicated && !self.policy.dedicated_runs_originals() {
+        if self.tracker(node).dedicated && !self.policy.dedicated_runs_originals() {
             return false;
         }
         // Challenger: the first job in policy order with a pending
         // launchable task of this kind — exactly the pick the freed
         // slot will serve, so a successful preemption always re-grants.
-        let Some(challenger) = self
-            .pick_across_jobs(|jid, job| self.pick_pending_in(jid, job, node, kind).map(|_| jid))
+        let Some(challenger) =
+            self.pick_across_jobs(|jid, job| self.pick_pending_in(job, node, kind).map(|_| jid))
         else {
             return false;
         };
@@ -981,14 +994,14 @@ impl JobTracker {
         // attempt, so the least progress is discarded.
         let tenant_live = self.tenant_live_counts();
         let mut victim: Option<(u128, JobId, bool, AttemptId)> = None;
-        let tr = &self.trackers[&node];
+        let tr = self.tracker(node);
         for &aid in tr.running.iter().filter(|a| a.task.kind == kind) {
             let vjid = aid.task.job;
             if vjid == challenger || !self.may_preempt(challenger, vjid, &tenant_live) {
                 continue;
             }
-            let key = self.rank_key(vjid, &self.jobs[&vjid], &tenant_live);
-            let speculative = self.attempt(aid).is_some_and(|a| a.reason.is_duplicate());
+            let key = self.rank_key(vjid, self.job(vjid), &tenant_live);
+            let speculative = self.attempt(aid).reason.is_duplicate();
             let cand = (key, vjid, speculative, aid);
             if victim.is_none_or(|v| cand > v) {
                 victim = Some(cand);
@@ -999,8 +1012,7 @@ impl JobTracker {
         };
         self.release_attempt(aid);
         self.kill_attempt(aid);
-        let job = self.jobs.get_mut(&vjid).expect("victim job exists");
-        job.preempted_attempts += 1;
+        self.job_mut(vjid).preempted_attempts += 1;
         self.total_preempted += 1;
         kill.push(aid);
         true
@@ -1011,14 +1023,13 @@ impl JobTracker {
     /// locality to the requesting node. Jobs are visited in cross-job
     /// policy order; the first job with any candidate wins.
     fn pick_pending(&self, node: NodeId, kind: TaskKind) -> Option<(TaskId, LaunchReason)> {
-        self.pick_across_jobs(|jid, job| self.pick_pending_in(jid, job, node, kind))
+        self.pick_across_jobs(|_, job| self.pick_pending_in(job, node, kind))
     }
 
     /// The per-job half of [`Self::pick_pending`]: best pending task of
     /// `kind` in one job, by (class, index).
     fn pick_pending_in(
         &self,
-        jid: JobId,
         job: &Job,
         node: NodeId,
         kind: TaskKind,
@@ -1030,28 +1041,21 @@ impl JobTracker {
             }
         }
         let mut best: Option<(u8, u32, TaskId)> = None; // (class, order, task)
-        for (tid, task) in job.tasks.range(Self::kind_range(jid, kind)) {
+        for task in job.tasks(kind) {
             if !task.needs_launch() {
                 continue;
             }
             let retried = !task.attempts.is_empty() || task.output_lost_count > 0;
-            let local = kind == TaskKind::Map
-                && job
-                    .spec
-                    .map_input_locations
-                    .get(tid.index as usize)
-                    .is_some_and(|locs| locs.contains(&node));
             // Lower class = higher priority: 0 retry, 1 local fresh,
             // 2 any fresh.
             let class = if retried {
                 0
-            } else if local {
+            } else if job.input_local(task.id, node) {
                 1
             } else {
                 2
             };
-            let order = tid.index;
-            let cand = (class, order, *tid);
+            let cand = (class, task.id.index, task.id);
             if best.is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
                 best = Some(cand);
             }
@@ -1059,7 +1063,7 @@ impl JobTracker {
         best.map(|(class, _, tid)| {
             let reason = if class == 0 {
                 // Distinguish retry-after-kill from lost-output relaunch.
-                let t = &job.tasks[&tid];
+                let t = job.task(tid);
                 if t.output_lost_count > 0
                     && t.attempts
                         .iter()
@@ -1078,20 +1082,6 @@ impl JobTracker {
         })
     }
 
-    /// Range covering every task of `kind` in `job` (TaskId orders by
-    /// (job, kind, index), so one kind is a contiguous key range).
-    fn kind_range(jid: JobId, kind: TaskKind) -> std::ops::RangeInclusive<TaskId> {
-        TaskId {
-            job: jid,
-            kind,
-            index: 0,
-        }..=TaskId {
-            job: jid,
-            kind,
-            index: u32::MAX,
-        }
-    }
-
     /// Slots of `kind` across Alive trackers (the paper's "currently
     /// available execution slots"). O(1): the counters are maintained
     /// on liveness transitions and recounted by [`Self::audit_indexes`].
@@ -1104,18 +1094,15 @@ impl JobTracker {
     }
 
     fn live_speculative(&self, job: &Job) -> u32 {
-        job.tasks
-            .values()
-            .map(|t| t.n_live_speculative() as u32)
-            .sum()
+        job.all_tasks().map(|t| t.n_live_speculative() as u32).sum()
     }
 
     /// Mean best-progress over scheduled tasks of `kind` (completed
     /// count as 1.0) — the baseline for the Hadoop straggler rule.
-    fn avg_progress(&self, jid: JobId, job: &Job, kind: TaskKind) -> f64 {
+    fn avg_progress(&self, job: &Job, kind: TaskKind) -> f64 {
         let mut sum = 0.0;
         let mut n = 0u32;
-        for (_, t) in job.tasks.range(Self::kind_range(jid, kind)) {
+        for t in job.tasks(kind) {
             if t.completed {
                 sum += 1.0;
                 n += 1;
@@ -1160,10 +1147,11 @@ impl JobTracker {
         kind: TaskKind,
         p: &crate::policy::HadoopPolicy,
     ) -> Option<(TaskId, LaunchReason)> {
-        self.pick_across_jobs(|jid, job| {
-            let avg = self.avg_progress(jid, job, kind);
-            let mut candidates: Vec<(bool, u32, TaskId)> = Vec::new(); // (non_local, seq, id)
-            for (tid, task) in job.tasks.range(Self::kind_range(jid, kind)) {
+        self.pick_across_jobs(|_, job| {
+            let avg = self.avg_progress(job, kind);
+            // Least (non_local, first launch, id); ids are unique.
+            let mut best: Option<(bool, u32, TaskId)> = None;
+            for task in job.tasks(kind) {
                 if task.completed || task.n_live() == 0 {
                     continue;
                 }
@@ -1181,19 +1169,11 @@ impl JobTracker {
                 if task.best_progress() >= avg - p.straggler.gap {
                     continue;
                 }
-                let local = kind == TaskKind::Map
-                    && job
-                        .spec
-                        .map_input_locations
-                        .get(tid.index as usize)
-                        .is_some_and(|locs| locs.contains(&node));
-                let seq = job.first_launch_seq.get(tid).copied().unwrap_or(u32::MAX);
-                candidates.push((!local, seq, *tid));
+                let non_local = !job.input_local(task.id, node);
+                let cand = (non_local, task.first_launch_seq, task.id);
+                best = Some(best.map_or(cand, |b| b.min(cand)));
             }
-            candidates.sort();
-            candidates
-                .first()
-                .map(|&(_, _, tid)| (tid, LaunchReason::Speculative))
+            best.map(|(_, _, tid)| (tid, LaunchReason::Speculative))
         })
     }
 
@@ -1204,36 +1184,29 @@ impl JobTracker {
         kind: TaskKind,
         p: &crate::policy::MoonPolicy,
     ) -> Option<(TaskId, LaunchReason)> {
-        let node_is_dedicated = self.trackers[&node].dedicated;
-        // Maintained at registration — no per-pick rebuild.
-        let dedicated_nodes = &self.dedicated_trackers;
-        self.pick_across_jobs(|jid, job| {
+        self.pick_across_jobs(|_, job| {
             // Global cap on concurrent speculative instances (§V-A).
             let cap =
                 (p.speculative_slot_fraction * self.available_slots(None) as f64).floor() as u32;
             if self.live_speculative(job) >= cap.max(1) {
                 return None;
             }
-            let avg = self.avg_progress(jid, job, kind);
-            let has_dedicated_copy =
-                |task: &TaskState| task.has_live_attempt_on(|n| dedicated_nodes.contains(&n));
-
-            // 1. Frozen list: all copies inactive; exempt from the
-            //    per-task cap; lowest progress first (§V-A).
-            let mut frozen: Vec<(u64, TaskId)> = Vec::new();
-            // 2. Slow list: Hadoop straggler criteria.
-            let mut slow: Vec<(u64, TaskId)> = Vec::new();
-            // 3. Homestretch: remaining tasks short of R active copies.
-            let remaining: u32 = job
-                .tasks
-                .range(Self::kind_range(jid, kind))
-                .filter(|(_, t)| !t.completed)
-                .count() as u32;
+            let avg = self.avg_progress(job, kind);
+            let tasks = job.tasks(kind);
+            let remaining = tasks.iter().filter(|t| !t.completed).count() as u32;
             let homestretch_on = (remaining as f64)
                 < (p.homestretch_h_percent / 100.0) * self.available_slots(Some(kind)) as f64;
-            let mut homestretch: Vec<(u32, u64, TaskId)> = Vec::new();
 
-            for (tid, task) in job.tasks.range(Self::kind_range(jid, kind)) {
+            // Each list keeps only its least entry; ids are unique.
+            // 1. Frozen list: all copies inactive; exempt from the
+            //    per-task cap; lowest progress first (§V-A).
+            let mut frozen: Option<(u64, TaskId)> = None;
+            // 2. Slow list: Hadoop straggler criteria.
+            let mut slow: Option<(u64, TaskId)> = None;
+            // 3. Homestretch: remaining tasks short of R active copies.
+            let mut homestretch: Option<(u32, u64, TaskId)> = None;
+
+            for task in tasks {
                 if task.completed || task.n_live() == 0 {
                     continue;
                 }
@@ -1242,12 +1215,13 @@ impl JobTracker {
                 }
                 // Tasks already backed by a dedicated copy have reliable
                 // backup; skip them for further replication (§V-C).
-                if p.hybrid && has_dedicated_copy(task) {
+                if p.hybrid && task.has_live_attempt_on(|n| self.tracker(n).dedicated) {
                     continue;
                 }
                 let progress_key = (task.best_progress() * 1e9) as u64;
                 if task.is_frozen() {
-                    frozen.push((progress_key, *tid));
+                    let cand = (progress_key, task.id);
+                    frozen = Some(frozen.map_or(cand, |b| b.min(cand)));
                     continue;
                 }
                 if (task.n_live_speculative() as u32) < p.max_speculative_per_task {
@@ -1255,29 +1229,21 @@ impl JobTracker {
                     if now.since(oldest_start) >= p.straggler.min_runtime
                         && task.best_progress() < avg - p.straggler.gap
                     {
-                        slow.push((progress_key, *tid));
+                        let cand = (progress_key, task.id);
+                        slow = Some(slow.map_or(cand, |b| b.min(cand)));
                     }
                 }
                 if homestretch_on && (task.n_running() as u32) < p.homestretch_r {
-                    homestretch.push((task.n_running() as u32, progress_key, *tid));
+                    let cand = (task.n_running() as u32, progress_key, task.id);
+                    homestretch = Some(homestretch.map_or(cand, |b| b.min(cand)));
                 }
-            }
-            frozen.sort();
-            if let Some(&(_, tid)) = frozen.first() {
-                return Some((tid, LaunchReason::Speculative));
-            }
-            slow.sort();
-            if let Some(&(_, tid)) = slow.first() {
-                return Some((tid, LaunchReason::Speculative));
             }
             // Dedicated nodes also take homestretch copies; volatile nodes
             // do too — the phase just guarantees R active copies.
-            homestretch.sort();
-            if let Some(&(_, _, tid)) = homestretch.first() {
-                return Some((tid, LaunchReason::Homestretch));
-            }
-            let _ = node_is_dedicated;
-            None
+            frozen
+                .or(slow)
+                .map(|(_, tid)| (tid, LaunchReason::Speculative))
+                .or(homestretch.map(|(_, _, tid)| (tid, LaunchReason::Homestretch)))
         })
     }
 
@@ -1287,7 +1253,7 @@ impl JobTracker {
         kind: TaskKind,
         p: &crate::policy::LatePolicy,
     ) -> Option<(TaskId, LaunchReason)> {
-        self.pick_across_jobs(|jid, job| {
+        self.pick_across_jobs(|_, job| {
             let cap = (p.speculative_cap_fraction * self.available_slots(None) as f64)
                 .floor()
                 .max(1.0) as u32;
@@ -1296,7 +1262,7 @@ impl JobTracker {
             }
             // Progress rates of running tasks of this kind.
             let mut rates: Vec<f64> = Vec::new();
-            for (_, t) in job.tasks.range(Self::kind_range(jid, kind)) {
+            for t in job.tasks(kind) {
                 if t.completed || t.n_running() == 0 {
                     continue;
                 }
@@ -1318,7 +1284,7 @@ impl JobTracker {
             let threshold = rates[idx.min(rates.len() - 1)];
 
             let mut best: Option<(f64, TaskId)> = None;
-            for (tid, t) in job.tasks.range(Self::kind_range(jid, kind)) {
+            for t in job.tasks(kind) {
                 if t.completed || t.n_running() == 0 {
                     continue;
                 }
@@ -1343,7 +1309,7 @@ impl JobTracker {
                     f64::INFINITY
                 };
                 if best.is_none_or(|(b, _)| est_remaining > b) {
-                    best = Some((est_remaining, *tid));
+                    best = Some((est_remaining, t.id));
                 }
             }
             best.map(|(_, tid)| (tid, LaunchReason::Speculative))
@@ -1356,10 +1322,9 @@ impl JobTracker {
 
     /// Record a progress report for an attempt.
     pub fn report_progress(&mut self, attempt: AttemptId, progress: f64) {
-        if let Some(info) = self.attempt_mut(attempt) {
-            if info.state.is_live() {
-                info.progress = progress.clamp(0.0, 1.0);
-            }
+        let info = self.attempt_mut(attempt);
+        if info.state.is_live() {
+            info.progress = progress.clamp(0.0, 1.0);
         }
     }
 
@@ -1368,25 +1333,21 @@ impl JobTracker {
         let mut resp = SuccessResponse::default();
         let task_id = attempt.task;
         self.release_attempt(attempt);
-        let job = self.jobs.get_mut(&task_id.job).expect("unknown job");
-        let task = job.tasks.get_mut(&task_id).expect("unknown task");
-        if task.completed {
+        let job = self.job_mut(task_id.job);
+        let task = job.task_mut(task_id);
+        let sibling_done = task.completed;
+        let info = &mut task.attempts[attempt.attempt as usize];
+        let was_live = info.state.is_live();
+        if sibling_done {
             // A sibling already finished; treat this as a benign kill.
-            if let Some(info) = task.attempts.iter_mut().find(|a| a.id == attempt) {
-                if info.state.is_live() {
-                    info.state = AttemptState::Killed;
-                    job.live_attempts -= 1;
-                }
+            if was_live {
+                info.state = AttemptState::Killed;
+                job.live_attempts -= 1;
             }
             return resp;
         }
-        if let Some(info) = task.attempts.iter_mut().find(|a| a.id == attempt) {
-            if info.state.is_live() {
-                job.live_attempts -= 1;
-            }
-            info.state = AttemptState::Succeeded;
-            info.progress = 1.0;
-        }
+        info.state = AttemptState::Succeeded;
+        info.progress = 1.0;
         task.completed = true;
         task.completed_by = Some(attempt);
         let siblings: Vec<AttemptId> = task
@@ -1395,6 +1356,9 @@ impl JobTracker {
             .filter(|a| a.state.is_live())
             .map(|a| a.id)
             .collect();
+        if was_live {
+            job.live_attempts -= 1;
+        }
         match task_id.kind {
             TaskKind::Map => job.completed_maps += 1,
             TaskKind::Reduce => job.completed_reduces += 1,
@@ -1418,16 +1382,17 @@ impl JobTracker {
     /// An attempt failed (e.g. its input block is unreadable).
     pub fn attempt_failed(&mut self, _now: SimTime, attempt: AttemptId) {
         self.release_attempt(attempt);
-        let job = self.jobs.get_mut(&attempt.task.job).expect("unknown job");
-        let task = job.tasks.get_mut(&attempt.task).expect("unknown task");
-        if let Some(info) = task.attempts.iter_mut().find(|a| a.id == attempt) {
-            if info.state.is_live() {
-                job.live_attempts -= 1;
-            }
-            info.state = AttemptState::Failed;
-        }
+        let job = self.job_mut(attempt.task.job);
+        let task = job.task_mut(attempt.task);
+        let info = &mut task.attempts[attempt.attempt as usize];
+        let was_live = info.state.is_live();
+        info.state = AttemptState::Failed;
         task.failures += 1;
-        if task.failures > job.spec.max_task_failures {
+        let failures = task.failures;
+        if was_live {
+            job.live_attempts -= 1;
+        }
+        if failures > job.spec.max_task_failures {
             job.status = JobStatus::Failed;
             self.running_jobs.remove(&attempt.task.job);
         }
@@ -1457,8 +1422,9 @@ impl JobTracker {
         output_active: bool,
     ) -> bool {
         debug_assert_eq!(map.kind, TaskKind::Map);
-        let job = self.jobs.get_mut(&map.job).expect("unknown job");
-        if !job.tasks[&map].completed {
+        let fetch_policy = self.fetch_policy;
+        let job = self.job_mut(map.job);
+        if !job.task(map).completed {
             return false; // already being re-executed
         }
         let cutoff = now
@@ -1471,21 +1437,14 @@ impl JobTracker {
             reports.expire(cutoff);
             (reports.reporter_counts.len(), reports.reports.len())
         };
-        let reexec = match self.fetch_policy {
+        let reexec = match fetch_policy {
             FetchFailurePolicy::HadoopMajority => {
                 // "More than 50% of the running Reduce tasks report
                 // fetching failures for the Map task" — distinct reduces.
-                // Reduce TaskIds sort after map TaskIds within a job, so
-                // scan only that range instead of every task.
-                let reduce_start = TaskId {
-                    job: map.job,
-                    kind: TaskKind::Reduce,
-                    index: 0,
-                };
                 let running_reduces = job
-                    .tasks
-                    .range(reduce_start..)
-                    .filter(|(_, t)| !t.completed && t.n_live() > 0)
+                    .reduces
+                    .iter()
+                    .filter(|t| !t.completed && t.n_live() > 0)
                     .count();
                 reporters * 2 > running_reduces.max(1)
             }
@@ -1500,7 +1459,7 @@ impl JobTracker {
             return false;
         }
         // Re-open the map task.
-        let task = job.tasks.get_mut(&map).unwrap();
+        let task = job.task_mut(map);
         task.completed = false;
         task.completed_by = None;
         task.output_lost_count += 1;
@@ -1514,16 +1473,7 @@ impl JobTracker {
     /// Total live attempts across all jobs (diagnostics). Sums the
     /// per-job maintained counters instead of walking every task.
     pub fn live_attempt_count(&self) -> usize {
-        self.jobs.values().map(|j| j.live_attempts as usize).sum()
-    }
-}
-
-trait TaskIdExt {
-    fn task_job(&self) -> JobId;
-}
-impl TaskIdExt for TaskId {
-    fn task_job(&self) -> JobId {
-        self.job
+        self.jobs.iter().map(|j| j.live_attempts as usize).sum()
     }
 }
 
@@ -1659,6 +1609,37 @@ mod tests {
         let r = jt.heartbeat(t(62), NodeId(3));
         assert!(r.assignments.is_empty());
         assert_eq!(jt.job_metrics(job).duplicated_tasks, 1);
+    }
+
+    /// Equal laggards are speculated in first-launch order, not task
+    /// order: map 1 launched before map 0 (its input is local to n0),
+    /// so it gets the first speculative copy.
+    #[test]
+    fn hadoop_speculation_ties_break_by_first_launch() {
+        let mut jt = hadoop_jt();
+        cluster(&mut jt, 3, 0);
+        let spec = JobSpec::new(4, 0).with_locations(vec![
+            vec![NodeId(1)],
+            vec![NodeId(0)],
+            vec![NodeId(1)],
+            vec![NodeId(1)],
+        ]);
+        let job = jt.submit_job(t(0), spec);
+        let a0 = jt.heartbeat(t(0), NodeId(0)).assignments;
+        let launched: Vec<TaskId> = a0.iter().map(|a| a.attempt.task).collect();
+        assert_eq!(launched, vec![map_task(job, 1), map_task(job, 0)]);
+        let a1 = jt.heartbeat(t(0), NodeId(1)).assignments;
+        assert_eq!(a1.len(), 2);
+        for a in &a1 {
+            jt.attempt_succeeded(t(10), a.attempt);
+        }
+        for a in &a0 {
+            jt.report_progress(a.attempt, 0.1);
+        }
+        // n2 holds neither input, so both laggards tie on locality.
+        let r = jt.heartbeat(t(61), NodeId(2)).assignments;
+        assert_eq!(r[0].attempt.task, map_task(job, 1), "{r:?}");
+        assert_eq!(r[0].reason, LaunchReason::Speculative);
     }
 
     #[test]
@@ -1833,6 +1814,58 @@ mod tests {
         let r2 = jt.heartbeat(t(11), NodeId(2)).assignments;
         assert!(r2.is_empty());
         let _ = job;
+    }
+
+    /// With a frozen task, a slow task and homestretch candidates all
+    /// present, successive one-slot beats take the frozen list first,
+    /// then the slow list, then the homestretch (MOON §V).
+    #[test]
+    fn moon_lists_take_precedence_frozen_slow_homestretch() {
+        let mut jt = JobTracker::new(
+            SchedulerPolicy::Moon(MoonPolicy {
+                homestretch_h_percent: 100.0,
+                speculative_slot_fraction: 1.0,
+                hybrid: false,
+                ..MoonPolicy::default()
+            }),
+            FetchFailurePolicy::MoonQuery,
+        );
+        for i in 0..4 {
+            jt.register_tracker(t(0), NodeId(i), 1, 0, false);
+        }
+        let job = jt.submit_job(t(0), JobSpec::new(4, 0));
+        let a: Vec<AttemptId> = (0..4)
+            .map(|i| jt.heartbeat(t(0), NodeId(i)).assignments[0].attempt)
+            .collect();
+        jt.attempt_succeeded(t(10), a[3]);
+        jt.report_progress(a[0], 0.5);
+        jt.report_progress(a[1], 0.1);
+        jt.report_progress(a[2], 0.9);
+        jt.heartbeat(t(55), NodeId(1));
+        jt.heartbeat(t(55), NodeId(2));
+        for i in 4..7 {
+            jt.register_tracker(t(56), NodeId(i), 1, 0, false);
+        }
+        let sweep = jt.check_trackers(t(61));
+        assert_eq!(sweep.suspended, vec![NodeId(0), NodeId(3)]);
+        // Map 0 is frozen, map 1 is slow (0.1 < mean 0.625 − 0.2), and
+        // maps 1 and 2 are short of R = 2 running copies.
+        assert!(jt.task(map_task(job, 0)).is_frozen());
+        let picks: Vec<(TaskId, LaunchReason)> = (4..7)
+            .map(|i| {
+                let r = jt.heartbeat(t(58 + u64::from(i)), NodeId(i)).assignments;
+                assert_eq!(r.len(), 1, "{r:?}");
+                (r[0].attempt.task, r[0].reason)
+            })
+            .collect();
+        assert_eq!(
+            picks,
+            vec![
+                (map_task(job, 0), LaunchReason::Speculative),
+                (map_task(job, 1), LaunchReason::Speculative),
+                (map_task(job, 0), LaunchReason::Homestretch),
+            ]
+        );
     }
 
     #[test]
@@ -2237,7 +2270,7 @@ mod tests {
     /// The per-policy cross-job order the unified `(rank_key, JobId)`
     /// sort replaced, kept as the reference it must reproduce.
     fn reference_order(jt: &JobTracker) -> Vec<JobId> {
-        let job = |jid: &JobId| &jt.jobs[jid];
+        let job = |&jid: &JobId| jt.job(jid);
         let mut order: Vec<JobId> = jt.running_jobs.iter().copied().collect();
         match jt.cross_job {
             CrossJobPolicy::Fifo => {}
@@ -2272,7 +2305,7 @@ mod tests {
     fn reference_tenant_live(jt: &JobTracker) -> BTreeMap<u32, u64> {
         let mut live = BTreeMap::new();
         for jid in &jt.running_jobs {
-            let j = &jt.jobs[jid];
+            let j = jt.job(*jid);
             *live.entry(j.spec.tenant).or_insert(0u64) += u64::from(j.live_attempts);
         }
         live
@@ -2281,8 +2314,8 @@ mod tests {
     /// The hand-written per-policy preemption guards the derived rule
     /// replaced, kept as the reference it must reproduce.
     fn reference_may_preempt(jt: &JobTracker, challenger: JobId, victim: JobId) -> bool {
-        let ch = &jt.jobs[&challenger];
-        let vi = &jt.jobs[&victim];
+        let ch = jt.job(challenger);
+        let vi = jt.job(victim);
         match jt.cross_job {
             CrossJobPolicy::Fifo => challenger < victim,
             CrossJobPolicy::FairShare => ch.live_attempts + 1 < vi.live_attempts,
@@ -2340,7 +2373,7 @@ mod tests {
                 jt.tenant_min_slots = (0..n_tenants).map(|_| rng.gen_range(0..=4)).collect();
                 jt.running_jobs.clear();
                 for &jid in &jobs {
-                    let job = jt.jobs.get_mut(&jid).expect("submitted");
+                    let job = jt.job_mut(jid);
                     job.live_attempts = rng.gen_range(0..=6);
                     job.spec.deadline = rng.gen_bool(0.75).then(|| t(rng.gen_range(1..=4)));
                     job.spec.priority = rng.gen_range(-2..=2);
@@ -2364,8 +2397,8 @@ mod tests {
                             want,
                             "{policy:?}: {c:?} over {v:?}, challenger {:?}, victim {:?}, \
                              weights {:?}, floors {:?}",
-                            jt.jobs[&c].spec,
-                            jt.jobs[&v].spec,
+                            jt.job(c).spec,
+                            jt.job(v).spec,
                             jt.tenant_weights,
                             jt.tenant_min_slots
                         );
@@ -2382,8 +2415,8 @@ mod tests {
     /// Randomized churn drift check: after every step of a mixed
     /// workload (job submissions, partial heartbeats, completions,
     /// suspensions, expiries, revivals) the incremental indexes —
-    /// running jobs, alive-slot counters, dedicated set — must equal
-    /// a from-scratch recomputation. Coverage flags
+    /// running jobs, alive-slot counters, per-job live attempts — must
+    /// equal a from-scratch recomputation. Coverage flags
     /// ensure the churn actually exercised every transition.
     #[test]
     fn incremental_indexes_survive_randomized_churn() {

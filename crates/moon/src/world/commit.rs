@@ -77,7 +77,8 @@ impl World {
         let job = self.jt.submit_job(ctx.now(), spec);
         self.jobs[slot].job = Some(job);
         self.jobs[slot].submitted_at = Some(ctx.now());
-        self.job_slots.insert(job, slot);
+        debug_assert_eq!(job.0 as usize, self.job_slots.len());
+        self.job_slots.push(slot);
         self.n_submitted += 1;
         if self.metrics.job_submitted.is_none() {
             self.metrics.job_submitted = Some(ctx.now());

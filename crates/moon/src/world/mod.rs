@@ -198,8 +198,9 @@ pub struct World {
     /// One slot per job (created up front for batch/Poisson arrivals,
     /// incrementally for closed streams).
     jobs: Vec<JobSlot>,
-    /// JobTracker id → slot index.
-    job_slots: HashMap<JobId, usize>,
+    /// Slot index of each submitted job, indexed by `JobId` (the
+    /// JobTracker hands ids out densely in submission order).
+    job_slots: Vec<usize>,
     /// Slots submitted so far (monotone). With the counters below this
     /// makes the per-heartbeat `control_plane_active` check O(1)
     /// instead of a walk over every slot the run will ever have.
@@ -304,7 +305,7 @@ impl World {
             nn,
             jt,
             jobs,
-            job_slots: HashMap::new(),
+            job_slots: Vec::new(),
             n_submitted: 0,
             n_tasks_incomplete: n_slots,
             n_committed: 0,
@@ -456,7 +457,7 @@ impl World {
 
     /// Slot index of a submitted job.
     fn slot_of(&self, job: JobId) -> usize {
-        self.job_slots[&job]
+        self.job_slots[job.0 as usize]
     }
 
     /// The job slot an attempt belongs to.

@@ -76,16 +76,6 @@ impl<'a, E> Ctx<'a, E> {
         self.queue.cancel(id)
     }
 
-    /// Re-arm a single-slot timer: cancel whatever `slot` points at (a
-    /// no-op if it already fired) and schedule `event` `delay` from now,
-    /// storing the new id back into `slot`. This is the idiom for
-    /// periodic per-entity events (heartbeats, service ticks) where the
-    /// model keeps exactly one pending event per entity.
-    pub fn reschedule_after(&mut self, slot: &mut EventId, delay: SimDuration, event: E) {
-        self.cancel(*slot);
-        *slot = self.schedule(delay, event);
-    }
-
     /// True if the event is still pending.
     pub fn is_pending(&self, id: EventId) -> bool {
         self.queue.is_pending(id)
