@@ -3,9 +3,10 @@
 //! ```text
 //! moon-cli list                                  # catalog of built-in scenarios
 //! moon-cli describe <name|file.toml>             # spec as TOML + derived grid info
-//! moon-cli run <name|file.toml> [--seeds N] [--out FILE] [--strict]
+//! moon-cli run <name|file.toml> [--seeds N] [--out FILE]
 //!              [--metrics-out FILE] [--trace-out FILE]
 //! moon-cli fuzz <n-cases> [--seed S] [--out FILE] [--fault invert-fair]
+//! moon-cli fig1 [--save-trace FILE]
 //! ```
 //!
 //! `run` prints the scenario's paper-style tables to stdout and writes
@@ -14,8 +15,10 @@
 //! file) is parsed as a scenario file instead of a registry name, so
 //! new workloads and volatility regimes need no Rust at all. Env knobs
 //! (`MOON_SEEDS`, `MOON_QUICK`, `MOON_THREADS`) apply as everywhere.
-//! `--strict` exits nonzero if any run hit the event limit (a simulator
-//! livelock, never a legitimate DNF).
+//! Every (point, seed) cell runs contained ([`bench::campaign`]): a
+//! panicked, livelocked (event limit) or deadlined cell renders as DNF
+//! and the rest of the grid still runs. A run with any failed cell
+//! exits 1 after writing all its artifacts.
 //!
 //! `--metrics-out FILE` / `--trace-out FILE` turn on telemetry (if the
 //! scenario's own `[telemetry]` table didn't already) and write the
@@ -28,25 +31,25 @@
 //! `fuzz` runs the seeded metamorphic fuzz campaign
 //! ([`scenarios::fuzz`]): it samples scenarios, checks the invariant
 //! oracle, shrinks failures to ready-to-run `.toml` repros, writes a
-//! JSON report, and exits nonzero on any violation (strict is always on
-//! for fuzzing).
+//! JSON report, and exits nonzero on any violation.
+//!
+//! `fig1` prints Figure 1's availability table ([`bench::fig1`]);
+//! `--save-trace FILE` also writes day 1's fleet as a `moon-trace v1`
+//! file, which is how `data/traces/lab-day.trace` was produced.
 //!
 //! ## Campaigns (checkpointed, resumable runs)
 //!
 //! Any of `--checkpoint` / `--resume` / `--event-budget` /
-//! `--cell-deadline-secs` / `--inject-panic` switches `run` into
-//! **campaign mode** ([`bench::campaign`]): every completed (point,
-//! seed) cell is appended to a checkpoint file (default
-//! `bench_results/campaigns/<name>.ckpt.jsonl`), a killed sweep resumes
-//! with `--resume` (completed cells are restored, artifacts come out
-//! byte-identical to an uninterrupted run), and panicked / livelocked /
-//! deadlined cells are contained per-cell and recorded in a dead-letter
-//! queue next to the checkpoint. `dlq list` shows the failed cells;
-//! `dlq retry` re-runs them with bounded attempts. A campaign run with
-//! failed cells exits 1 after writing all artifacts. The checkpoint is
-//! keyed by a content hash of the spec + seeds + quick mode, so pass
-//! the same spec, seeds, `MOON_QUICK`, and telemetry flags when
-//! resuming or retrying.
+//! `--cell-deadline-secs` / `--inject-panic` makes `run` a
+//! **campaign**: every completed cell is appended to a checkpoint file
+//! (default `bench_results/campaigns/<name>.ckpt.jsonl`), a killed
+//! sweep resumes with `--resume` (completed cells are restored,
+//! artifacts come out byte-identical to an uninterrupted run), and
+//! failed cells are recorded in a dead-letter queue next to the
+//! checkpoint. `dlq list` shows the failed cells; `dlq retry` re-runs
+//! them with bounded attempts. The checkpoint is keyed by a content
+//! hash of the spec + seeds + quick mode, so pass the same spec, seeds,
+//! `MOON_QUICK`, and telemetry flags when resuming or retrying.
 
 use scenarios::{codec, registry, ScenarioError, ScenarioSpec};
 use std::path::{Path, PathBuf};
@@ -54,16 +57,17 @@ use std::path::{Path, PathBuf};
 const USAGE: &str = "usage:
   moon-cli list
   moon-cli describe <name|file.toml>
-  moon-cli run <name|file.toml> [--seeds N] [--out FILE] [--strict]
+  moon-cli run <name|file.toml> [--seeds N] [--out FILE]
                [--metrics-out FILE] [--trace-out FILE]
                [--checkpoint [FILE]] [--resume] [--event-budget N]
                [--cell-deadline-secs S] [--inject-panic CELL]
   moon-cli dlq list <name|file.toml> [--checkpoint FILE]
   moon-cli dlq retry <name|file.toml> [--checkpoint FILE] [--max-attempts N]
-               [--seeds N] [--out FILE] [--strict]
+               [--seeds N] [--out FILE]
                [--metrics-out FILE] [--trace-out FILE]
                [--event-budget N] [--cell-deadline-secs S]
-  moon-cli fuzz <n-cases> [--seed S] [--out FILE] [--fault invert-fair]";
+  moon-cli fuzz <n-cases> [--seed S] [--out FILE] [--fault invert-fair]
+  moon-cli fig1 [--save-trace FILE]";
 
 fn fail(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -125,11 +129,10 @@ fn cmd_describe(arg: &str) {
 struct RunOpts {
     seeds_override: Option<Vec<u64>>,
     out: Option<String>,
-    strict: bool,
     metrics_out: Option<String>,
     trace_out: Option<String>,
-    // Campaign mode (any of these set switches cmd_run over to the
-    // checkpointed runner).
+    // Campaign flags: any of these set makes the run write a
+    // checkpoint.
     checkpoint: Option<String>,
     checkpoint_flag: bool,
     resume: bool,
@@ -139,26 +142,29 @@ struct RunOpts {
 }
 
 impl RunOpts {
-    fn campaign_mode(&self) -> bool {
-        self.checkpoint_flag
-            || self.resume
-            || self.event_budget.is_some()
-            || self.cell_deadline_secs.is_some()
-            || self.inject_panic.is_some()
-    }
-
+    /// `dlq retry` always works on a checkpoint; `run` only when a
+    /// campaign flag is given.
     fn campaign_config(
         &self,
         spec_name: &str,
         retry: bool,
         max_attempts: u32,
     ) -> bench::CampaignConfig {
-        let ckpt = self
-            .checkpoint
-            .clone()
-            .map(PathBuf::from)
-            .unwrap_or_else(|| bench::campaign::default_checkpoint_path(spec_name));
-        let mut cfg = bench::CampaignConfig::new(ckpt);
+        let campaign = retry
+            || self.checkpoint_flag
+            || self.resume
+            || self.event_budget.is_some()
+            || self.cell_deadline_secs.is_some()
+            || self.inject_panic.is_some();
+        let mut cfg = bench::CampaignConfig::default();
+        if campaign {
+            cfg.checkpoint = Some(
+                self.checkpoint
+                    .clone()
+                    .map(PathBuf::from)
+                    .unwrap_or_else(|| bench::campaign::default_checkpoint_path(spec_name)),
+            );
+        }
         cfg.resume = self.resume || retry;
         cfg.retry_failed = retry;
         cfg.max_attempts = max_attempts;
@@ -173,17 +179,34 @@ impl RunOpts {
     }
 }
 
-/// Shared tail of `run` / `dlq retry`: print tables + outcome summary +
-/// audit findings, write the JSON report and any telemetry artifacts,
-/// apply `--strict`. For campaigns the telemetry artifacts come from
-/// the checkpointed fragments (`outcome`), for plain runs from the live
-/// recorders.
-fn finish_run(
-    spec: &ScenarioSpec,
-    run: &bench::ScenarioRun,
-    opts: &RunOpts,
-    outcome: Option<&bench::CampaignOutcome>,
-) {
+/// `run` / `dlq retry`: resolve the spec and run it through the
+/// contained cell loop, then [`finish_run`]. Telemetry artifact flags
+/// imply recording: the default `[telemetry]` knob is injected unless the
+/// scenario already configured one. This happens before the campaign
+/// key is computed, so resumes and retries must pass the same
+/// telemetry flags.
+fn cmd_run(cmd: &str, arg: &str, opts: RunOpts, retry: bool, max_attempts: u32) {
+    let mut spec = match resolve_spec(arg) {
+        Ok(s) => s,
+        Err(e) => fail(&format!("{cmd} {arg}: {e}")),
+    };
+    if (opts.metrics_out.is_some() || opts.trace_out.is_some()) && spec.telemetry.is_none() {
+        spec.telemetry = Some(scenarios::TelemetrySpec::default());
+    }
+    let cfg = opts.campaign_config(&spec.name, retry, max_attempts);
+    match bench::run_campaign(&spec, opts.seeds_override.clone(), &cfg) {
+        Ok(outcome) => finish_run(&spec, &outcome, &opts),
+        Err(e) => {
+            eprintln!("scenario `{}` failed: {e}", spec.name);
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Print tables + outcome summary + audit findings, write the JSON
+/// report and any telemetry artifacts, and exit 1 if any cell failed.
+fn finish_run(spec: &ScenarioSpec, outcome: &bench::CampaignOutcome, opts: &RunOpts) {
+    let run = &outcome.run;
     print!("{}", run.tables);
     if !run.results.is_empty() {
         eprintln!(
@@ -204,82 +227,31 @@ fn finish_run(
         .unwrap_or_else(|| format!("bench_results/{}.json", spec.name));
     bench::write_report(Path::new(&out_path), &run.report_json);
     if let Some(p) = &opts.metrics_out {
-        let body = match outcome {
-            Some(o) => o.metrics_jsonl.clone(),
-            None => bench::obs::metrics_jsonl(run),
-        };
-        bench::write_report(Path::new(p), &body);
+        bench::write_report(Path::new(p), &outcome.metrics_jsonl);
     }
     if let Some(p) = &opts.trace_out {
-        let body = match outcome {
-            Some(o) => o.chrome_trace.clone(),
-            None => bench::obs::chrome_trace(run),
-        };
-        bench::write_report(Path::new(p), &body);
+        bench::write_report(Path::new(p), &outcome.chrome_trace);
     }
-    if opts.strict {
-        let livelocked = run
-            .results
-            .iter()
-            .flatten()
-            .filter(|r| r.outcome == moon::Outcome::EventLimit)
-            .count();
-        if livelocked > 0 {
-            eprintln!(
-                "strict: {livelocked} run(s) hit the event limit (simulator livelock) — failing"
-            );
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Run a spec in campaign mode (or retry its DLQ) and exit nonzero if
-/// any cell is still failed.
-fn run_campaign_mode(spec: &ScenarioSpec, opts: &RunOpts, retry: bool, max_attempts: u32) {
-    let cfg = opts.campaign_config(&spec.name, retry, max_attempts);
-    let outcome = match bench::run_campaign(spec, opts.seeds_override.clone(), &cfg) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("campaign `{}` failed: {e}", spec.name);
-            std::process::exit(1);
-        }
-    };
-    finish_run(spec, &outcome.run, opts, Some(&outcome));
-    if !outcome.failed.is_empty() {
-        eprintln!(
-            "campaign {}: {} cell(s) failed — `moon-cli dlq list` shows them, \
-             `moon-cli dlq retry` re-runs them with bounded attempts",
-            outcome.campaign,
-            outcome.failed.len()
-        );
-        std::process::exit(1);
-    }
-}
-
-fn cmd_run(arg: &str, opts: RunOpts) {
-    let mut spec = match resolve_spec(arg) {
-        Ok(s) => s,
-        Err(e) => fail(&format!("run {arg}: {e}")),
-    };
-    // Telemetry artifact flags imply recording: inject the default
-    // [telemetry] knob unless the scenario already configured one.
-    // (In campaign mode this happens before the content key is
-    // computed, so resumes must pass the same telemetry flags.)
-    if (opts.metrics_out.is_some() || opts.trace_out.is_some()) && spec.telemetry.is_none() {
-        spec.telemetry = Some(scenarios::TelemetrySpec::default());
-    }
-    if opts.campaign_mode() {
-        run_campaign_mode(&spec, &opts, false, 0);
+    if outcome.failed.is_empty() {
         return;
     }
-    let run = match bench::run_spec(&spec, opts.seeds_override.clone()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("scenario `{}` failed: {e}", spec.name);
-            std::process::exit(1);
-        }
+    for e in &outcome.failed {
+        eprintln!(
+            "failed cell {} ({} {} {} seed {}): {} — {}",
+            e.cell, e.policy, e.workload, e.column, e.seed, e.reason, e.detail
+        );
+    }
+    let hint = if outcome.dlq_path.is_some() {
+        "`moon-cli dlq list` shows them, `moon-cli dlq retry` re-runs them with bounded attempts"
+    } else {
+        "re-run with --checkpoint to retry them through `moon-cli dlq retry`"
     };
-    finish_run(&spec, &run, &opts, None);
+    eprintln!(
+        "{}: {} cell(s) failed — {hint}",
+        spec.name,
+        outcome.failed.len()
+    );
+    std::process::exit(1);
 }
 
 fn cmd_dlq_list(arg: &str, checkpoint: Option<String>) {
@@ -317,20 +289,6 @@ fn cmd_dlq_list(arg: &str, checkpoint: Option<String>) {
     eprintln!("dlq {}: {} failed cell(s)", dlq.display(), entries.len());
 }
 
-fn cmd_dlq_retry(arg: &str, opts: RunOpts, max_attempts: u32) {
-    let mut spec = match resolve_spec(arg) {
-        Ok(s) => s,
-        Err(e) => fail(&format!("dlq retry {arg}: {e}")),
-    };
-    // Same telemetry-implication rule as `run`: the campaign key
-    // covers the telemetry config, so a retry must shape the spec the
-    // same way the original invocation did.
-    if (opts.metrics_out.is_some() || opts.trace_out.is_some()) && spec.telemetry.is_none() {
-        spec.telemetry = Some(scenarios::TelemetrySpec::default());
-    }
-    run_campaign_mode(&spec, &opts, true, max_attempts);
-}
-
 fn cmd_fuzz(n_cases: u32, seed: u64, out: Option<String>, fault: Option<scenarios::Fault>) {
     let out_path = PathBuf::from(out.unwrap_or_else(|| "bench_results/fuzz.json".into()));
     // Repros and generated traces live next to the report.
@@ -359,8 +317,8 @@ fn cmd_fuzz(n_cases: u32, seed: u64, out: Option<String>, fault: Option<scenario
             report.n_cases, report.experiments
         );
     } else {
-        // Fuzzing is always strict: any invariant violation fails the
-        // invocation so CI can gate on it.
+        // Any invariant violation fails the invocation so CI can gate
+        // on it.
         eprintln!("fuzz: {} violation(s):", report.violations.len());
         for v in &report.violations {
             eprintln!(
@@ -377,6 +335,17 @@ fn cmd_fuzz(n_cases: u32, seed: u64, out: Option<String>, fault: Option<scenario
         }
         std::process::exit(1);
     }
+}
+
+fn cmd_fig1(save_trace: Option<String>) {
+    let days: Vec<_> = (0..bench::fig1::DAYS).map(bench::fig1::day_fleet).collect();
+    if let Some(path) = &save_trace {
+        match availability::save_fleet(path, &days[0]) {
+            Ok(()) => eprintln!("wrote {path} ({} nodes)", days[0].len()),
+            Err(e) => eprintln!("could not write {path}: {e}"),
+        }
+    }
+    print!("{}", bench::fig1::table(&days));
 }
 
 /// Consume one `run`-style flag at `args[*i]` into `opts`, advancing
@@ -407,10 +376,6 @@ fn parse_run_flag(args: &[String], i: &mut usize, opts: &mut RunOpts) -> bool {
         "--trace-out" => {
             opts.trace_out = Some(value("--trace-out"));
             *i += 2;
-        }
-        "--strict" => {
-            opts.strict = true;
-            *i += 1;
         }
         "--checkpoint" => {
             // The file argument is optional: bare `--checkpoint` uses
@@ -477,7 +442,7 @@ fn main() {
                     fail(&format!("unknown flag `{}`\n{USAGE}", args[i]));
                 }
             }
-            cmd_run(&name, opts);
+            cmd_run("run", &name, opts, false, 0);
         }
         Some("dlq") => {
             let name = match args.get(2) {
@@ -518,7 +483,7 @@ fn main() {
                             fail(&format!("unknown flag `{}`\n{USAGE}", args[i]));
                         }
                     }
-                    cmd_dlq_retry(&name, opts, max_attempts);
+                    cmd_run("dlq retry", &name, opts, true, max_attempts);
                 }
                 _ => fail(USAGE),
             }
@@ -562,6 +527,15 @@ fn main() {
                 }
             }
             cmd_fuzz(n_cases, seed, out, fault);
+        }
+        Some("fig1") => {
+            let save_trace = match args.get(1..).unwrap_or_default() {
+                [] => None,
+                [flag, path] if flag == "--save-trace" => Some(path.clone()),
+                [flag] if flag == "--save-trace" => fail("--save-trace needs a file path"),
+                [other, ..] => fail(&format!("unknown flag `{other}`\n{USAGE}")),
+            };
+            cmd_fig1(save_trace);
         }
         _ => fail(USAGE),
     }

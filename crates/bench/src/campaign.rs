@@ -1,11 +1,13 @@
-//! Checkpointed campaign runner: resumable sweeps, per-cell fault
-//! containment, and a dead-letter queue.
+//! The sweep runner: per-cell fault containment, plus optional
+//! checkpoints for resumable sweeps and a dead-letter queue.
 //!
-//! A *campaign* is a scenario sweep with durability. Every campaign
-//! gets a deterministic key ([`scenarios::codec::content_key`]: hash
-//! of the canonical spec + seed list + quick-mode flag), and every
-//! (point, seed) **cell** that finishes on the worker pool is appended
-//! to a checkpoint file as one self-contained JSONL record — the full
+//! Every scenario sweep runs here, one (point, seed) **cell** per pool
+//! task, in one contained cell loop. A *campaign* is a sweep with
+//! durability: it gets a deterministic key
+//! ([`scenarios::codec::content_key`]: hash of the canonical spec +
+//! seed list + quick-mode flag), and every cell that finishes on the
+//! worker pool is appended to a checkpoint file as one self-contained
+//! JSONL record — the full
 //! [`RunResult`] round-trip plus the cell's pre-rendered telemetry
 //! fragments. Killing the process loses at most the in-flight cells;
 //! `moon-cli run --resume` verifies the key, restores completed cells,
@@ -27,19 +29,24 @@
 //!   restored cells splice in exactly the bytes a live recorder would
 //!   have produced.
 //!
-//! Fault containment wraps each cell: `catch_unwind` turns a panic
-//! into a recorded `crashed` cell (deterministic placeholder result)
-//! instead of a pool abort, and [`RunLimits`] (event budget, optional
-//! wall deadline) turns livelocks into `event_limit` / `wall_deadline`
-//! cells. All three land in the **dead-letter queue** — a sibling
-//! JSONL file with the cell's grid coordinates and attempt count —
-//! drained by `moon-cli dlq list` / `dlq retry --max-attempts N`.
+//! Fault containment wraps each cell, with or without a checkpoint:
+//! `catch_unwind` turns a panic into a recorded `crashed` cell
+//! (deterministic placeholder result) instead of a pool abort, and
+//! [`RunLimits`] (event budget, optional wall deadline) turns livelocks
+//! into `event_limit` / `wall_deadline` cells. All three are reported
+//! in [`CampaignOutcome::failed`]; a checkpointed campaign also writes
+//! them to the **dead-letter queue** — a sibling JSONL file with the
+//! cell's grid coordinates and attempt count — drained by
+//! `moon-cli dlq list` / `dlq retry --max-attempts N`.
+//!
+//! Without a checkpoint nothing is read or written, and the results
+//! keep their live telemetry recorders.
 
-use crate::{obs, progress_line, ScenarioRun};
+use crate::{obs, ScenarioRun};
 use moon::report::json::{self, escape, Value};
-use moon::{Experiment, JobSlo, Outcome, RunLimits, RunResult};
+use moon::{JobSlo, Outcome, RunLimits, RunResult};
 use rayon::prelude::*;
-use scenarios::{Plan, ScenarioError, ScenarioSpec};
+use scenarios::{Plan, Point, ScenarioError, ScenarioSpec};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,13 +55,15 @@ use std::sync::Mutex;
 /// Checkpoint format version (the header's `"v"` field).
 const CKPT_VERSION: u64 = 1;
 
-/// How a campaign executes: where the checkpoint lives and how cells
-/// are contained.
+/// How a sweep executes: where the checkpoint lives, if anywhere, and
+/// how cells are contained. [`Default`] is an in-memory sweep with
+/// default containment.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Checkpoint file (append-only JSONL, atomically compacted on
-    /// open). The DLQ lives next to it ([`dlq_path_for`]).
-    pub checkpoint: PathBuf,
+    /// open). The DLQ lives next to it ([`dlq_path_for`]). `None` runs
+    /// the sweep without reading or writing any file.
+    pub checkpoint: Option<PathBuf>,
     /// Restore completed cells from an existing checkpoint instead of
     /// starting over. The campaign key must match.
     pub resume: bool,
@@ -72,16 +81,26 @@ pub struct CampaignConfig {
     pub inject_panic: Option<usize>,
 }
 
-impl CampaignConfig {
-    /// A fresh (non-resuming) campaign with default containment.
-    pub fn new(checkpoint: PathBuf) -> Self {
+impl Default for CampaignConfig {
+    fn default() -> Self {
         CampaignConfig {
-            checkpoint,
+            checkpoint: None,
             resume: false,
             retry_failed: false,
             max_attempts: 3,
             limits: RunLimits::default(),
             inject_panic: None,
+        }
+    }
+}
+
+impl CampaignConfig {
+    /// A fresh (non-resuming) checkpointed campaign with default
+    /// containment.
+    pub fn new(checkpoint: PathBuf) -> Self {
+        CampaignConfig {
+            checkpoint: Some(checkpoint),
+            ..Self::default()
         }
     }
 }
@@ -133,8 +152,8 @@ pub struct DlqEntry {
 #[derive(Debug)]
 pub struct CampaignOutcome {
     /// The stitched scenario run (grid results, tables, JSON report) —
-    /// byte-identical to an uninterrupted `run_spec` of the same
-    /// campaign.
+    /// byte-identical whether or not the sweep was checkpointed,
+    /// interrupted or resumed.
     pub run: ScenarioRun,
     /// The campaign key.
     pub campaign: String,
@@ -144,10 +163,8 @@ pub struct CampaignOutcome {
     pub executed: usize,
     /// Currently-failed cells (the DLQ contents, grid order).
     pub failed: Vec<DlqEntry>,
-    /// Where the checkpoint lives.
-    pub checkpoint_path: PathBuf,
-    /// Where the DLQ lives.
-    pub dlq_path: PathBuf,
+    /// Where the DLQ lives (`None` without a checkpoint).
+    pub dlq_path: Option<PathBuf>,
     /// The stitched metrics JSONL artifact (empty without telemetry).
     pub metrics_jsonl: String,
     /// The stitched Chrome-trace artifact.
@@ -686,7 +703,7 @@ fn write_dlq(path: &Path, entries: &[DlqEntry]) -> Result<(), ScenarioError> {
 /// result (panic): grid coordinates from the plan, zeroed counters,
 /// outcome `crashed`. Tables render it as DNF; the JSON report carries
 /// the same row no matter when (or whether) the panic re-occurs.
-fn placeholder_result(point: &scenarios::Point, seed: u64) -> RunResult {
+fn placeholder_result(point: &Point, seed: u64) -> RunResult {
     RunResult {
         label: point.policy.label.clone(),
         workload: point.workload.name.clone(),
@@ -716,36 +733,24 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Run one cell under containment: `catch_unwind` converts a panic
 /// into a `panic` record, the limits classify livelocks
-/// (`event_limit` → livelock, `wall_deadline` → deadline). Successful
-/// runs have their telemetry pre-rendered into fragments and dropped
-/// (recorders don't round-trip through the checkpoint; fragments do).
+/// (`event_limit` → livelock, `wall_deadline` → deadline). The result
+/// keeps its live telemetry recorder.
 fn execute_cell(
     cell: usize,
-    point: &scenarios::Point,
+    point: &Point,
     seed: u64,
     attempts: u32,
     limits: RunLimits,
     inject_panic: bool,
 ) -> CellRecord {
-    let exp = Experiment {
-        cluster: point.cluster.clone(),
-        policy: point.policy.clone(),
-        workload: point.workload.clone(),
-        seed,
-    };
-    let jobs = point.jobs.clone();
-    let telemetry = point.telemetry.clone();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if inject_panic {
             panic!("injected fault (--inject-panic {cell})");
         }
-        exp.run_with_limits(jobs, telemetry, limits)
+        point.run(seed, limits)
     }));
     match outcome {
-        Ok(mut r) => {
-            let metrics_frag = obs::run_metrics_fragment(cell, &r);
-            let trace_frag = obs::run_trace_fragment(cell, &r);
-            r.telemetry = None;
+        Ok(r) => {
             let (status, detail) = match r.outcome {
                 Outcome::EventLimit => (
                     CellStatus::Livelock,
@@ -767,8 +772,8 @@ fn execute_cell(
                 attempts,
                 detail,
                 result: Some(r),
-                metrics_frag,
-                trace_frag,
+                metrics_frag: None,
+                trace_frag: None,
             }
         }
         Err(payload) => CellRecord {
@@ -783,16 +788,160 @@ fn execute_cell(
     }
 }
 
+impl CellRecord {
+    /// Render the result's telemetry into fragments and drop the
+    /// recorder: recorders don't round-trip through the checkpoint,
+    /// fragments do.
+    fn detach_telemetry(&mut self) {
+        if let Some(r) = &mut self.result {
+            self.metrics_frag = obs::run_metrics_fragment(self.cell, r);
+            self.trace_frag = obs::run_trace_fragment(self.cell, r);
+            r.telemetry = None;
+        }
+    }
+
+    /// The cell's grid result: the run's own, or the placeholder of a
+    /// panicked cell.
+    fn into_result(self, point: &Point, seed: u64) -> RunResult {
+        self.result
+            .unwrap_or_else(|| placeholder_result(point, seed))
+    }
+}
+
+/// An open checkpoint that finished cells are appended to.
+struct CheckpointLog<'a> {
+    campaign: &'a str,
+    file: Mutex<std::fs::File>,
+}
+
+impl<'a> CheckpointLog<'a> {
+    /// Compact the checkpoint (drops superseded records and any torn
+    /// tail) and reopen it for incremental appends.
+    fn open(
+        path: &Path,
+        campaign: &'a str,
+        header: &str,
+        records: &[Option<CellRecord>],
+    ) -> Result<Self, ScenarioError> {
+        compact_checkpoint(path, header, records)?;
+        let file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .map_err(|e| ScenarioError::msg(format!("cannot open {}: {e}", path.display())))?;
+        Ok(CheckpointLog {
+            campaign,
+            file: Mutex::new(file),
+        })
+    }
+
+    /// Append one finished cell: one line, one write under the lock.
+    fn append(&self, rec: &CellRecord) {
+        let mut f = self.file.lock().expect("checkpoint writer poisoned");
+        let mut line = encode_record(rec);
+        line.push('\n');
+        if let Err(e) = f.write_all(line.as_bytes()) {
+            eprintln!(
+                "campaign {}: cannot append cell {} to checkpoint: {e}",
+                self.campaign, rec.cell
+            );
+        }
+    }
+}
+
+/// Emit one progress line for a finished cell (`k` of `total`). Each
+/// line is a single `eprintln!` (one stderr lock), so concurrent pool
+/// workers never interleave mid-line.
+fn progress_line(k: usize, total: usize, rec: &CellRecord, seed: u64) {
+    let Some(r) = &rec.result else {
+        eprintln!(
+            "[{k}/{total}] cell {} seed {seed}: PANIC contained — {}",
+            rec.cell, rec.detail
+        );
+        return;
+    };
+    let shown = match r.outcome {
+        Outcome::Completed => moon::report::secs_or_dnf(r.job_time.map(|d| d.as_secs_f64())),
+        // Distinguish a legitimate horizon DNF from the containment
+        // verdicts right in the progress stream.
+        Outcome::Horizon => "DNF(horizon)".into(),
+        Outcome::EventLimit => "DNF(EVENT-LIMIT — livelock!)".into(),
+        Outcome::Deadline => "DNF(WALL-DEADLINE — cell budget exceeded)".into(),
+        Outcome::Crashed => "DNF(CRASHED — panic contained)".into(),
+    };
+    eprintln!(
+        "[{}/{}] {} {} p={} seed={}: {}s",
+        k, total, r.label, r.workload, r.unavailability, r.seed, shown
+    );
+}
+
+/// The contained cell loop — the one place sweeps run cells on the
+/// pool. Runs the `pending` (flat cell index, prior attempts) pairs of
+/// the `points` × `seeds` grid (cell = `point_idx * n_seeds +
+/// seed_idx`), each under `catch_unwind` and `cfg.limits`, with one
+/// progress line per finished cell. With a checkpoint `log`, each
+/// finished cell's telemetry is rendered to fragments, its recorder
+/// dropped, and its record appended *as it finishes*, so a kill loses
+/// only in-flight cells. Records come back in `pending` order.
+fn run_cells(
+    points: &[Point],
+    seeds: &[u64],
+    pending: Vec<(usize, u32)>,
+    cfg: &CampaignConfig,
+    log: Option<&CheckpointLog>,
+) -> Vec<CellRecord> {
+    let n_seeds = seeds.len();
+    let total = pending.len();
+    let done = AtomicUsize::new(0);
+    pending
+        .into_par_iter()
+        .map(|(cell, prior_attempts)| {
+            let seed = seeds[cell % n_seeds];
+            let mut rec = execute_cell(
+                cell,
+                &points[cell / n_seeds],
+                seed,
+                prior_attempts + 1,
+                cfg.limits,
+                cfg.inject_panic == Some(cell),
+            );
+            if let Some(log) = log {
+                rec.detach_telemetry();
+                log.append(&rec);
+            }
+            let k = done.fetch_add(1, Ordering::Relaxed) + 1;
+            progress_line(k, total, &rec, seed);
+            rec
+        })
+        .collect()
+}
+
+/// Run every (point, seed) cell of a grid through the contained cell
+/// loop with default containment and no checkpoint, without a scenario
+/// spec around it; results come back grouped per point, seeds inside,
+/// in grid order.
+pub fn run_grid_with_seeds(points: Vec<Point>, seeds: &[u64]) -> Vec<Vec<RunResult>> {
+    let pending = (0..points.len() * seeds.len()).map(|c| (c, 0)).collect();
+    let cfg = CampaignConfig::default();
+    let mut cells = run_cells(&points, seeds, pending, &cfg, None).into_iter();
+    points
+        .iter()
+        .map(|point| {
+            seeds
+                .iter()
+                .map(|&seed| {
+                    let rec = cells.next().expect("one record per cell");
+                    rec.into_result(point, seed)
+                })
+                .collect()
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------
 // The campaign runner.
 
-fn dlq_entry_for(
-    plan: &Plan,
-    campaign: &str,
-    n_seeds: usize,
-    seeds: &[u64],
-    rec: &CellRecord,
-) -> DlqEntry {
+fn dlq_entry_for(plan: &Plan, campaign: &str, seeds: &[u64], rec: &CellRecord) -> DlqEntry {
+    let n_seeds = seeds.len();
     let point = rec.cell / n_seeds;
     let n_rows = plan.row_labels.len();
     let n_cols = plan.col_labels.len();
@@ -814,9 +963,11 @@ fn dlq_entry_for(
     }
 }
 
-/// Run (or resume, or retry) a campaign. See the module docs for the
-/// lifecycle; the returned [`CampaignOutcome`] carries the stitched
-/// artifacts and the current DLQ.
+/// Run a scenario sweep: fresh, or with a checkpoint also resumed or
+/// retried. Seed precedence: explicit override (`--seeds N`) > the
+/// spec's `seeds` list > the `MOON_SEEDS` env default. See the module
+/// docs for the lifecycle; the returned [`CampaignOutcome`] carries the
+/// stitched artifacts and the failed cells.
 pub fn run_campaign(
     spec: &ScenarioSpec,
     seeds_override: Option<Vec<u64>>,
@@ -827,6 +978,8 @@ pub fn run_campaign(
         .or_else(|| spec.seeds.clone())
         .unwrap_or_else(scenarios::seeds);
     if seeds.is_empty() {
+        // Zero runs per point would panic the profile/detail renderers
+        // and silently produce all-DNF series tables.
         return Err(ScenarioError::msg(
             "seed list is empty — provide at least one seed",
         ));
@@ -835,17 +988,19 @@ pub fn run_campaign(
     let n_cells = plan.points.len() * n_seeds;
     let quick = scenarios::quick_mode();
     let campaign = scenarios::codec::content_key(spec, &seeds, quick);
-    let header = encode_header(&campaign, &spec.name, quick, plan.points.len(), &seeds);
-    let resume = cfg.resume || cfg.retry_failed;
 
     let mut records: Vec<Option<CellRecord>> = vec![None; n_cells];
-    if resume && cfg.checkpoint.is_file() {
-        records = load_checkpoint(&cfg.checkpoint, &campaign, n_cells)?;
-    } else if resume {
-        eprintln!(
-            "campaign {campaign}: no checkpoint at {} — starting fresh",
-            cfg.checkpoint.display()
-        );
+    if let Some(path) = &cfg.checkpoint {
+        if cfg.resume || cfg.retry_failed {
+            if path.is_file() {
+                records = load_checkpoint(path, &campaign, n_cells)?;
+            } else {
+                eprintln!(
+                    "campaign {campaign}: no checkpoint at {} — starting fresh",
+                    path.display()
+                );
+            }
+        }
     }
 
     // Decide what runs this invocation. Failed cells are *kept* on
@@ -866,61 +1021,22 @@ pub fn run_campaign(
     }
     let restored = n_cells - pending.len();
 
-    // Compact (drops superseded records and any torn tail) and reopen
-    // for incremental appends.
-    compact_checkpoint(&cfg.checkpoint, &header, &records)?;
-    let file = std::fs::OpenOptions::new()
-        .append(true)
-        .open(&cfg.checkpoint)
-        .map_err(|e| {
-            ScenarioError::msg(format!("cannot open {}: {e}", cfg.checkpoint.display()))
-        })?;
-    let file = Mutex::new(file);
-
-    if restored > 0 {
-        eprintln!(
-            "campaign {campaign}: restored {restored}/{n_cells} cells from {}",
-            cfg.checkpoint.display()
-        );
-    }
-
-    // Fan the pending cells out across the pool. Each completed cell
-    // is appended to the checkpoint *as it finishes* (one line, one
-    // write under the lock), so a kill loses only in-flight cells.
-    let total = pending.len();
-    let done = AtomicUsize::new(0);
-    let fresh: Vec<CellRecord> = pending
-        .into_par_iter()
-        .map(|(cell, prior_attempts)| {
-            let point = &plan.points[cell / n_seeds];
-            let seed = seeds[cell % n_seeds];
-            let rec = execute_cell(
-                cell,
-                point,
-                seed,
-                prior_attempts + 1,
-                cfg.limits,
-                cfg.inject_panic == Some(cell),
-            );
-            {
-                let mut f = file.lock().expect("checkpoint writer poisoned");
-                let mut line = encode_record(&rec);
-                line.push('\n');
-                if let Err(e) = f.write_all(line.as_bytes()) {
-                    eprintln!("campaign {campaign}: cannot append cell {cell} to checkpoint: {e}");
-                }
+    let log = match &cfg.checkpoint {
+        Some(path) => {
+            let header = encode_header(&campaign, &spec.name, quick, plan.points.len(), &seeds);
+            let log = CheckpointLog::open(path, &campaign, &header, &records)?;
+            if restored > 0 {
+                eprintln!(
+                    "campaign {campaign}: restored {restored}/{n_cells} cells from {}",
+                    path.display()
+                );
             }
-            let k = done.fetch_add(1, Ordering::Relaxed) + 1;
-            match &rec.result {
-                Some(r) => progress_line(k, total, r),
-                None => eprintln!(
-                    "[{k}/{total}] cell {cell} seed {seed}: PANIC contained — {}",
-                    rec.detail
-                ),
-            }
-            rec
-        })
-        .collect();
+            Some(log)
+        }
+        None => None,
+    };
+
+    let fresh = run_cells(&plan.points, &seeds, pending, cfg, log.as_ref());
     let executed = fresh.len();
     for rec in fresh {
         let cell = rec.cell;
@@ -931,56 +1047,61 @@ pub fn run_campaign(
     // cells are indistinguishable from here on, which is the whole
     // byte-identity argument.
     let mut results: Vec<Vec<RunResult>> = Vec::with_capacity(plan.points.len());
-    let mut metrics_frags: Vec<Option<&str>> = Vec::with_capacity(n_cells);
-    let mut trace_frags: Vec<Option<&str>> = Vec::with_capacity(n_cells);
+    let mut metrics_frags: Vec<Option<String>> = Vec::with_capacity(n_cells);
+    let mut trace_frags: Vec<Option<String>> = Vec::with_capacity(n_cells);
     let mut failed: Vec<DlqEntry> = Vec::new();
-    for (p, point) in plan.points.iter().enumerate() {
+    let mut records = records.into_iter();
+    for point in &plan.points {
         let mut per_point = Vec::with_capacity(n_seeds);
-        for (k, &seed) in seeds.iter().enumerate() {
-            let rec = records[p * n_seeds + k]
-                .as_ref()
-                .expect("every cell resolved");
-            per_point.push(
-                rec.result
-                    .clone()
-                    .unwrap_or_else(|| placeholder_result(point, seed)),
-            );
-            metrics_frags.push(rec.metrics_frag.as_deref());
-            trace_frags.push(rec.trace_frag.as_deref());
+        for &seed in &seeds {
+            let mut rec = records.next().flatten().expect("every cell resolved");
             if rec.status != CellStatus::Ok {
-                failed.push(dlq_entry_for(&plan, &campaign, n_seeds, &seeds, rec));
+                failed.push(dlq_entry_for(&plan, &campaign, &seeds, &rec));
             }
+            metrics_frags.push(rec.metrics_frag.take());
+            trace_frags.push(rec.trace_frag.take());
+            per_point.push(rec.into_result(point, seed));
         }
         results.push(per_point);
     }
-    let metrics_jsonl = obs::metrics_from_fragments(metrics_frags);
-    let chrome_trace = obs::trace_from_fragments(trace_frags);
     let tables = scenarios::render_tables(&plan, &results);
     let report_json = scenarios::report_json(&plan, &results, &seeds);
+    let run = ScenarioRun {
+        plan,
+        seeds,
+        results,
+        tables,
+        report_json,
+    };
+    // Checkpointed cells carry fragments; in-memory ones still hold
+    // their recorders. Both render the same bytes.
+    let (metrics_jsonl, chrome_trace) = if log.is_some() {
+        (
+            obs::metrics_from_fragments(metrics_frags.iter().map(Option::as_deref)),
+            obs::trace_from_fragments(trace_frags.iter().map(Option::as_deref)),
+        )
+    } else {
+        (obs::metrics_jsonl(&run), obs::chrome_trace(&run))
+    };
 
-    let dlq_path = dlq_path_for(&cfg.checkpoint);
-    write_dlq(&dlq_path, &failed)?;
-    if !failed.is_empty() {
-        eprintln!(
-            "campaign {campaign}: {} failed cell(s) in DLQ {}",
-            failed.len(),
-            dlq_path.display()
-        );
+    let dlq_path = cfg.checkpoint.as_deref().map(dlq_path_for);
+    if let Some(path) = &dlq_path {
+        write_dlq(path, &failed)?;
+        if !failed.is_empty() {
+            eprintln!(
+                "campaign {campaign}: {} failed cell(s) in DLQ {}",
+                failed.len(),
+                path.display()
+            );
+        }
     }
 
     Ok(CampaignOutcome {
-        run: ScenarioRun {
-            plan,
-            seeds,
-            results,
-            tables,
-            report_json,
-        },
+        run,
         campaign,
         restored,
         executed,
         failed,
-        checkpoint_path: cfg.checkpoint.clone(),
         dlq_path,
         metrics_jsonl,
         chrome_trace,

@@ -27,12 +27,6 @@ fn runs(run: &ScenarioRun) -> impl Iterator<Item = (usize, &RunResult)> {
     run.results.iter().flatten().enumerate()
 }
 
-/// True if any run of the sweep carries a telemetry recorder (i.e. the
-/// scenario had `[telemetry]` enabled).
-pub fn any_telemetry(run: &ScenarioRun) -> bool {
-    runs(run).any(|(_, r)| r.telemetry.is_some())
-}
-
 /// The fixed per-line metadata for one run, values pre-rendered as
 /// JSON fragments.
 fn run_meta(idx: usize, r: &RunResult) -> Vec<(&'static str, String)> {
@@ -155,7 +149,7 @@ mod tests {
     #[test]
     fn artifacts_cover_runs_and_stay_well_formed() {
         let run = telemetry_run();
-        assert!(any_telemetry(&run));
+        assert!(runs(&run).all(|(_, r)| r.telemetry.is_some()));
 
         let jsonl = metrics_jsonl(&run);
         let lines: Vec<&str> = jsonl.lines().collect();

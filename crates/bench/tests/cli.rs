@@ -1,0 +1,80 @@
+//! End-to-end checks of the `moon-cli` binary: exit status and
+//! artifacts of a run with a failed cell, the removed `--strict` flag,
+//! and `fig1`.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn moon_cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_moon-cli"))
+        .args(args)
+        .env("MOON_QUICK", "1")
+        .env("MOON_THREADS", "2")
+        .output()
+        .expect("moon-cli runs")
+}
+
+fn repo_file(rel: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(rel)
+}
+
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("moon-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// A run with a failed cell still prints its tables and writes its
+/// report and telemetry artifacts, then exits 1.
+#[test]
+fn failed_cell_writes_artifacts_then_exits_1() {
+    let dir = scratch("failed-cell");
+    let spec = repo_file("data/scenarios/campaign-demo.toml");
+    let (report, metrics) = (dir.join("demo.json"), dir.join("demo.metrics.jsonl"));
+    let out = moon_cli(&[
+        "run",
+        spec.to_str().unwrap(),
+        "--inject-panic",
+        "1",
+        "--checkpoint",
+        dir.join("demo.ckpt.jsonl").to_str().unwrap(),
+        "--out",
+        report.to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("DNF"));
+    assert!(stderr.contains("failed cell 1"), "{stderr}");
+    let json = std::fs::read_to_string(&report).expect("report written");
+    assert!(json.contains("\"outcome\": \"crashed\""), "{json}");
+    assert!(!std::fs::read_to_string(&metrics).unwrap().is_empty());
+}
+
+#[test]
+fn strict_flag_is_gone() {
+    let out = moon_cli(&["run", "table1", "--strict"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--strict`"));
+}
+
+/// `fig1 --save-trace` prints the figure's table and writes the
+/// committed trace byte for byte.
+#[test]
+fn fig1_prints_the_table_and_saves_the_committed_trace() {
+    let trace = scratch("fig1").join("lab-day.trace");
+    let out = moon_cli(&["fig1", "--save-trace", trace.to_str().unwrap()]);
+    assert!(out.status.success());
+    let table = String::from_utf8(out.stdout).unwrap();
+    assert!(table.starts_with("# Figure 1 — % unavailable resources"));
+    assert!(table.contains("interval\tDAY1\tDAY2\tDAY3\tDAY4\tDAY5\tDAY6\tDAY7\n"));
+    assert!(table.contains("# average unavailability over 7 days: "));
+    assert!(
+        std::fs::read(&trace).unwrap()
+            == std::fs::read(repo_file("data/traces/lab-day.trace")).unwrap()
+    );
+}

@@ -669,11 +669,6 @@ impl NameNode {
         self.block_ref(block).expect("unknown block").size
     }
 
-    /// The file owning a block.
-    pub fn block_file(&self, block: BlockId) -> FileId {
-        self.block_ref(block).expect("unknown block").file
-    }
-
     /// Promote an opportunistic file to reliable (output commit, §IV-A)
     /// and queue dedicated replication for blocks that lack it.
     pub fn convert_to_reliable(&mut self, file: FileId) {

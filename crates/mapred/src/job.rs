@@ -167,11 +167,6 @@ impl TaskState {
         self.live_attempts().map(|a| a.progress).fold(0.0, f64::max)
     }
 
-    /// Has the task been scheduled at least once and not finished?
-    pub fn is_in_flight(&self) -> bool {
-        !self.completed && self.n_live() > 0
-    }
-
     /// Needs a (re)launch: not completed and no live attempts.
     pub fn needs_launch(&self) -> bool {
         !self.completed && self.n_live() == 0

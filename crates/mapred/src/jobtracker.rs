@@ -1398,13 +1398,6 @@ impl JobTracker {
         }
     }
 
-    /// An attempt was killed by the world (e.g. its node's processes were
-    /// torn down outside tracker expiry).
-    pub fn attempt_killed(&mut self, attempt: AttemptId) {
-        self.release_attempt(attempt);
-        self.kill_attempt(attempt);
-    }
-
     /// Fetch-failure reports older than this no longer count toward
     /// re-execution thresholds (reducers back off and earlier outage
     /// episodes become stale evidence).

@@ -7,9 +7,9 @@ use crate::world::World;
 use mapred::JobStatus;
 use simkit::{RunOutcome, Simulation};
 
-/// Containment limits for one experiment run, used by the campaign
-/// runner to turn livelocked cells into recorded failures instead of
-/// hung sweeps.
+/// Containment limits for one experiment run, used by the sweep runner
+/// to turn livelocked cells into recorded failures instead of hung
+/// sweeps.
 #[derive(Debug, Clone, Copy)]
 pub struct RunLimits {
     /// Hard cap on handled simulation events. Hitting it classifies
@@ -21,7 +21,7 @@ pub struct RunLimits {
 }
 
 impl RunLimits {
-    /// The event budget every non-campaign run has always used.
+    /// The default event budget.
     pub const DEFAULT_EVENT_BUDGET: u64 = 200_000_000;
 }
 
@@ -47,7 +47,7 @@ pub struct Experiment {
     pub seed: u64,
 }
 
-// Sweeps fan experiments out across pool workers (`bench::run_grid`),
+// Sweeps fan experiments out across pool workers (`bench::run_campaign`),
 // so the whole experiment bundle must stay thread-safe by construction.
 // These assertions fail the build if anyone adds interior state (Rc,
 // RefCell, raw pointers) that would silently force sweeps sequential.
@@ -85,9 +85,9 @@ impl Experiment {
     ///   and from value reads at existing transition points, with no
     ///   access to the event queue or RNG, so it never changes the
     ///   simulation.
-    /// - `limits`: [`RunLimits::default`] reproduces the historical
-    ///   behaviour exactly (same event budget, no wall deadline); the
-    ///   campaign runner tightens them per cell to catch livelocks.
+    /// - `limits`: [`RunLimits::default`] is the standard event budget
+    ///   with no wall deadline; a sweep may tighten them per cell to
+    ///   catch livelocks.
     pub fn run_with_limits(
         self,
         jobs: Option<workloads::JobStream>,
@@ -158,43 +158,5 @@ impl Experiment {
             audit: world.debug_final_audit(),
             telemetry,
         }
-    }
-}
-
-/// Run the same experiment with several seeds and return all results.
-pub fn run_seeds(
-    cluster: &ClusterConfig,
-    policy: &PolicyConfig,
-    workload: &workloads::WorkloadSpec,
-    seeds: &[u64],
-) -> Vec<RunResult> {
-    seeds
-        .iter()
-        .map(|&seed| {
-            Experiment {
-                cluster: cluster.clone(),
-                policy: policy.clone(),
-                workload: workload.clone(),
-                seed,
-            }
-            .run()
-        })
-        .collect()
-}
-
-/// Mean job time over finished runs, with the DNF count.
-pub fn summarize_job_times(results: &[RunResult]) -> (Option<f64>, usize) {
-    let finished: Vec<f64> = results
-        .iter()
-        .filter_map(|r| r.job_time.map(|d| d.as_secs_f64()))
-        .collect();
-    let dnf = results.len() - finished.len();
-    if finished.is_empty() {
-        (None, dnf)
-    } else {
-        (
-            Some(finished.iter().sum::<f64>() / finished.len() as f64),
-            dnf,
-        )
     }
 }

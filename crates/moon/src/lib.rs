@@ -52,7 +52,7 @@ pub mod report;
 mod world;
 
 pub use config::{ClusterConfig, PolicyConfig};
-pub use experiment::{run_seeds, summarize_job_times, Experiment, RunLimits};
+pub use experiment::{Experiment, RunLimits};
 pub use metrics::{ExecutionProfile, JobSlo, Outcome, RunMetrics, RunResult};
 pub use world::{Ev, World};
 

@@ -49,19 +49,8 @@ pub fn outcome_summary<'a>(results: impl IntoIterator<Item = &'a RunResult>) -> 
 }
 
 /// Render a series table: one row per policy label, one column per
-/// unavailability rate — the layout of Figures 4–7.
-pub fn series_table(
-    title: &str,
-    rates: &[f64],
-    rows: &[(String, Vec<Option<f64>>)],
-    unit: &str,
-) -> String {
-    let cols: Vec<String> = rates.iter().map(|r| format!("p={r}")).collect();
-    series_table_cols(title, &cols, rows, unit)
-}
-
-/// [`series_table`] with explicit column labels, for axes that are not
-/// unavailability rates (correlated-session intensity, trace replays).
+/// axis label (`p=0.3`, correlated-session intensity, trace replays) —
+/// the layout of Figures 4–7.
 pub fn series_table_cols(
     title: &str,
     cols: &[String],
@@ -118,8 +107,8 @@ pub fn profile_table(title: &str, results: &[RunResult]) -> String {
 /// The vendored `serde` shim provides no real serialization (no
 /// registry access — see DESIGN.md §4), and the row schema is flat
 /// enough that hand-rolling stays readable. This is the single source
-/// for the per-run JSON row: `bench::dump_json` and the `moon-cli`
-/// scenario reports both emit these rows, so the two never drift.
+/// for the per-run JSON row the scenario reports emit; its parser
+/// reads the campaign checkpoint back.
 pub mod json {
     use crate::metrics::{JobSlo, RunResult};
 
@@ -288,14 +277,6 @@ pub mod json {
         pub fn as_str(&self) -> Option<&str> {
             match self {
                 Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// Boolean, if this is a boolean.
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
                 _ => None,
             }
         }
@@ -512,9 +493,9 @@ mod tests {
 
     #[test]
     fn series_layout() {
-        let table = series_table(
+        let table = series_table_cols(
             "Figure 4(a): sort",
-            &[0.1, 0.5],
+            &["p=0.1".to_string(), "p=0.5".to_string()],
             &[
                 ("Hadoop1Min".to_string(), vec![Some(700.0), Some(2000.0)]),
                 ("MOON".to_string(), vec![Some(650.0), None]),

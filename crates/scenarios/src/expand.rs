@@ -8,7 +8,7 @@
 //! [`render`](crate::render) module folds the results back into the
 //! spec's tables using the same index math.
 
-use crate::knobs::{cluster, maybe_shrink, quick_mode};
+use crate::knobs::{cluster, maybe_shrink};
 use crate::spec::{
     ArrivalSpec, Axis, CorrelatedAxis, CorrelatedKnob, JobStreamSpec, LoadAxis, ScenarioError,
     ScenarioSpec,
@@ -21,8 +21,7 @@ use simkit::{SimDuration, SimTime};
 use std::path::{Path, PathBuf};
 use workloads::{ArrivalModel, DurationModel, JobStream, WorkloadSpec};
 
-/// One grid point of a sweep (formerly `bench::Point`; `bench`
-/// re-exports it unchanged).
+/// One grid point of a sweep.
 #[derive(Debug, Clone)]
 pub struct Point {
     /// Policy bundle.
@@ -37,6 +36,20 @@ pub struct Point {
     /// spec's `[telemetry]` knob; every run of the grid records into
     /// its own per-run buffers.
     pub telemetry: Option<simkit::TelemetryConfig>,
+}
+
+impl Point {
+    /// Run this point under one root seed: the (point, seed) cell of a
+    /// sweep, with the point's job stream and telemetry config.
+    pub fn run(&self, seed: u64, limits: moon::RunLimits) -> moon::RunResult {
+        moon::Experiment {
+            cluster: self.cluster.clone(),
+            policy: self.policy.clone(),
+            workload: self.workload.clone(),
+            seed,
+        }
+        .run_with_limits(self.jobs.clone(), self.telemetry.clone(), limits)
+    }
 }
 
 /// A fully-resolved scenario: the flat experiment grid plus the table
@@ -453,16 +466,10 @@ fn load_streams(spec: &ScenarioSpec, axis: &LoadAxis) -> Result<Vec<JobStream>, 
         .collect()
 }
 
-/// Is quick mode shrinking this plan? (Re-exported convenience so
-/// callers can annotate output.)
-pub fn is_quick() -> bool {
-    quick_mode()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry;
+    use crate::{quick_mode, registry};
 
     #[test]
     fn fig6_expands_to_the_binary_grid() {

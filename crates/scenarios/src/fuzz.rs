@@ -524,15 +524,7 @@ fn run_spec(spec: &ScenarioSpec, runs: &mut u64) -> Result<Vec<Vec<RunResult>>, 
         let mut per_seed = Vec::with_capacity(seeds.len());
         for &seed in &seeds {
             *runs += 1;
-            per_seed.push(
-                moon::Experiment {
-                    cluster: pt.cluster.clone(),
-                    policy: pt.policy.clone(),
-                    workload: pt.workload.clone(),
-                    seed,
-                }
-                .run_with_limits(pt.jobs.clone(), None, moon::RunLimits::default()),
-            );
+            per_seed.push(pt.run(seed, moon::RunLimits::default()));
         }
         results.push(per_seed);
     }

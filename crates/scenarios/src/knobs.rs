@@ -1,7 +1,6 @@
 //! Environment-driven run knobs shared by every sweep entry point
-//! (`moon-cli`, benches, tests). Moved here from `bench`
-//! so scenario expansion and the sweep harness agree on quick-mode
-//! shrinking and default seeds; `bench` re-exports them unchanged.
+//! (`moon-cli`, perfbench, tests), so scenario expansion and the sweep
+//! runner agree on quick-mode shrinking and default seeds.
 
 use moon::ClusterConfig;
 use workloads::WorkloadSpec;

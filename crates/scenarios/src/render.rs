@@ -22,7 +22,6 @@ pub fn cell_poisoned(results: &[RunResult]) -> bool {
 
 /// Mean job time over finished seeds (`None` if every seed DNF'd or
 /// the pool is [poisoned](cell_poisoned)).
-/// (Formerly `bench::mean_time`; `bench` re-exports it.)
 pub fn mean_time(results: &[RunResult]) -> Option<f64> {
     if cell_poisoned(results) {
         return None;
@@ -37,7 +36,6 @@ pub fn mean_time(results: &[RunResult]) -> Option<f64> {
 /// Mean duplicated-task count across seeds (`None` when the pool is
 /// [poisoned](cell_poisoned) — a cut-off run's duplicate counter is
 /// partial, not a measurement).
-/// (Formerly `bench::mean_duplicates`; `bench` re-exports it.)
 pub fn mean_duplicates(results: &[RunResult]) -> Option<f64> {
     if cell_poisoned(results) {
         return None;
@@ -323,8 +321,8 @@ fn axis_kind_name(plan: &Plan) -> &'static str {
 }
 
 /// The machine-readable scenario report: spec identity, axis, per-row
-/// mean series, an outcome tally, and every raw run (the rows shared
-/// with `bench::dump_json` via `moon::report::json`).
+/// mean series, an outcome tally, and every raw run (rows written by
+/// `moon::report::json`).
 pub fn report_json(plan: &Plan, results: &[Vec<RunResult>], seeds: &[u64]) -> String {
     use moon::report::json;
     let mut series = Vec::new();

@@ -17,7 +17,7 @@ use workloads::WorkloadSpec;
 /// Measure sort/word-count task-time means on an idle cluster, for the
 /// `sleep` workload (the paper feeds measured means into sleep, §VI-A).
 ///
-/// Moved verbatim from `bench::measured_sleep`: the calibration runs
+/// The calibration runs
 /// the (quick-shrunk) base workload under MOON-Hybrid at p = 0 with a
 /// fixed seed, then builds a sleep workload from the *unshrunk* base
 /// shape and the measured means.

@@ -2,7 +2,8 @@
 //! ([`bench::campaign`]): kill-and-resume byte-identity (tables, JSON
 //! report, telemetry artifacts), campaign-key verification, per-cell
 //! panic containment that is bit-identical serial vs pooled, livelock
-//! containment into the DLQ, and bounded `dlq retry` attempts.
+//! containment into the DLQ, bounded `dlq retry` attempts, and the
+//! same containment for sweeps run without a checkpoint.
 //!
 //! The global worker pool is pinned to 4 threads (this test binary is
 //! its own process), and every "serial" reference below is computed by
@@ -215,6 +216,69 @@ fn panicking_cell_is_contained_and_bit_identical_to_serial() {
     );
 }
 
+/// Every file under `dir` with its size, sorted (empty if `dir` does
+/// not exist).
+fn tree(dir: &std::path::Path) -> Vec<(PathBuf, u64)> {
+    let mut out = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        let Ok(entries) = std::fs::read_dir(&d) else {
+            continue;
+        };
+        for e in entries.flatten() {
+            let meta = e.metadata().unwrap();
+            if meta.is_dir() {
+                stack.push(e.path());
+            } else {
+                out.push((e.path(), meta.len()));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+#[test]
+fn sweep_without_checkpoint_is_contained_and_writes_nothing() {
+    pool4();
+    let mut spec = small_spec(false);
+    // A name no other run uses, so its default campaign paths are
+    // known to be absent beforehand.
+    spec.name = format!("no-checkpoint-{}", std::process::id());
+    let default_ckpt = campaign::default_checkpoint_path(&spec.name);
+    let results_dir = PathBuf::from("bench_results");
+    let before = tree(&results_dir);
+
+    let cfg = CampaignConfig {
+        inject_panic: Some(1),
+        ..CampaignConfig::default()
+    };
+    let outcome = run_campaign(&spec, None, &cfg).expect("a contained panic is not an error");
+    assert_eq!(outcome.failed.len(), 1);
+    assert_eq!(outcome.failed[0].cell, 1);
+    assert_eq!(outcome.failed[0].reason, "panic");
+    assert_eq!(outcome.executed, 3);
+    assert_eq!(outcome.restored, 0);
+    assert!(outcome.dlq_path.is_none());
+    assert!(!default_ckpt.exists());
+    assert!(!dlq_path_for(&default_ckpt).exists());
+    assert_eq!(
+        tree(&results_dir),
+        before,
+        "an in-memory sweep wrote a file"
+    );
+
+    // Same tables and report as a checkpointed run with the same
+    // injected fault.
+    let dir = scratch("no-ckpt");
+    let mut ckpt_cfg = CampaignConfig::new(dir.join("sweep.ckpt.jsonl"));
+    ckpt_cfg.inject_panic = Some(1);
+    let checkpointed = run(&spec, &ckpt_cfg);
+    assert_eq!(checkpointed.failed, outcome.failed);
+    assert_eq!(outcome.run.tables, checkpointed.run.tables);
+    assert_eq!(outcome.run.report_json, checkpointed.run.report_json);
+}
+
 #[test]
 fn livelocked_cells_land_in_dlq_and_retry_is_bounded() {
     pool4();
@@ -257,7 +321,9 @@ fn livelocked_cells_land_in_dlq_and_retry_is_bounded() {
     cfg.max_attempts = 3;
     let healed = run(&spec, &cfg);
     assert!(healed.failed.is_empty());
-    assert!(load_dlq(&healed.dlq_path).unwrap().is_empty());
+    assert!(load_dlq(healed.dlq_path.as_deref().unwrap())
+        .unwrap()
+        .is_empty());
     let fresh = run(
         &spec,
         &CampaignConfig::new(dir.join("reference.ckpt.jsonl")),

@@ -89,9 +89,9 @@ fn quickstart_workload_is_deterministic_per_seed() {
     }
 }
 
-/// Thread-count independence: an N-thread `bench::run_grid` sweep must
-/// produce per-seed results bit-identical to the same sweep executed
-/// serially on one thread, in grid order. Each task is an independent
+/// Thread-count independence: an N-thread `bench::run_grid_with_seeds`
+/// sweep must produce per-seed results bit-identical to the same sweep
+/// executed serially on one thread, in grid order. Each task is an independent
 /// fully-seeded experiment, so the pool may only affect *where* a run
 /// executes, never *what* it computes — this pins that invariant
 /// against future shared-state creep (caches, memo tables, global RNG).
@@ -105,7 +105,7 @@ fn parallel_sweep_matches_single_thread_sweep() {
         .build_global();
 
     // Multiple seeds per point, so the (point, seed) flattening and the
-    // grid-order regrouping in run_grid are exercised for real — with
+    // cell loop's grid-order regrouping are exercised for real — with
     // one seed they degenerate to the old per-point loop. Passed
     // explicitly (not via MOON_SEEDS) so no test thread mutates process
     // environment.
@@ -116,7 +116,7 @@ fn parallel_sweep_matches_single_thread_sweep() {
         PolicyConfig::hadoop(simkit::SimDuration::from_mins(1), 3),
     ] {
         for rate in [0.0, 0.3, 0.5] {
-            points.push(bench::Point {
+            points.push(scenarios::Point {
                 policy: policy.clone(),
                 cluster: ClusterConfig::small(rate),
                 workload: moon::quick_workload(),
@@ -154,7 +154,7 @@ fn parallel_sweep_matches_single_thread_sweep() {
             }),
         ),
     ] {
-        points.push(bench::Point {
+        points.push(scenarios::Point {
             policy,
             cluster: ClusterConfig::small(0.3),
             workload: moon::quick_workload(),
@@ -218,7 +218,7 @@ fn parallel_sweep_matches_single_thread_sweep() {
             workloads::JobStream::new(burst()),
         ),
     ] {
-        points.push(bench::Point {
+        points.push(scenarios::Point {
             policy,
             cluster: ClusterConfig::small(0.3),
             workload: moon::quick_workload(),
@@ -227,8 +227,8 @@ fn parallel_sweep_matches_single_thread_sweep() {
         });
     }
 
-    // Serial reference: the exact sweep run_grid performs, one task at
-    // a time on this thread, in grid order.
+    // Serial reference: the exact sweep the cell loop performs, one
+    // task at a time on this thread, in grid order.
     let serial: Vec<Vec<RunResult>> = points
         .iter()
         .map(|pt| {
