@@ -25,20 +25,21 @@ use rand_distr::{Distribution, Exp, Normal};
 use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 
+/// Mean outage duration. Paper: 409 s (Entropia trace).
+const MEAN_OUTAGE: SimDuration = SimDuration::from_secs(409);
+/// Coefficient of variation of the outage duration (σ/μ) for the
+/// Normal model. Paper does not state σ; 0.5 keeps durations positive
+/// in practice and is re-truncated anyway.
+const OUTAGE_CV: f64 = 0.5;
+/// Smallest permissible outage (truncation floor for the Normal).
+const MIN_OUTAGE: SimDuration = SimDuration::from_secs(30);
+
 /// Parameters of the synthetic outage model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TraceGenConfig {
     /// Target long-run fraction of time unavailable (the paper sweeps
     /// 0.1 / 0.3 / 0.5).
     pub unavailability: f64,
-    /// Mean outage duration. Paper: 409 s (Entropia trace).
-    pub mean_outage: SimDuration,
-    /// Coefficient of variation of the outage duration (σ/μ) for the
-    /// Normal model. Paper does not state σ; 0.5 keeps durations positive
-    /// in practice and is re-truncated anyway.
-    pub outage_cv: f64,
-    /// Smallest permissible outage (truncation floor for the Normal).
-    pub min_outage: SimDuration,
     /// Experiment window. Paper: 8-hour traces.
     pub horizon: SimTime,
     /// Rescale outage durations so the realised unavailable fraction
@@ -51,9 +52,6 @@ impl Default for TraceGenConfig {
     fn default() -> Self {
         TraceGenConfig {
             unavailability: 0.3,
-            mean_outage: SimDuration::from_secs(409),
-            outage_cv: 0.5,
-            min_outage: SimDuration::from_secs(30),
             horizon: SimTime::from_secs(8 * 3600),
             exact_rate: true,
         }
@@ -75,12 +73,12 @@ pub struct TraceGenerator;
 
 impl TraceGenerator {
     /// Sample one outage duration: Normal(μ, cv·μ) truncated at
-    /// `min_outage`.
-    fn sample_outage<R: Rng>(cfg: &TraceGenConfig, rng: &mut R) -> SimDuration {
-        let mu = cfg.mean_outage.as_secs_f64();
-        let sigma = (cfg.outage_cv * mu).max(f64::EPSILON);
+    /// `MIN_OUTAGE`.
+    fn sample_outage<R: Rng>(rng: &mut R) -> SimDuration {
+        let mu = MEAN_OUTAGE.as_secs_f64();
+        let sigma = (OUTAGE_CV * mu).max(f64::EPSILON);
         let normal = Normal::new(mu, sigma).expect("valid Normal parameters");
-        let d = normal.sample(rng).max(cfg.min_outage.as_secs_f64());
+        let d = normal.sample(rng).max(MIN_OUTAGE.as_secs_f64());
         SimDuration::from_secs_f64(d)
     }
 
@@ -94,11 +92,11 @@ impl TraceGenerator {
             return AvailabilityTrace::always_available(cfg.horizon);
         }
         let horizon_s = cfg.horizon.as_secs_f64();
-        let mean_outage_s = cfg.mean_outage.as_secs_f64();
+        let mean_outage_s = MEAN_OUTAGE.as_secs_f64();
         // Arrivals falling inside an existing outage are rejected, so only
         // the available fraction (1 − p) of the horizon produces outages.
         // Compensate the rate so expected downtime still hits the target:
-        // λ·(1−p)·horizon·mean_outage = p·horizon.
+        // λ·(1−p)·horizon·MEAN_OUTAGE = p·horizon.
         let lambda = cfg.unavailability / ((1.0 - cfg.unavailability) * mean_outage_s);
         let exp = Exp::new(lambda).expect("positive rate");
 
@@ -114,7 +112,7 @@ impl TraceGenerator {
             if t < last_end {
                 continue;
             }
-            let d = Self::sample_outage(cfg, rng).as_secs_f64();
+            let d = Self::sample_outage(rng).as_secs_f64();
             let end = (t + d).min(horizon_s);
             if end <= t {
                 continue;
@@ -133,7 +131,7 @@ impl TraceGenerator {
     }
 
     /// Alternating renewal process: Exp up-times with mean
-    /// `mean_outage·(1−p)/p`, Normal down-times with mean `mean_outage`.
+    /// `MEAN_OUTAGE·(1−p)/p`, Normal down-times with mean `MEAN_OUTAGE`.
     /// Stationary unavailability is exactly `p`.
     pub fn renewal<R: Rng>(cfg: &TraceGenConfig, rng: &mut R) -> AvailabilityTrace {
         assert!(
@@ -144,7 +142,7 @@ impl TraceGenerator {
             return AvailabilityTrace::always_available(cfg.horizon);
         }
         let p = cfg.unavailability;
-        let mean_outage_s = cfg.mean_outage.as_secs_f64();
+        let mean_outage_s = MEAN_OUTAGE.as_secs_f64();
         let mean_up_s = mean_outage_s * (1.0 - p) / p;
         let up_dist = Exp::new(1.0 / mean_up_s).expect("positive rate");
         let horizon_s = cfg.horizon.as_secs_f64();
@@ -152,7 +150,7 @@ impl TraceGenerator {
         let mut outages = Vec::new();
         let mut t = up_dist.sample(rng); // start available
         while t < horizon_s {
-            let d = Self::sample_outage(cfg, rng).as_secs_f64();
+            let d = Self::sample_outage(rng).as_secs_f64();
             let end = (t + d).min(horizon_s);
             if end > t {
                 outages.push(Outage {
@@ -291,7 +289,7 @@ mod tests {
         for o in tr.outages() {
             // The last outage may be clipped by the horizon.
             if o.end < cfg.horizon {
-                assert!(o.duration() >= cfg.min_outage);
+                assert!(o.duration() >= MIN_OUTAGE);
             }
         }
     }

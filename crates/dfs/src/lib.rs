@@ -32,13 +32,11 @@
 
 #![warn(missing_docs)]
 
-mod datanode;
 mod namenode;
 pub mod replication;
 mod throttle;
 mod types;
 
-pub use datanode::DataNode;
 pub use namenode::{LivenessReport, NameNode, NameNodeConfig, ReplicationCommand, WritePlan};
 pub use throttle::{IoThrottle, ThrottleState};
 pub use types::{BlockId, FileId, FileKind, NodeClass, NodeId, NodeLiveness, ReplicationFactor};

@@ -17,6 +17,14 @@ use rand::Rng;
 use simkit::{SimDuration, SimTime};
 use std::collections::BTreeSet;
 
+/// Availability goal for opportunistic files without dedicated replicas
+/// (paper example: 0.9).
+const AVAILABILITY_GOAL: f64 = 0.9;
+/// Algorithm 1 control threshold `Tb`.
+const THROTTLE_THRESHOLD: f64 = 0.1;
+/// Upper bound on the adaptive volatile degree `v′`.
+const MAX_VOLATILE_DEGREE: u32 = 8;
+
 /// NameNode tunables. Defaults follow the paper's experimental setup.
 #[derive(Debug, Clone)]
 pub struct NameNodeConfig {
@@ -25,19 +33,12 @@ pub struct NameNodeConfig {
     /// No heartbeat for this long → node is *dead* (HDFS
     /// `NodeExpiryInterval`).
     pub expiry_interval: SimDuration,
-    /// Availability goal for opportunistic files without dedicated
-    /// replicas (paper example: 0.9).
-    pub availability_goal: f64,
     /// Window `I` of the sliding-window unavailability estimator.
     pub estimator_window: SimDuration,
     /// Estimate reported before any observations.
     pub estimator_prior: f64,
     /// Algorithm 1 window size `W` (in heartbeats).
     pub throttle_window: usize,
-    /// Algorithm 1 control threshold `Tb`.
-    pub throttle_threshold: f64,
-    /// Upper bound on the adaptive volatile degree `v′`.
-    pub max_volatile_degree: u32,
     /// Enable adaptive volatile replication (`v → v′` when a dedicated
     /// copy is declined). Disable for the ablation study.
     pub adaptive_replication: bool,
@@ -52,12 +53,9 @@ impl Default for NameNodeConfig {
         NameNodeConfig {
             hibernate_interval: SimDuration::from_mins(1),
             expiry_interval: SimDuration::from_mins(30),
-            availability_goal: 0.9,
             estimator_window: SimDuration::from_mins(10),
             estimator_prior: 0.3,
             throttle_window: 6,
-            throttle_threshold: 0.1,
-            max_volatile_degree: 8,
             adaptive_replication: true,
             hybrid: true,
         }
@@ -371,7 +369,7 @@ impl NameNode {
     /// Register a DataNode at simulation start.
     pub fn register_node(&mut self, now: SimTime, id: NodeId, class: NodeClass) {
         let throttle = (self.cfg.hybrid && class == NodeClass::Dedicated)
-            .then(|| IoThrottle::new(self.cfg.throttle_window, self.cfg.throttle_threshold));
+            .then(|| IoThrottle::new(self.cfg.throttle_window, THROTTLE_THRESHOLD));
         if self.nodes.len() <= id.0 as usize {
             self.nodes.resize_with(id.0 as usize + 1, || None);
         }
@@ -840,11 +838,7 @@ impl NameNode {
         if kind == FileKind::Opportunistic && dedicated.is_empty() && factor.dedicated > 0 {
             if self.cfg.adaptive_replication {
                 let p = self.estimated_unavailability(now);
-                let v_prime = adaptive_volatile_degree(
-                    p,
-                    self.cfg.availability_goal,
-                    self.cfg.max_volatile_degree,
-                );
+                let v_prime = adaptive_volatile_degree(p, AVAILABILITY_GOAL, MAX_VOLATILE_DEGREE);
                 v_eff = v_eff.max(v_prime);
             }
             self.wants_dedicated.insert(block);

@@ -38,12 +38,6 @@ pub fn adaptive_volatile_degree(p: f64, goal: f64, max_v: u32) -> u32 {
     (v as u32).clamp(1, max_v)
 }
 
-/// Replicas needed for a given availability when one dedicated copy
-/// (unavailability `p_d`) is also present: `1 − p_d·p^v ≥ goal`.
-pub fn hybrid_availability(p_dedicated: f64, p_volatile: f64, v: u32) -> f64 {
-    1.0 - p_dedicated * p_volatile.powi(v as i32)
-}
-
 /// Priority of a pending re-replication. Reliable files always outrank
 /// opportunistic ones (§IV-A: the NameNode issues "replication requests
 /// giving higher priority to reliable files"); ties break by how many
@@ -148,14 +142,6 @@ mod tests {
         assert!(a > 0.9999, "got {a}");
         let a10 = volatile_availability(0.4, 10);
         assert!(a10 < 0.9999);
-    }
-
-    #[test]
-    fn paper_hybrid_example() {
-        // §III: one dedicated (p=0.001) + three volatile (p=0.4) copies
-        // reach 99.99%.
-        let a = hybrid_availability(0.001, 0.4, 3);
-        assert!(a > 0.9999, "got {a}");
     }
 
     #[test]

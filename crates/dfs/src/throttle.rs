@@ -77,15 +77,6 @@ impl IoThrottle {
         self.history.push_back(bw);
         self.state
     }
-
-    /// Mean of the samples currently in the window (0 when empty).
-    pub fn window_average(&self) -> f64 {
-        if self.history.is_empty() {
-            0.0
-        } else {
-            self.history.iter().sum::<f64>() / self.history.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -151,17 +142,6 @@ mod tests {
             states.iter().all(|&s| s == ThrottleState::Throttled),
             "±5% oscillation inside a 20% band must not unthrottle"
         );
-    }
-
-    #[test]
-    fn window_average_tracks_history() {
-        let mut t = IoThrottle::new(3, 0.1);
-        t.update(10.0);
-        t.update(20.0);
-        assert!((t.window_average() - 15.0).abs() < 1e-12);
-        t.update(30.0);
-        t.update(40.0); // evicts 10.0
-        assert!((t.window_average() - 30.0).abs() < 1e-12);
     }
 
     #[test]

@@ -14,9 +14,6 @@ pub struct JobSpec {
     /// Replica locations of each map's input split at submit time
     /// (locality hints for the scheduler; length = `n_maps`, may be empty).
     pub map_input_locations: Vec<Vec<NodeId>>,
-    /// Fraction of maps that must finish before reduces are scheduled
-    /// (Hadoop's "slowstart"; default 0.05).
-    pub reduce_slowstart: f64,
     /// A task failing this many times fails the whole job (Hadoop
     /// reschedules an incomplete map up to 4 times — paper footnote 1).
     pub max_task_failures: u32,
@@ -39,7 +36,6 @@ impl JobSpec {
             n_maps,
             n_reduces,
             map_input_locations: Vec::new(),
-            reduce_slowstart: 0.05,
             max_task_failures: 4,
             deadline: None,
             priority: 0,
@@ -275,7 +271,6 @@ mod tests {
     fn spec_defaults() {
         let s = JobSpec::new(384, 108);
         assert_eq!(s.n_maps, 384);
-        assert!((s.reduce_slowstart - 0.05).abs() < 1e-12);
         assert_eq!(s.max_task_failures, 4);
         assert_eq!(s.deadline, None);
         assert_eq!(s.priority, 0);

@@ -5,8 +5,7 @@
 //! calls [`JobTracker::heartbeat`] when a TaskTracker reports in, feeds
 //! back attempt outcomes, and periodically runs
 //! [`JobTracker::check_trackers`]. All policy differences between stock
-//! Hadoop, MOON, MOON-Hybrid, and LATE live here and in
-//! [`crate::policy`].
+//! Hadoop, MOON and MOON-Hybrid live here and in [`crate::policy`].
 
 use crate::job::{AttemptInfo, JobSpec, JobStatus, TaskState};
 use crate::policy::{CrossJobPolicy, FetchFailurePolicy, SchedulerPolicy};
@@ -17,6 +16,19 @@ use dfs::NodeId;
 use simkit::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Hadoop's straggler ("slow task") rule, shared by every policy: a task
+/// must have run at least this long before it can be a straggler.
+const STRAGGLER_MIN_RUNTIME: SimDuration = SimDuration::from_secs(60);
+/// The straggler rule's progress gap: a straggler's best progress is at
+/// least this far below the average of its job's tasks of the same kind.
+const STRAGGLER_GAP: f64 = 0.2;
+/// Speculative copies of a *slow* task beyond the original (Hadoop's
+/// default; MOON's frozen tasks are exempt — §V-A).
+const MAX_SPECULATIVE_PER_TASK: u32 = 1;
+/// Fraction of a job's maps that must finish before its reduces are
+/// scheduled (Hadoop's "slowstart").
+const REDUCE_SLOWSTART: f64 = 0.05;
 
 /// Liveness of a TaskTracker as seen by the JobTracker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,8 +100,6 @@ struct Job {
     maps: Vec<TaskState>,
     reduces: Vec<TaskState>,
     status: JobStatus,
-    completed_maps: u32,
-    completed_reduces: u32,
     submitted: SimTime,
     finished: Option<SimTime>,
     /// When the job's first attempt launched (queueing-delay endpoint).
@@ -105,15 +115,8 @@ struct Job {
     /// the job's cluster share, ranked by fair-share ordering without
     /// an O(tasks) scan per slot grant.
     live_attempts: u32,
-    /// Metrics.
-    duplicated_launches: u32,
-    killed_map_attempts: u32,
-    killed_reduce_attempts: u32,
-    killed_by_tracker_expiry: u32,
-    map_output_relaunches: u32,
-    /// Attempts of *this* job killed by cross-job preemption (subset of
-    /// the killed counts, like `killed_by_tracker_expiry`).
-    preempted_attempts: u32,
+    /// The job's counters, returned by [`JobTracker::job_metrics`].
+    metrics: JobMetrics,
 }
 
 impl Job {
@@ -501,7 +504,7 @@ impl JobTracker {
         }
         for &a in &attempts {
             self.kill_attempt(a);
-            self.job_mut(a.task.job).killed_by_tracker_expiry += 1;
+            self.job_mut(a.task.job).metrics.killed_by_tracker_expiry += 1;
         }
         attempts
     }
@@ -509,8 +512,8 @@ impl JobTracker {
     fn kill_attempt(&mut self, id: AttemptId) {
         let job = self.job_mut(id.task.job);
         match id.task.kind {
-            TaskKind::Map => job.killed_map_attempts += 1,
-            TaskKind::Reduce => job.killed_reduce_attempts += 1,
+            TaskKind::Map => job.metrics.killed_maps += 1,
+            TaskKind::Reduce => job.metrics.killed_reduces += 1,
         }
         let info = &mut job.task_mut(id.task).attempts[id.attempt as usize];
         if info.state.is_live() {
@@ -560,20 +563,13 @@ impl JobTracker {
             reduces: tasks(TaskKind::Reduce, spec.n_reduces),
             spec,
             status: JobStatus::Running,
-            completed_maps: 0,
-            completed_reduces: 0,
             submitted: now,
             finished: None,
             first_launch: None,
             next_launch_seq: 0,
             fetch_failures: BTreeMap::new(),
             live_attempts: 0,
-            duplicated_launches: 0,
-            killed_map_attempts: 0,
-            killed_reduce_attempts: 0,
-            killed_by_tracker_expiry: 0,
-            map_output_relaunches: 0,
-            preempted_attempts: 0,
+            metrics: JobMetrics::default(),
         });
         self.running_jobs.insert(id);
         id
@@ -624,17 +620,7 @@ impl JobTracker {
 
     /// Snapshot of the job's counters.
     pub fn job_metrics(&self, job: JobId) -> JobMetrics {
-        let j = self.job(job);
-        JobMetrics {
-            duplicated_tasks: j.duplicated_launches,
-            killed_maps: j.killed_map_attempts,
-            killed_reduces: j.killed_reduce_attempts,
-            killed_by_tracker_expiry: j.killed_by_tracker_expiry,
-            map_output_relaunches: j.map_output_relaunches,
-            completed_maps: j.completed_maps,
-            completed_reduces: j.completed_reduces,
-            preempted: j.preempted_attempts,
-        }
+        self.job(job).metrics
     }
 
     /// The job's spec as submitted (deadline / priority / tenant reads
@@ -771,7 +757,7 @@ impl JobTracker {
         job.first_launch.get_or_insert(now);
         job.live_attempts += 1;
         if reason.is_duplicate() {
-            job.duplicated_launches += 1;
+            job.metrics.duplicated_tasks += 1;
         }
         self.tracker_mut(node).running.insert(id);
         TaskAssignment {
@@ -1012,7 +998,7 @@ impl JobTracker {
         };
         self.release_attempt(aid);
         self.kill_attempt(aid);
-        self.job_mut(vjid).preempted_attempts += 1;
+        self.job_mut(vjid).metrics.preempted += 1;
         self.total_preempted += 1;
         kill.push(aid);
         true
@@ -1035,8 +1021,8 @@ impl JobTracker {
         kind: TaskKind,
     ) -> Option<(TaskId, LaunchReason)> {
         if kind == TaskKind::Reduce {
-            let gate = (job.spec.reduce_slowstart * job.spec.n_maps as f64).ceil() as u32;
-            if job.completed_maps < gate.min(job.spec.n_maps) {
+            let gate = (REDUCE_SLOWSTART * job.spec.n_maps as f64).ceil() as u32;
+            if job.metrics.completed_maps < gate.min(job.spec.n_maps) {
                 return None;
             }
         }
@@ -1119,24 +1105,14 @@ impl JobTracker {
     }
 
     fn pick_speculative(
-        &mut self,
+        &self,
         now: SimTime,
         node: NodeId,
         kind: TaskKind,
     ) -> Option<(TaskId, LaunchReason)> {
         match &self.policy {
-            SchedulerPolicy::Hadoop(p) => {
-                let p = p.clone();
-                self.pick_speculative_hadoop(now, node, kind, &p)
-            }
-            SchedulerPolicy::Moon(p) => {
-                let p = p.clone();
-                self.pick_speculative_moon(now, node, kind, &p)
-            }
-            SchedulerPolicy::Late(p) => {
-                let p = p.clone();
-                self.pick_speculative_late(now, kind, &p)
-            }
+            SchedulerPolicy::Hadoop(_) => self.pick_speculative_hadoop(now, node, kind),
+            SchedulerPolicy::Moon(p) => self.pick_speculative_moon(now, node, kind, p),
         }
     }
 
@@ -1145,7 +1121,6 @@ impl JobTracker {
         now: SimTime,
         node: NodeId,
         kind: TaskKind,
-        p: &crate::policy::HadoopPolicy,
     ) -> Option<(TaskId, LaunchReason)> {
         self.pick_across_jobs(|_, job| {
             let avg = self.avg_progress(job, kind);
@@ -1155,7 +1130,7 @@ impl JobTracker {
                 if task.completed || task.n_live() == 0 {
                     continue;
                 }
-                if task.n_live_speculative() as u32 >= p.max_speculative_per_task {
+                if task.n_live_speculative() as u32 >= MAX_SPECULATIVE_PER_TASK {
                     continue;
                 }
                 if task.has_live_attempt_on(|n| n == node) {
@@ -1163,10 +1138,10 @@ impl JobTracker {
                 }
                 // Straggler test on the best live attempt.
                 let oldest_start = task.live_attempts().map(|a| a.started).min().unwrap_or(now);
-                if now.since(oldest_start) < p.straggler.min_runtime {
+                if now.since(oldest_start) < STRAGGLER_MIN_RUNTIME {
                     continue;
                 }
-                if task.best_progress() >= avg - p.straggler.gap {
+                if task.best_progress() >= avg - STRAGGLER_GAP {
                     continue;
                 }
                 let non_local = !job.input_local(task.id, node);
@@ -1224,10 +1199,10 @@ impl JobTracker {
                     frozen = Some(frozen.map_or(cand, |b| b.min(cand)));
                     continue;
                 }
-                if (task.n_live_speculative() as u32) < p.max_speculative_per_task {
+                if (task.n_live_speculative() as u32) < MAX_SPECULATIVE_PER_TASK {
                     let oldest_start = task.live_attempts().map(|a| a.started).min().unwrap_or(now);
-                    if now.since(oldest_start) >= p.straggler.min_runtime
-                        && task.best_progress() < avg - p.straggler.gap
+                    if now.since(oldest_start) >= STRAGGLER_MIN_RUNTIME
+                        && task.best_progress() < avg - STRAGGLER_GAP
                     {
                         let cand = (progress_key, task.id);
                         slow = Some(slow.map_or(cand, |b| b.min(cand)));
@@ -1244,75 +1219,6 @@ impl JobTracker {
                 .or(slow)
                 .map(|(_, tid)| (tid, LaunchReason::Speculative))
                 .or(homestretch.map(|(_, _, tid)| (tid, LaunchReason::Homestretch)))
-        })
-    }
-
-    fn pick_speculative_late(
-        &self,
-        now: SimTime,
-        kind: TaskKind,
-        p: &crate::policy::LatePolicy,
-    ) -> Option<(TaskId, LaunchReason)> {
-        self.pick_across_jobs(|_, job| {
-            let cap = (p.speculative_cap_fraction * self.available_slots(None) as f64)
-                .floor()
-                .max(1.0) as u32;
-            if self.live_speculative(job) >= cap {
-                return None;
-            }
-            // Progress rates of running tasks of this kind.
-            let mut rates: Vec<f64> = Vec::new();
-            for t in job.tasks(kind) {
-                if t.completed || t.n_running() == 0 {
-                    continue;
-                }
-                if let Some(a) = t
-                    .live_attempts()
-                    .max_by(|x, y| x.progress.partial_cmp(&y.progress).unwrap())
-                {
-                    let run = now.since(a.started).as_secs_f64();
-                    if run > 0.0 {
-                        rates.push(a.progress / run);
-                    }
-                }
-            }
-            if rates.is_empty() {
-                return None;
-            }
-            rates.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let idx = ((rates.len() as f64) * p.slow_task_percentile) as usize;
-            let threshold = rates[idx.min(rates.len() - 1)];
-
-            let mut best: Option<(f64, TaskId)> = None;
-            for t in job.tasks(kind) {
-                if t.completed || t.n_running() == 0 {
-                    continue;
-                }
-                if t.n_live_speculative() > 0 {
-                    continue;
-                }
-                let a = t
-                    .live_attempts()
-                    .max_by(|x, y| x.progress.partial_cmp(&y.progress).unwrap())
-                    .unwrap();
-                let run = now.since(a.started);
-                if run < p.min_runtime {
-                    continue;
-                }
-                let rate = a.progress / run.as_secs_f64().max(1e-9);
-                if rate > threshold {
-                    continue;
-                }
-                let est_remaining = if rate > 0.0 {
-                    (1.0 - a.progress) / rate
-                } else {
-                    f64::INFINITY
-                };
-                if best.is_none_or(|(b, _)| est_remaining > b) {
-                    best = Some((est_remaining, t.id));
-                }
-            }
-            best.map(|(_, tid)| (tid, LaunchReason::Speculative))
         })
     }
 
@@ -1360,11 +1266,11 @@ impl JobTracker {
             job.live_attempts -= 1;
         }
         match task_id.kind {
-            TaskKind::Map => job.completed_maps += 1,
-            TaskKind::Reduce => job.completed_reduces += 1,
+            TaskKind::Map => job.metrics.completed_maps += 1,
+            TaskKind::Reduce => job.metrics.completed_reduces += 1,
         }
-        let done =
-            job.completed_maps == job.spec.n_maps && job.completed_reduces == job.spec.n_reduces;
+        let done = job.metrics.completed_maps == job.spec.n_maps
+            && job.metrics.completed_reduces == job.spec.n_reduces;
         if done {
             job.status = JobStatus::Succeeded;
             job.finished = Some(now);
@@ -1456,10 +1362,10 @@ impl JobTracker {
         task.completed = false;
         task.completed_by = None;
         task.output_lost_count += 1;
-        job.completed_maps -= 1;
+        job.metrics.completed_maps -= 1;
         job.fetch_failures.remove(&map);
-        job.map_output_relaunches += 1;
-        job.killed_map_attempts += 1; // the completed attempt is invalidated
+        job.metrics.map_output_relaunches += 1;
+        job.metrics.killed_maps += 1; // the completed attempt is invalidated
         true
     }
 
@@ -1473,7 +1379,7 @@ impl JobTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{HadoopPolicy, LatePolicy, MoonPolicy};
+    use crate::policy::{HadoopPolicy, MoonPolicy};
     use simkit::SimDuration;
 
     fn t(s: u64) -> SimTime {
@@ -1991,29 +1897,6 @@ mod tests {
         assert_eq!(m.completed_maps, 2);
         assert_eq!(m.completed_reduces, 1);
         assert_eq!(m.killed_maps, 1, "the superseded speculative copy");
-    }
-
-    #[test]
-    fn late_speculates_longest_time_to_end() {
-        let mut jt = JobTracker::new(
-            SchedulerPolicy::Late(LatePolicy::default()),
-            FetchFailurePolicy::HadoopMajority,
-        );
-        cluster(&mut jt, 3, 0);
-        let _job = jt.submit_job(t(0), JobSpec::new(4, 0));
-        let a0 = jt.heartbeat(t(0), NodeId(0)).assignments;
-        let a1 = jt.heartbeat(t(0), NodeId(1)).assignments;
-        // Rates after 100s: 0.9, 0.8, 0.2 (ETA 400s), 0.4 (ETA 150s).
-        jt.report_progress(a0[0].attempt, 0.9);
-        jt.report_progress(a0[1].attempt, 0.8);
-        jt.report_progress(a1[0].attempt, 0.2);
-        jt.report_progress(a1[1].attempt, 0.4);
-        let r = jt.heartbeat(t(100), NodeId(2)).assignments;
-        assert_eq!(r.len(), 1);
-        assert_eq!(
-            r[0].attempt.task, a1[0].attempt.task,
-            "LATE picks the longest estimated time to end"
-        );
     }
 
     #[test]

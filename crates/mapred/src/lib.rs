@@ -7,10 +7,10 @@
 //!   execution, TaskTracker liveness (suspension vs expiry), fetch-failure
 //!   handling.
 //! - [`SchedulerPolicy`] — stock Hadoop (progress-gap stragglers,
-//!   `TrackerExpiryInterval` kills), MOON §V (frozen/slow task lists,
+//!   `TrackerExpiryInterval` kills) and MOON §V (frozen/slow task lists,
 //!   `SuspensionInterval`, 20 % global speculative cap, two-phase
 //!   homestretch with `H`/`R`, hybrid-aware placement on dedicated
-//!   nodes), and LATE (the paper's ref. 16) as an additional baseline.
+//!   nodes).
 //! - [`FetchFailurePolicy`] — Hadoop's 50 %-of-reduces rule vs MOON's
 //!   3-failures-then-query-the-file-system rule (§VI-B).
 //! - [`api`] — the programming model ([`Mapper`], [`Reducer`],
@@ -35,8 +35,5 @@ pub use job::{AttemptInfo, JobSpec, JobStatus, TaskState};
 pub use jobtracker::{
     HeartbeatResponse, JobMetrics, JobTracker, SuccessResponse, TrackerState, TrackerSweep,
 };
-pub use policy::{
-    CrossJobPolicy, FetchFailurePolicy, HadoopPolicy, LatePolicy, MoonPolicy, SchedulerPolicy,
-    StragglerRule,
-};
+pub use policy::{CrossJobPolicy, FetchFailurePolicy, HadoopPolicy, MoonPolicy, SchedulerPolicy};
 pub use types::{AttemptId, AttemptState, JobId, LaunchReason, TaskAssignment, TaskId, TaskKind};

@@ -1,6 +1,7 @@
-//! Speculative-scheduling policies: stock Hadoop, MOON's two-phase
-//! volatility-aware scheduler (§V), and the LATE baseline [Zaharia et
-//! al., OSDI'08] the paper discusses in related work.
+//! Speculative-scheduling policies: stock Hadoop and MOON's two-phase
+//! volatility-aware scheduler (§V). Both share Hadoop's straggler rule
+//! and its one-copy cap on speculating a slow task; those are paper
+//! constants of the JobTracker, not policy fields.
 
 use simkit::SimDuration;
 
@@ -72,44 +73,18 @@ impl CrossJobPolicy {
     }
 }
 
-/// Parameters shared by every policy's straggler ("slow task") test —
-/// Hadoop's classic rule: running over a minute and progress at least
-/// 0.2 behind the average of the same task type.
-#[derive(Debug, Clone, Copy)]
-pub struct StragglerRule {
-    /// Minimum runtime before a task can be a straggler.
-    pub min_runtime: SimDuration,
-    /// Progress gap below the per-kind average.
-    pub gap: f64,
-}
-
-impl Default for StragglerRule {
-    fn default() -> Self {
-        StragglerRule {
-            min_runtime: SimDuration::from_secs(60),
-            gap: 0.2,
-        }
-    }
-}
-
 /// Stock Hadoop scheduling.
 #[derive(Debug, Clone)]
 pub struct HadoopPolicy {
     /// `TrackerExpiryInterval`: silent trackers are declared dead after
     /// this long (paper sweeps 1 / 5 / 10 minutes).
     pub tracker_expiry: SimDuration,
-    /// Maximum speculative copies per task beyond the original (default 1).
-    pub max_speculative_per_task: u32,
-    /// The straggler test.
-    pub straggler: StragglerRule,
 }
 
 impl Default for HadoopPolicy {
     fn default() -> Self {
         HadoopPolicy {
             tracker_expiry: SimDuration::from_mins(10),
-            max_speculative_per_task: 1,
-            straggler: StragglerRule::default(),
         }
     }
 }
@@ -120,7 +95,6 @@ impl HadoopPolicy {
     pub fn with_expiry(expiry: SimDuration) -> Self {
         HadoopPolicy {
             tracker_expiry: expiry,
-            ..Default::default()
         }
     }
 }
@@ -134,9 +108,6 @@ pub struct MoonPolicy {
     /// `TrackerExpiryInterval`: much larger than Hadoop's because
     /// suspension already handles transient outages. Paper: 30 minutes.
     pub tracker_expiry: SimDuration,
-    /// Cap on speculative copies of a *slow* task (frozen tasks are
-    /// exempt — §V-A).
-    pub max_speculative_per_task: u32,
     /// Global cap: live speculative attempts of a job may not exceed this
     /// fraction of the currently available execution slots. Paper: 20 %.
     pub speculative_slot_fraction: f64,
@@ -150,8 +121,6 @@ pub struct MoonPolicy {
     /// nodes; tasks with a dedicated copy skip the homestretch and are
     /// deprioritised for further replicas.
     pub hybrid: bool,
-    /// The slow-task test (same rule as Hadoop).
-    pub straggler: StragglerRule,
 }
 
 impl Default for MoonPolicy {
@@ -159,12 +128,10 @@ impl Default for MoonPolicy {
         MoonPolicy {
             suspension_interval: SimDuration::from_mins(1),
             tracker_expiry: SimDuration::from_mins(30),
-            max_speculative_per_task: 1,
             speculative_slot_fraction: 0.2,
             homestretch_h_percent: 20.0,
             homestretch_r: 2,
             hybrid: true,
-            straggler: StragglerRule::default(),
         }
     }
 }
@@ -180,35 +147,6 @@ impl MoonPolicy {
     }
 }
 
-/// LATE — Longest Approximate Time to End (the paper's ref. 16). Speculates the task whose
-/// estimated remaining time is largest, capped, and only for tasks whose
-/// progress *rate* is below a slow-task threshold.
-#[derive(Debug, Clone)]
-pub struct LatePolicy {
-    /// Tracker expiry (LATE was designed for dedicated clusters; default
-    /// Hadoop 10 min).
-    pub tracker_expiry: SimDuration,
-    /// Cap on concurrently running speculative attempts, as a fraction of
-    /// cluster slots (the LATE paper's SpeculativeCap, 10 %).
-    pub speculative_cap_fraction: f64,
-    /// Only tasks whose progress rate is below this percentile of running
-    /// tasks qualify (LATE's SlowTaskThreshold, 25th percentile).
-    pub slow_task_percentile: f64,
-    /// Minimum runtime before estimation is trusted.
-    pub min_runtime: SimDuration,
-}
-
-impl Default for LatePolicy {
-    fn default() -> Self {
-        LatePolicy {
-            tracker_expiry: SimDuration::from_mins(10),
-            speculative_cap_fraction: 0.1,
-            slow_task_percentile: 0.25,
-            min_runtime: SimDuration::from_secs(60),
-        }
-    }
-}
-
 /// The scheduling policy in force for a JobTracker.
 #[derive(Debug, Clone)]
 pub enum SchedulerPolicy {
@@ -216,8 +154,6 @@ pub enum SchedulerPolicy {
     Hadoop(HadoopPolicy),
     /// MOON two-phase (optionally hybrid-aware).
     Moon(MoonPolicy),
-    /// LATE baseline.
-    Late(LatePolicy),
 }
 
 impl SchedulerPolicy {
@@ -226,16 +162,15 @@ impl SchedulerPolicy {
         match self {
             SchedulerPolicy::Hadoop(p) => p.tracker_expiry,
             SchedulerPolicy::Moon(p) => p.tracker_expiry,
-            SchedulerPolicy::Late(p) => p.tracker_expiry,
         }
     }
 
     /// The interval after which a silent tracker is *suspended* (MOON
-    /// only; others never suspend, so this equals the expiry interval).
+    /// only; Hadoop never suspends, so this equals the expiry interval).
     pub fn suspension_interval(&self) -> SimDuration {
         match self {
+            SchedulerPolicy::Hadoop(p) => p.tracker_expiry,
             SchedulerPolicy::Moon(p) => p.suspension_interval,
-            other => other.tracker_expiry(),
         }
     }
 
@@ -249,7 +184,7 @@ impl SchedulerPolicy {
     /// dedicated nodes for data service plus, in hybrid mode, speculative
     /// copies only (§V-C).
     pub fn dedicated_runs_originals(&self) -> bool {
-        matches!(self, SchedulerPolicy::Hadoop(_) | SchedulerPolicy::Late(_))
+        matches!(self, SchedulerPolicy::Hadoop(_))
     }
 }
 
@@ -267,7 +202,6 @@ mod tests {
         assert_eq!(m.homestretch_r, 2);
         let h = HadoopPolicy::default();
         assert_eq!(h.tracker_expiry, SimDuration::from_mins(10));
-        assert_eq!(h.max_speculative_per_task, 1);
     }
 
     #[test]

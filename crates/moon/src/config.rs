@@ -23,20 +23,6 @@ pub struct ClusterConfig {
     pub nic_bandwidth: f64,
     /// Per-disk bandwidth in bytes/sec.
     pub disk_bandwidth: f64,
-    /// TaskTracker/DataNode heartbeat period.
-    pub heartbeat_interval: SimDuration,
-    /// JobTracker tracker-liveness sweep period.
-    pub tracker_check_interval: SimDuration,
-    /// NameNode replication-scan period.
-    pub replication_scan_interval: SimDuration,
-    /// Replication commands issued per scan.
-    pub max_replication_streams: usize,
-    /// A shuffle fetch stalled this long reports a fetch failure.
-    pub fetch_timeout: SimDuration,
-    /// A DFS read/write stalled this long is aborted and retried.
-    pub io_timeout: SimDuration,
-    /// Delay before a reduce retries a failed fetch.
-    pub fetch_retry_delay: SimDuration,
     /// Target volatile-node unavailability rate `p` (0.1 / 0.3 / 0.5).
     pub unavailability: f64,
     /// Outage-trace shape (mean 409 s Normal outages, 8 h horizon).
@@ -59,13 +45,6 @@ impl Default for ClusterConfig {
             reduce_slots: 2,
             nic_bandwidth: 117.0 * MB as f64,
             disk_bandwidth: 60.0 * MB as f64,
-            heartbeat_interval: SimDuration::from_secs(3),
-            tracker_check_interval: SimDuration::from_secs(10),
-            replication_scan_interval: SimDuration::from_secs(3),
-            max_replication_streams: 8,
-            fetch_timeout: SimDuration::from_secs(30),
-            io_timeout: SimDuration::from_secs(30),
-            fetch_retry_delay: SimDuration::from_secs(10),
             unavailability: 0.3,
             trace: TraceGenConfig::default(),
             trace_overrides: None,

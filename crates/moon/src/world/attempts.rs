@@ -10,7 +10,7 @@
 //! shuffle fetch, or replication).
 
 use super::shuffle::ShuffleState;
-use super::{Ev, FlowPurpose, World};
+use super::{Ev, FlowPurpose, World, FETCH_RETRY_DELAY};
 use dfs::{BlockId, FileId, NodeId};
 use mapred::{AttemptId, TaskKind};
 use netsim::{Changes, FlowId};
@@ -89,7 +89,7 @@ impl World {
             TaskKind::Reduce => {
                 self.attempts.get_mut(&id).unwrap().shuffle_started = Some(ctx.now());
                 self.pump_shuffle(ctx, id);
-                ctx.schedule(self.cluster.fetch_retry_delay, Ev::ShuffleTick(id));
+                ctx.schedule(FETCH_RETRY_DELAY, Ev::ShuffleTick(id));
             }
         }
     }

@@ -10,7 +10,10 @@
 //! *the* job has) — closed streams inject each client's next job at
 //! commit, a think-time later.
 
-use super::{Ev, FlowPurpose, JobSlot, World};
+use super::{
+    Ev, FlowPurpose, JobSlot, World, MAX_REPLICATION_STREAMS, REPLICATION_SCAN_INTERVAL,
+    TRACKER_CHECK_INTERVAL,
+};
 use dfs::{FileKind, NodeId};
 use mapred::JobSpec;
 use netsim::Changes;
@@ -105,14 +108,15 @@ impl World {
             self.cancel_attempt_physical(ctx, a);
         }
         self.nn.check_liveness(ctx.now());
-        ctx.schedule(self.cluster.tracker_check_interval, Ev::TrackerCheck);
+        ctx.schedule(TRACKER_CHECK_INTERVAL, Ev::TrackerCheck);
     }
 
     pub(super) fn on_replication_scan(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        let max = self.cluster.max_replication_streams;
-        let cmds = self
-            .nn
-            .replication_scan(ctx.now(), max, ctx.rng().stream(StreamId::Placement));
+        let cmds = self.nn.replication_scan(
+            ctx.now(),
+            MAX_REPLICATION_STREAMS,
+            ctx.rng().stream(StreamId::Placement),
+        );
         let mut all = Changes::default();
         for cmd in cmds {
             let path = self.transfer_path(cmd.source, cmd.target);
@@ -137,7 +141,7 @@ impl World {
             ctx.stop();
             return;
         }
-        ctx.schedule(self.cluster.replication_scan_interval, Ev::ReplicationScan);
+        ctx.schedule(REPLICATION_SCAN_INTERVAL, Ev::ReplicationScan);
     }
 
     /// Stamp commits for jobs whose output just reached its replication

@@ -52,6 +52,21 @@ use simkit::{Ctx, EventId, Model, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use workloads::{ArrivalModel, JobStream, WorkloadSpec};
 
+/// TaskTracker/DataNode heartbeat period.
+const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(3);
+/// JobTracker tracker-liveness sweep period.
+const TRACKER_CHECK_INTERVAL: SimDuration = SimDuration::from_secs(10);
+/// NameNode replication-scan period.
+const REPLICATION_SCAN_INTERVAL: SimDuration = SimDuration::from_secs(3);
+/// Replication commands issued per scan.
+const MAX_REPLICATION_STREAMS: usize = 8;
+/// A shuffle fetch stalled this long reports a fetch failure.
+const FETCH_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+/// A DFS read/write stalled this long is aborted and retried.
+const IO_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+/// Delay before a reduce retries a failed fetch.
+const FETCH_RETRY_DELAY: SimDuration = SimDuration::from_secs(10);
+
 /// Events of the world model.
 #[derive(Debug, Clone)]
 pub enum Ev {
@@ -405,10 +420,8 @@ impl World {
             rt.heartbeat_ev = ev;
             rt.next_beat = at;
         }
-        let tci = sim.model().cluster.tracker_check_interval;
-        sim.schedule(tci, Ev::TrackerCheck);
-        let rsi = sim.model().cluster.replication_scan_interval;
-        sim.schedule(rsi, Ev::ReplicationScan);
+        sim.schedule(TRACKER_CHECK_INTERVAL, Ev::TrackerCheck);
+        sim.schedule(REPLICATION_SCAN_INTERVAL, Ev::ReplicationScan);
         // Job submissions. The paper's single job arrives at t = 1 s;
         // stream arrivals are offsets from that base instant. Poisson
         // inter-arrival gaps derive from the root seed on a dedicated
@@ -534,8 +547,8 @@ impl World {
                 continue;
             }
             let timeout = match self.flows.get(&f) {
-                Some(FlowPurpose::Fetch { .. }) => self.cluster.fetch_timeout,
-                Some(_) => self.cluster.io_timeout,
+                Some(FlowPurpose::Fetch { .. }) => FETCH_TIMEOUT,
+                Some(_) => IO_TIMEOUT,
                 None => continue,
             };
             let ev = ctx.schedule(timeout, Ev::FlowStallTimeout(f));

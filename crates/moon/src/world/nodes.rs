@@ -19,7 +19,7 @@
 //! — the order in which same-instant beats leave the queue had they
 //! never been parked. DESIGN.md §7 gives the argument.
 
-use super::{Ev, World};
+use super::{Ev, World, HEARTBEAT_INTERVAL};
 use mapred::AttemptId;
 use netsim::Changes;
 use simkit::{Ctx, EventId, SimDuration, SimTime, StreamId};
@@ -151,12 +151,11 @@ impl World {
             }
         }
 
-        let interval = self.cluster.heartbeat_interval;
         let park = self.jt.active_job_count() == 0
             && self.node(n).local_attempts.is_empty()
             && !self.nn.needs_bandwidth(n);
         let rt = &mut self.nodes[n.0 as usize];
-        rt.next_beat = ctx.now() + interval;
+        rt.next_beat = ctx.now() + HEARTBEAT_INTERVAL;
         rt.heartbeat_ev = if park {
             EventId::NONE
         } else {
@@ -174,7 +173,7 @@ impl World {
     /// before `now`. While no job runs they only stamp the time, so
     /// the last one suffices; `next_beat` moves past it.
     fn stamp_parked(&mut self, n: dfs::NodeId, now: SimTime) {
-        let interval = self.cluster.heartbeat_interval.as_micros();
+        let interval = HEARTBEAT_INTERVAL.as_micros();
         let due = self.nodes[n.0 as usize].next_beat.as_micros();
         if due >= now.as_micros() {
             return;

@@ -11,7 +11,7 @@
 //! re-execution (§VI-B).
 
 use super::attempts::Phase;
-use super::{Ev, FlowPurpose, World};
+use super::{Ev, FlowPurpose, World, FETCH_RETRY_DELAY};
 use dfs::NodeId;
 use mapred::{AttemptId, TaskId, TaskKind};
 use netsim::FlowId;
@@ -242,7 +242,7 @@ impl World {
         // Keep ticking while the attempt is still shuffling.
         if let Some(rt) = self.attempts.get(&id) {
             if matches!(rt.phase, Phase::Shuffle(_)) {
-                ctx.schedule(self.cluster.fetch_retry_delay, Ev::ShuffleTick(id));
+                ctx.schedule(FETCH_RETRY_DELAY, Ev::ShuffleTick(id));
             }
         }
     }

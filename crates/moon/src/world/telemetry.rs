@@ -113,9 +113,11 @@ impl World {
             events_handled as f64,
             self.jt.preempted_total() as f64,
         ];
-        let t = self.telemetry.as_mut().expect("caller checked enabled");
-        t.rec.record_sample(now, &row);
-        t.rec.record_wall_rate(events_handled);
+        self.telemetry
+            .as_mut()
+            .expect("caller checked enabled")
+            .rec
+            .record_sample(now, &row);
     }
 
     /// An attempt left the runtime table: emit its lifecycle span.

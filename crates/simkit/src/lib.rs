@@ -12,7 +12,7 @@
 //!   single root seed, so adding a subsystem never perturbs another's draws.
 //! - [`PausableWork`]: progress bookkeeping for tasks that suspend and
 //!   resume with node availability (the paper's emulation model).
-//! - [`stats`]: streaming summaries, time-weighted gauges, histograms.
+//! - [`stats`]: the streaming mean behind the per-attempt timing metrics.
 //! - [`telemetry`]: sim-time gauge sampling, span timelines, and the
 //!   JSONL / Chrome-trace exporters, fed from [`Model::observe`].
 //! - [`env`](mod@env): the workspace's environment-knob parsing rules.
@@ -57,7 +57,7 @@ mod work;
 pub use engine::{Ctx, DispatchStats, Model, RunOutcome, Simulation};
 pub use queue::{EventId, EventQueue};
 pub use rng::{derive_seed, RngPool, StreamId};
-pub use stats::{DurationHistogram, Summary, TimeWeighted};
+pub use stats::Summary;
 pub use telemetry::{Span, SpanGroup, SpanKind, Telemetry, TelemetryConfig};
 pub use time::{SimDuration, SimTime, MICROS_PER_SEC};
 pub use work::PausableWork;

@@ -87,12 +87,6 @@ impl RngPool {
             .entry(stream)
             .or_insert_with(|| StdRng::seed_from_u64(derive_seed(root, stream.mix_key())))
     }
-
-    /// A standalone generator for `stream`, independent of the pool cache.
-    /// Useful for precomputing traces outside the simulation loop.
-    pub fn fork(&self, stream: StreamId) -> StdRng {
-        StdRng::seed_from_u64(derive_seed(self.root, stream.mix_key()))
-    }
 }
 
 #[cfg(test)]
@@ -129,15 +123,6 @@ mod tests {
         let x: u64 = p.stream(StreamId::Placement).gen();
         let y: u64 = q.stream(StreamId::Placement).gen();
         assert_ne!(x, y);
-    }
-
-    #[test]
-    fn fork_matches_pool_stream() {
-        let mut p = RngPool::new(55);
-        let mut f = p.fork(StreamId::Workload(9));
-        let x: u64 = p.stream(StreamId::Workload(9)).gen();
-        let y: u64 = f.gen();
-        assert_eq!(x, y);
     }
 
     #[test]

@@ -1,45 +1,19 @@
-//! Lightweight statistics primitives used throughout the simulator:
-//! streaming summaries (Welford), time-weighted averages for utilisation
-//! metrics, and fixed-bucket histograms for latency-style distributions.
+//! Streaming statistics for the simulator's per-attempt timing
+//! metrics.
 
-use crate::time::{SimDuration, SimTime};
-
-/// Streaming mean / variance / min / max over f64 samples (Welford's
-/// algorithm; numerically stable, O(1) memory).
+/// Streaming mean over f64 samples (Welford's update; O(1) memory).
 #[derive(Debug, Clone, Default)]
 pub struct Summary {
     n: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Summary {
-    /// Empty summary.
-    pub fn new() -> Self {
-        Summary {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
     /// Add one sample.
     pub fn record(&mut self, x: f64) {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
     }
 
     /// Sample mean (0.0 when empty).
@@ -50,183 +24,6 @@ impl Summary {
             self.mean
         }
     }
-
-    /// Population variance (0.0 for fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (None when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest sample (None when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.n as f64
-    }
-
-    /// Merge another summary into this one (parallel Welford combine).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n;
-        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n;
-        self.n += other.n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal (e.g. number of
-/// unavailable nodes, queue depth, bandwidth in flight).
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    value: f64,
-    last_change: SimTime,
-    weighted_sum: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Start tracking a signal whose value is `initial` at time `start`.
-    pub fn new(start: SimTime, initial: f64) -> Self {
-        TimeWeighted {
-            value: initial,
-            last_change: start,
-            weighted_sum: 0.0,
-            start,
-        }
-    }
-
-    /// Record that the signal changed to `value` at time `now`.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        self.weighted_sum += self.value * now.since(self.last_change).as_secs_f64();
-        self.value = value;
-        self.last_change = now;
-    }
-
-    /// Adjust the signal by `delta` at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
-    }
-
-    /// Current instantaneous value.
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
-    /// Time-weighted mean over [start, now].
-    pub fn average(&self, now: SimTime) -> f64 {
-        let span = now.since(self.start).as_secs_f64();
-        if span <= 0.0 {
-            return self.value;
-        }
-        let total = self.weighted_sum + self.value * now.since(self.last_change).as_secs_f64();
-        total / span
-    }
-}
-
-/// Fixed-width-bucket histogram of durations, for latency distributions.
-#[derive(Debug, Clone)]
-pub struct DurationHistogram {
-    bucket_width: SimDuration,
-    buckets: Vec<u64>,
-    overflow: u64,
-    summary: Summary,
-}
-
-impl DurationHistogram {
-    /// Histogram with `n_buckets` buckets of `bucket_width` each; samples
-    /// past the last bucket count as overflow.
-    pub fn new(bucket_width: SimDuration, n_buckets: usize) -> Self {
-        assert!(!bucket_width.is_zero(), "bucket width must be positive");
-        assert!(n_buckets > 0, "need at least one bucket");
-        DurationHistogram {
-            bucket_width,
-            buckets: vec![0; n_buckets],
-            overflow: 0,
-            summary: Summary::new(),
-        }
-    }
-
-    /// Add one duration sample.
-    pub fn record(&mut self, d: SimDuration) {
-        self.summary.record(d.as_secs_f64());
-        let idx = (d.as_micros() / self.bucket_width.as_micros()) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Count in bucket `i` (covering `[i*w, (i+1)*w)`).
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Number of buckets (excluding overflow).
-    pub fn n_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Samples beyond the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.summary.count()
-    }
-
-    /// Streaming summary of all samples.
-    pub fn summary(&self) -> &Summary {
-        &self.summary
-    }
-
-    /// Approximate quantile (by bucket midpoint); None when empty.
-    pub fn quantile(&self, q: f64) -> Option<SimDuration> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(self.bucket_width * i as u64 + self.bucket_width / 2);
-            }
-        }
-        // Target falls in overflow: report the first overflow boundary.
-        Some(self.bucket_width * self.buckets.len() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -235,81 +32,15 @@ mod tests {
 
     #[test]
     fn summary_basic_moments() {
-        let mut s = Summary::new();
+        let mut s = Summary::default();
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             s.record(x);
         }
-        assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-        assert!((s.sum() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Summary::new();
-        xs.iter().for_each(|&x| whole.record(x));
-        let mut left = Summary::new();
-        let mut right = Summary::new();
-        xs[..37].iter().for_each(|&x| left.record(x));
-        xs[37..].iter().for_each(|&x| right.record(x));
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
     }
 
     #[test]
     fn summary_empty_is_zeroish() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut g = TimeWeighted::new(SimTime::ZERO, 0.0);
-        g.set(SimTime::from_secs(10), 4.0); // 0 for 10s
-        g.set(SimTime::from_secs(30), 1.0); // 4 for 20s
-                                            // 1 for 10s
-        let avg = g.average(SimTime::from_secs(40));
-        // (0*10 + 4*20 + 1*10) / 40 = 90/40 = 2.25
-        assert!((avg - 2.25).abs() < 1e-12);
-        assert_eq!(g.current(), 1.0);
-    }
-
-    #[test]
-    fn time_weighted_add() {
-        let mut g = TimeWeighted::new(SimTime::ZERO, 2.0);
-        g.add(SimTime::from_secs(5), 3.0);
-        assert_eq!(g.current(), 5.0);
-        g.add(SimTime::from_secs(5), -4.0);
-        assert_eq!(g.current(), 1.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = DurationHistogram::new(SimDuration::from_secs(1), 10);
-        for s in 0..10u64 {
-            h.record(SimDuration::from_millis(s * 1000 + 500));
-        }
-        assert_eq!(h.count(), 10);
-        for i in 0..10 {
-            assert_eq!(h.bucket(i), 1);
-        }
-        let median = h.quantile(0.5).unwrap();
-        assert_eq!(median, SimDuration::from_millis(4500));
-    }
-
-    #[test]
-    fn histogram_overflow() {
-        let mut h = DurationHistogram::new(SimDuration::from_secs(1), 2);
-        h.record(SimDuration::from_secs(100));
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.quantile(1.0), Some(SimDuration::from_secs(2)));
+        assert_eq!(Summary::default().mean(), 0.0);
     }
 }

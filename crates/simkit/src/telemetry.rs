@@ -12,10 +12,7 @@
 //! 2. **Deterministic when enabled.** Everything recorded derives from
 //!    simulated time and model state — never wall-clock, thread id, or
 //!    map iteration order — so the same seed produces bit-identical
-//!    artifacts on any thread of a parallel sweep. The one wall-clock
-//!    quantity (events/sec throughput) is kept in a side series that is
-//!    *not* exported into artifacts; it surfaces via
-//!    [`Telemetry::wall_summary`] for perf logs only.
+//!    artifacts on any thread of a parallel sweep.
 //! 3. **Bounded memory.** Gauges are sampled on a fixed cadence into a
 //!    columnar row-major `Vec<f64>`; spans go into a bounded ring that
 //!    drops the *oldest* entries and counts what it dropped, so a
@@ -28,7 +25,6 @@
 
 use crate::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
-use std::time::Instant;
 
 /// Configuration for a [`Telemetry`] recorder.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,10 +108,6 @@ pub struct Telemetry {
     /// Display names for tracks, keyed by (group, track). BTreeMap so
     /// export order is deterministic.
     tracks: BTreeMap<(SpanGroup, u32), String>,
-    /// Wall-clock anchor for the events/sec side series. Never exported
-    /// into artifacts (it would break bit-identity across machines).
-    wall_start: Instant,
-    wall_rates: Vec<f64>,
 }
 
 impl Telemetry {
@@ -133,8 +125,6 @@ impl Telemetry {
             spans: VecDeque::new(),
             dropped_spans: 0,
             tracks: BTreeMap::new(),
-            wall_start: Instant::now(),
-            wall_rates: Vec::new(),
         }
     }
 
@@ -171,20 +161,6 @@ impl Telemetry {
         while self.next_due <= now {
             self.next_due = self.next_due.saturating_add(self.cfg.sample_every);
         }
-    }
-
-    /// Record the wall-clock events/sec side series point for a sample:
-    /// `events_handled` divided by elapsed wall time since the recorder
-    /// was created. Kept out of the exported artifacts (wall clock is
-    /// machine-dependent); read back via
-    /// [`wall_summary`](Telemetry::wall_summary).
-    pub fn record_wall_rate(&mut self, events_handled: u64) {
-        let secs = self.wall_start.elapsed().as_secs_f64();
-        self.wall_rates.push(if secs > 0.0 {
-            events_handled as f64 / secs
-        } else {
-            0.0
-        });
     }
 
     /// Number of gauge rows recorded.
@@ -252,13 +228,6 @@ impl Telemetry {
     /// Spans evicted from the ring because it was full.
     pub fn dropped_spans(&self) -> u64 {
         self.dropped_spans
-    }
-
-    /// One-line wall-clock throughput summary (side data, not part of
-    /// any artifact): final events/sec observed at the last sample, or
-    /// `None` if nothing was sampled.
-    pub fn wall_summary(&self) -> Option<f64> {
-        self.wall_rates.last().copied()
     }
 
     /// Append the gauge series as fixed-key JSONL to `out`: one line

@@ -37,11 +37,6 @@ impl PausableWork {
         self.total
     }
 
-    /// True if currently accumulating progress.
-    pub fn is_running(&self) -> bool {
-        self.running_since.is_some()
-    }
-
     /// Start (or restart) progress at `now`. Idempotent while running.
     pub fn resume(&mut self, now: SimTime) {
         if self.running_since.is_none() {
@@ -154,7 +149,6 @@ mod tests {
         let mut w = PausableWork::new(d(10));
         w.pause(t(3));
         assert_eq!(w.done(t(3)), SimDuration::ZERO);
-        assert!(!w.is_running());
     }
 
     #[test]

@@ -386,14 +386,39 @@ fn result_digest(r: &RunResult) -> u64 {
     h
 }
 
-/// Golden digest of a Poisson stream with idle gaps between jobs on 74
-/// nodes. Beats of nodes i and i + 60 share an instant (50 ms stagger,
-/// 3 s period), so the run pins the order in which same-instant beats
-/// are served when a job arrives after an idle gap, not only which
-/// beats happen. The constant was recorded before idle beats were
-/// parked; every field but the event count must still match it.
-#[test]
-fn idle_gap_stream_matches_recorded_digest() {
+/// One golden row: a run and the digest recorded for it.
+struct Golden {
+    name: &'static str,
+    run: fn() -> RunResult,
+    digest: u64,
+}
+
+/// A single job under a catalog policy on the small 12 + 2 cluster.
+fn catalog_run(policy: &str, workload: workloads::WorkloadSpec, rate: f64) -> RunResult {
+    Experiment {
+        cluster: ClusterConfig::small(rate),
+        policy: scenarios::policy::resolve(policy).expect("catalog id"),
+        workload,
+        seed: 3,
+    }
+    .run()
+}
+
+/// The quick workload with 150 s maps: long enough for MOON's slow
+/// list (the 60 s straggler rule and the per-task speculation cap) to
+/// pick tasks, which the 10 s quick maps never reach.
+fn long_maps() -> workloads::WorkloadSpec {
+    workloads::WorkloadSpec {
+        map_cpu: workloads::DurationModel::around(simkit::SimDuration::from_secs(150)),
+        ..moon::quick_workload()
+    }
+}
+
+/// A Poisson stream with idle gaps between jobs on 74 nodes. Beats of
+/// nodes i and i + 60 share an instant (50 ms stagger, 3 s period), so
+/// the run pins the order in which same-instant beats are served when
+/// a job arrives after an idle gap, not only which beats happen.
+fn idle_gap_stream() -> RunResult {
     let r = Experiment {
         cluster: ClusterConfig {
             n_volatile: 70,
@@ -416,6 +441,54 @@ fn idle_gap_stream_matches_recorded_digest() {
     );
     let rows = r.jobs.as_ref().expect("stream runs carry SLO rows");
     assert_eq!(rows.len(), 5, "{rows:?}");
-    let digest = result_digest(&r);
-    assert_eq!(digest, 0x182a_c836_6c73_4441, "digest {digest:#018x}");
+    r
+}
+
+/// Golden digests of the policy families: the idle-gap stream (recorded
+/// before idle beats were parked), then one quick job per scheduler
+/// family — Hadoop's straggler rule, MOON with and without hybrid
+/// placement — the Figure 4 reliable-intermediate setup, and MOON's
+/// slow list on long maps. Every field but the event count must match.
+#[test]
+fn runs_match_recorded_digests() {
+    let goldens = [
+        Golden {
+            name: "idle-gap stream",
+            run: idle_gap_stream,
+            digest: 0x182a_c836_6c73_4441,
+        },
+        Golden {
+            name: "hadoop-1min p=0.5",
+            run: || catalog_run("hadoop-1min", moon::quick_workload(), 0.5),
+            digest: 0xd37b_2e02_2379_773d,
+        },
+        Golden {
+            name: "moon p=0.5",
+            run: || catalog_run("moon", moon::quick_workload(), 0.5),
+            digest: 0x8a91_6adf_95bf_a1a4,
+        },
+        Golden {
+            name: "moon-hybrid p=0.5",
+            run: || catalog_run("moon-hybrid", moon::quick_workload(), 0.5),
+            digest: 0x6b8d_dca8_b1cd_9b99,
+        },
+        Golden {
+            name: "ha-v1+reliable p=0.3",
+            run: || catalog_run("ha-v1+reliable", moon::quick_workload(), 0.3),
+            digest: 0x99f0_9d34_be9c_2e4a,
+        },
+        Golden {
+            name: "moon-hybrid long maps p=0.5",
+            run: || catalog_run("moon-hybrid", long_maps(), 0.5),
+            digest: 0xd8cb_7702_b78a_0fdd,
+        },
+    ];
+    let mut wrong = Vec::new();
+    for g in &goldens {
+        let digest = result_digest(&(g.run)());
+        if digest != g.digest {
+            wrong.push(format!("{}: {digest:#018x}", g.name));
+        }
+    }
+    assert!(wrong.is_empty(), "digests moved: {wrong:?}");
 }
