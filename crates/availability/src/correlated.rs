@@ -18,6 +18,9 @@ use rand_distr::{Distribution, Normal, Poisson};
 use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 
+/// Coefficient of variation of a session's (Normal) duration.
+const SESSION_DURATION_CV: f64 = 0.3;
+
 /// Parameters for the correlated fleet generator.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CorrelatedConfig {
@@ -31,8 +34,6 @@ pub struct CorrelatedConfig {
     pub session_fraction_mean: f64,
     /// Session duration mean (a lab session, e.g. 50 minutes).
     pub session_duration: SimDuration,
-    /// Coefficient of variation of the session duration.
-    pub session_duration_cv: f64,
     /// If true, modulate session intensity with a mid-day peak
     /// (the Figure 1 traces run 9:00–17:00 with a hump around 11:00–14:00).
     pub diurnal: bool,
@@ -51,7 +52,6 @@ impl Default for CorrelatedConfig {
             sessions_per_hour: 1.0,
             session_fraction_mean: 0.3,
             session_duration: SimDuration::from_secs(50 * 60),
-            session_duration_cv: 0.3,
             diurnal: true,
         }
     }
@@ -83,7 +83,7 @@ pub fn generate_fleet<R: Rng>(cfg: &CorrelatedConfig, rng: &mut R) -> Vec<Availa
 
     // 2. Correlated sessions: thinned Poisson process over the horizon.
     let dur_mu = cfg.session_duration.as_secs_f64();
-    let dur_sigma = (cfg.session_duration_cv * dur_mu).max(f64::EPSILON);
+    let dur_sigma = (SESSION_DURATION_CV * dur_mu).max(f64::EPSILON);
     let dur_dist = Normal::new(dur_mu, dur_sigma).expect("valid Normal");
     let slots_per_hour = 12; // 5-minute candidate slots for session starts
     let n_slots = (horizon_s / 3600.0 * slots_per_hour as f64).ceil() as usize;

@@ -41,11 +41,6 @@ impl SlidingWindowEstimator {
         }
     }
 
-    /// The configured window length `I`.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
     fn evict(&mut self, now: SimTime) {
         let cutoff = now.since(SimTime::ZERO).saturating_sub(self.window);
         let cutoff = SimTime::ZERO + cutoff;

@@ -63,9 +63,10 @@ impl Default for NameNodeConfig {
 }
 
 impl NameNodeConfig {
-    /// Stock-HDFS behaviour (the Hadoop baselines in the paper), with the
-    /// given expiry interval.
-    pub fn hadoop(expiry: SimDuration) -> Self {
+    /// Stock-HDFS behaviour (the Hadoop baselines in the paper), with
+    /// HDFS's 10-minute `NodeExpiryInterval`.
+    pub fn hadoop() -> Self {
+        let expiry = SimDuration::from_mins(10);
         NameNodeConfig {
             hibernate_interval: expiry,
             expiry_interval: expiry,
@@ -218,11 +219,6 @@ impl NameNode {
             replication_commands: 0,
             replication_bytes: 0,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &NameNodeConfig {
-        &self.cfg
     }
 
     // ------------------------------------------------------------------
@@ -1244,7 +1240,7 @@ mod tests {
         // Only the throttle reads a heartbeat's bandwidth sample, and
         // only hybrid mode gives dedicated nodes one.
         let hybrid = small_cluster(NameNodeConfig::default());
-        let stock = small_cluster(NameNodeConfig::hadoop(SimDuration::from_mins(10)));
+        let stock = small_cluster(NameNodeConfig::hadoop());
         for i in 0..6 {
             assert_eq!(hybrid.needs_bandwidth(NodeId(i)), i < 2, "hybrid n{i}");
             assert!(!stock.needs_bandwidth(NodeId(i)), "stock n{i}");
@@ -1567,7 +1563,7 @@ mod tests {
 
     #[test]
     fn hadoop_mode_is_uniform_and_class_blind() {
-        let mut nn = small_cluster(NameNodeConfig::hadoop(SimDuration::from_mins(10)));
+        let mut nn = small_cluster(NameNodeConfig::hadoop());
         beat_all(&mut nn, t(0));
         let f = nn.create_file(FileKind::Reliable, ReplicationFactor::uniform(3));
         let b = nn.allocate_block(f, 64);
@@ -1773,7 +1769,7 @@ mod remove_block_tests {
         }
         assert!(!nn.is_fully_replicated(g));
 
-        let mut flat = NameNode::new(NameNodeConfig::hadoop(SimDuration::from_mins(10)));
+        let mut flat = NameNode::new(NameNodeConfig::hadoop());
         for i in 0..3 {
             flat.register_node(t(0), NodeId(i), NodeClass::Volatile);
         }

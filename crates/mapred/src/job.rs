@@ -1,6 +1,6 @@
 //! Job specifications and per-task runtime state.
 
-use crate::types::{AttemptId, AttemptState, JobId, LaunchReason, TaskId, TaskKind};
+use crate::types::{AttemptId, AttemptState, LaunchReason, TaskId};
 use dfs::NodeId;
 use simkit::SimTime;
 
@@ -106,8 +106,6 @@ pub struct TaskState {
     pub attempts: Vec<AttemptInfo>,
     /// Completed successfully?
     pub completed: bool,
-    /// The attempt that completed it.
-    pub completed_by: Option<AttemptId>,
     /// Times this task's attempts *failed* (not kills); counts against
     /// `max_task_failures`.
     pub failures: u32,
@@ -126,7 +124,6 @@ impl TaskState {
             id,
             attempts: Vec::new(),
             completed: false,
-            completed_by: None,
             failures: 0,
             output_lost_count: 0,
             first_launch_seq: u32::MAX,
@@ -185,21 +182,12 @@ impl TaskState {
     pub fn has_live_attempt_on<F: Fn(NodeId) -> bool>(&self, pred: F) -> bool {
         self.live_attempts().any(|a| pred(a.node))
     }
-
-    /// Kind shorthand.
-    pub fn kind(&self) -> TaskKind {
-        self.id.kind
-    }
-
-    /// Job shorthand.
-    pub fn job(&self) -> JobId {
-        self.id.job
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::{JobId, TaskKind};
 
     fn tid() -> TaskId {
         TaskId {

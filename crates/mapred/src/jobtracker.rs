@@ -30,6 +30,18 @@ const MAX_SPECULATIVE_PER_TASK: u32 = 1;
 /// scheduled (Hadoop's "slowstart").
 const REDUCE_SLOWSTART: f64 = 0.05;
 
+/// Hadoop's straggler ("slow task") test, the one rule both speculative
+/// pickers apply to a live, incomplete task: it is under the per-task
+/// speculative cap, its oldest live attempt has run at least
+/// [`STRAGGLER_MIN_RUNTIME`], and its best progress is more than
+/// [`STRAGGLER_GAP`] below `avg`, its job's average for the task kind.
+fn is_straggler(task: &TaskState, now: SimTime, avg: f64) -> bool {
+    let oldest_start = || task.live_attempts().map(|a| a.started).min().unwrap_or(now);
+    (task.n_live_speculative() as u32) < MAX_SPECULATIVE_PER_TASK
+        && now.since(oldest_start()) >= STRAGGLER_MIN_RUNTIME
+        && task.best_progress() < avg - STRAGGLER_GAP
+}
+
 /// Liveness of a TaskTracker as seen by the JobTracker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrackerState {
@@ -48,7 +60,8 @@ struct Tracker {
     reduce_slots: u32,
     last_heartbeat: SimTime,
     state: TrackerState,
-    /// Live attempts assigned to this tracker.
+    /// Live attempts assigned to this tracker: maintained at launch and
+    /// release, recounted by [`JobTracker::audit_indexes`].
     running: BTreeSet<AttemptId>,
 }
 
@@ -231,8 +244,9 @@ pub struct SuccessResponse {
 /// dense ids (`JobId`, `NodeId`, `TaskId::index`, `AttemptId::attempt`),
 /// as the NameNode's do, so every lookup is an index. Hot-path state is
 /// indexed so per-event cost tracks *active* work, not lifetime totals:
-/// `running_jobs` keeps the pickers off completed jobs and the
-/// alive-slot counters make `available_slots` O(1).
+/// `running_jobs` keeps the pickers off completed jobs, the
+/// alive-slot counters make `available_slots` O(1), and each tracker's
+/// `running` set makes its free slots and [`Self::attempts_on`] local.
 /// Liveness sweeps walk the tracker table: heartbeats outnumber sweeps
 /// about 3:1 per tracker, so an index kept in heartbeat order would cost
 /// more to maintain than the walk it saves. Debug builds cross-check
@@ -290,8 +304,10 @@ impl JobTracker {
         }
     }
 
-    /// Recount every incremental index from scratch and report each
-    /// discrepancy as one line (empty = no drift). Debug builds assert
+    /// Recount every maintained index from scratch — `running_jobs`,
+    /// the alive-slot counters, each job's `live_attempts` and each
+    /// tracker's `running` set — and report each discrepancy as one
+    /// line (empty = no drift). Debug builds assert
     /// it is empty at each liveness sweep; release-mode fuzzing runs it
     /// after every experiment (`World::debug_final_audit`), where a
     /// panic would abort the whole campaign instead of becoming a
@@ -328,12 +344,29 @@ impl JobTracker {
                 self.alive_reduce_slots
             ));
         }
+        // Each tracker's running set holds exactly the live attempts
+        // placed on it (launch only places on registered trackers).
+        let mut placed: Vec<BTreeSet<AttemptId>> = vec![BTreeSet::new(); self.trackers.len()];
         for (jid, job) in self.job_ids().zip(&self.jobs) {
             let live: u32 = job.all_tasks().map(|t| t.n_live() as u32).sum();
             if job.live_attempts != live {
                 issues.push(format!(
                     "job {jid:?} live-attempt counter drifted: counter {}, recount {live}",
                     job.live_attempts
+                ));
+            }
+            for a in job.all_tasks().flat_map(TaskState::live_attempts) {
+                if let Some(set) = placed.get_mut(a.node.0 as usize) {
+                    set.insert(a.id);
+                }
+            }
+        }
+        let unregistered = BTreeSet::new();
+        for (i, (tr, recount)) in self.trackers.iter().zip(&placed).enumerate() {
+            let indexed = tr.as_ref().map_or(&unregistered, |tr| &tr.running);
+            if indexed != recount {
+                issues.push(format!(
+                    "tracker {i} running set drifted: indexed {indexed:?}, live attempts {recount:?}"
                 ));
             }
         }
@@ -363,24 +396,9 @@ impl JobTracker {
         self
     }
 
-    /// Is kill-and-requeue preemption enabled?
-    pub fn preemption(&self) -> bool {
-        self.preempt
-    }
-
     /// Lifetime count of attempts killed by preemption, across jobs.
     pub fn preempted_total(&self) -> u64 {
         self.total_preempted
-    }
-
-    /// The scheduling policy in force.
-    pub fn policy(&self) -> &SchedulerPolicy {
-        &self.policy
-    }
-
-    /// The cross-job ordering policy in force.
-    pub fn cross_job(&self) -> CrossJobPolicy {
-        self.cross_job
     }
 
     // ------------------------------------------------------------------
@@ -522,9 +540,10 @@ impl JobTracker {
         }
     }
 
-    /// An attempt's record: attempts are numbered by launch position and
-    /// never removed, so the number is the index.
-    fn attempt(&self, id: AttemptId) -> &AttemptInfo {
+    /// An attempt's record: where and when it launched, its state and
+    /// progress. Attempts are numbered by launch position and never
+    /// removed, so the number is the index.
+    pub fn attempt(&self, id: AttemptId) -> &AttemptInfo {
         &self.job(id.task.job).task(id.task).attempts[id.attempt as usize]
     }
 
@@ -613,11 +632,6 @@ impl JobTracker {
             .count()
     }
 
-    /// When the job finished (all tasks completed), if it has.
-    pub fn job_finished(&self, job: JobId) -> Option<SimTime> {
-        self.job(job).finished
-    }
-
     /// Snapshot of the job's counters.
     pub fn job_metrics(&self, job: JobId) -> JobMetrics {
         self.job(job).metrics
@@ -651,6 +665,11 @@ impl JobTracker {
     /// Time of the tracker's last heartbeat.
     pub fn last_heartbeat(&self, node: NodeId) -> SimTime {
         self.tracker(node).last_heartbeat
+    }
+
+    /// Live attempts assigned to the tracker on `node`, ascending.
+    pub fn attempts_on(&self, node: NodeId) -> impl Iterator<Item = AttemptId> + '_ {
+        self.tracker(node).running.iter().copied()
     }
 
     /// Process a TaskTracker heartbeat: revive it if needed, then hand it
@@ -1127,21 +1146,11 @@ impl JobTracker {
             // Least (non_local, first launch, id); ids are unique.
             let mut best: Option<(bool, u32, TaskId)> = None;
             for task in job.tasks(kind) {
-                if task.completed || task.n_live() == 0 {
-                    continue;
-                }
-                if task.n_live_speculative() as u32 >= MAX_SPECULATIVE_PER_TASK {
-                    continue;
-                }
-                if task.has_live_attempt_on(|n| n == node) {
-                    continue;
-                }
-                // Straggler test on the best live attempt.
-                let oldest_start = task.live_attempts().map(|a| a.started).min().unwrap_or(now);
-                if now.since(oldest_start) < STRAGGLER_MIN_RUNTIME {
-                    continue;
-                }
-                if task.best_progress() >= avg - STRAGGLER_GAP {
+                if task.completed
+                    || task.n_live() == 0
+                    || task.has_live_attempt_on(|n| n == node)
+                    || !is_straggler(task, now, avg)
+                {
                     continue;
                 }
                 let non_local = !job.input_local(task.id, node);
@@ -1199,14 +1208,9 @@ impl JobTracker {
                     frozen = Some(frozen.map_or(cand, |b| b.min(cand)));
                     continue;
                 }
-                if (task.n_live_speculative() as u32) < MAX_SPECULATIVE_PER_TASK {
-                    let oldest_start = task.live_attempts().map(|a| a.started).min().unwrap_or(now);
-                    if now.since(oldest_start) >= STRAGGLER_MIN_RUNTIME
-                        && task.best_progress() < avg - STRAGGLER_GAP
-                    {
-                        let cand = (progress_key, task.id);
-                        slow = Some(slow.map_or(cand, |b| b.min(cand)));
-                    }
+                if is_straggler(task, now, avg) {
+                    let cand = (progress_key, task.id);
+                    slow = Some(slow.map_or(cand, |b| b.min(cand)));
                 }
                 if homestretch_on && (task.n_running() as u32) < p.homestretch_r {
                     let cand = (task.n_running() as u32, progress_key, task.id);
@@ -1255,7 +1259,6 @@ impl JobTracker {
         info.state = AttemptState::Succeeded;
         info.progress = 1.0;
         task.completed = true;
-        task.completed_by = Some(attempt);
         let siblings: Vec<AttemptId> = task
             .attempts
             .iter()
@@ -1360,7 +1363,6 @@ impl JobTracker {
         // Re-open the map task.
         let task = job.task_mut(map);
         task.completed = false;
-        task.completed_by = None;
         task.output_lost_count += 1;
         job.metrics.completed_maps -= 1;
         job.fetch_failures.remove(&map);
@@ -1892,7 +1894,7 @@ mod tests {
         let s = jt.attempt_succeeded(t(100), red.attempt);
         assert!(s.job_completed);
         assert_eq!(jt.job_status(job), JobStatus::Succeeded);
-        assert_eq!(jt.job_finished(job), Some(t(100)));
+        assert_eq!(jt.job(job).finished, Some(t(100)));
         let m = jt.job_metrics(job);
         assert_eq!(m.completed_maps, 2);
         assert_eq!(m.completed_reduces, 1);
@@ -1914,7 +1916,7 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].attempt.task.job, j0);
         assert_eq!(r[1].attempt.task.job, j1);
-        assert_eq!(jt.cross_job(), CrossJobPolicy::Fifo);
+        assert_eq!(jt.cross_job, CrossJobPolicy::Fifo);
     }
 
     #[test]
@@ -2299,7 +2301,6 @@ mod tests {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut jt = JobTracker::new(
             SchedulerPolicy::Moon(MoonPolicy {
-                suspension_interval: SimDuration::from_secs(60),
                 tracker_expiry: SimDuration::from_secs(120),
                 ..MoonPolicy::default()
             }),

@@ -5,6 +5,11 @@
 
 use simkit::SimDuration;
 
+/// MOON's `SuspensionInterval` (§V): a tracker silent this long is
+/// *suspended* (its attempts flagged inactive, not killed). Paper: 1
+/// minute.
+const SUSPENSION_INTERVAL: SimDuration = SimDuration::from_mins(1);
+
 /// How the JobTracker reacts to map-output fetch failures (§VI-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FetchFailurePolicy {
@@ -102,9 +107,6 @@ impl HadoopPolicy {
 /// MOON's two-phase, volatility-aware scheduler (§V).
 #[derive(Debug, Clone)]
 pub struct MoonPolicy {
-    /// `SuspensionInterval`: silent trackers are *suspended* (attempts
-    /// flagged inactive, not killed). Paper: 1 minute.
-    pub suspension_interval: SimDuration,
     /// `TrackerExpiryInterval`: much larger than Hadoop's because
     /// suspension already handles transient outages. Paper: 30 minutes.
     pub tracker_expiry: SimDuration,
@@ -126,7 +128,6 @@ pub struct MoonPolicy {
 impl Default for MoonPolicy {
     fn default() -> Self {
         MoonPolicy {
-            suspension_interval: SimDuration::from_mins(1),
             tracker_expiry: SimDuration::from_mins(30),
             speculative_slot_fraction: 0.2,
             homestretch_h_percent: 20.0,
@@ -170,7 +171,7 @@ impl SchedulerPolicy {
     pub fn suspension_interval(&self) -> SimDuration {
         match self {
             SchedulerPolicy::Hadoop(p) => p.tracker_expiry,
-            SchedulerPolicy::Moon(p) => p.suspension_interval,
+            SchedulerPolicy::Moon(_) => SUSPENSION_INTERVAL,
         }
     }
 
@@ -195,7 +196,6 @@ mod tests {
     #[test]
     fn paper_defaults() {
         let m = MoonPolicy::default();
-        assert_eq!(m.suspension_interval, SimDuration::from_mins(1));
         assert_eq!(m.tracker_expiry, SimDuration::from_mins(30));
         assert!((m.speculative_slot_fraction - 0.2).abs() < 1e-12);
         assert!((m.homestretch_h_percent - 20.0).abs() < 1e-12);

@@ -150,7 +150,7 @@ impl PolicyConfig {
             cross_job: CrossJobPolicy::Fifo,
             preempt: false,
             fetch: FetchFailurePolicy::HadoopMajority,
-            namenode: NameNodeConfig::hadoop(SimDuration::from_mins(10)),
+            namenode: NameNodeConfig::hadoop(),
             input_factor: ReplicationFactor::uniform(n_replicas),
             output_factor: ReplicationFactor::uniform(n_replicas),
             intermediate_factor: ReplicationFactor::uniform(1),

@@ -12,8 +12,6 @@ pub struct RunMetrics {
     pub job_submitted: Option<SimTime>,
     /// When the job's output reached its replication factor.
     pub job_finished: Option<SimTime>,
-    /// Resolved reduce count (Table I's 0.9 × AvailSlots for sort).
-    pub n_reduces: u32,
     /// Per-successful-map-attempt wall time (launch → success).
     pub map_times: Summary,
     /// Per-successful-reduce shuffle time (launch → last fetch).
@@ -22,10 +20,6 @@ pub struct RunMetrics {
     pub reduce_times: Summary,
     /// Total shuffle fetch failures reported.
     pub fetch_failures: u64,
-    /// Fetch batches that completed after their map output had been
-    /// invalidated (map re-execution decided mid-flight) — the stale
-    /// data is discarded and the maps re-fetched.
-    pub stale_fetches: u64,
 }
 
 impl RunMetrics {

@@ -50,11 +50,10 @@ pub(super) enum Phase {
     Shuffle(ShuffleState),
 }
 
-/// Runtime state of one live attempt.
+/// Physical state of one live attempt. Its node and launch time are the
+/// JobTracker's record ([`mapred::JobTracker::attempt`]).
 pub(super) struct AttemptRt {
-    pub(super) node: NodeId,
-    pub(super) started: SimTime,
-    pub(super) shuffle_started: Option<SimTime>,
+    /// When a reduce fetched its last map output.
     pub(super) shuffle_done: Option<SimTime>,
     pub(super) phase: Phase,
 }
@@ -64,13 +63,10 @@ impl World {
     // Attempt lifecycle
     // ------------------------------------------------------------------
 
-    pub(super) fn start_attempt(&mut self, ctx: &mut Ctx<'_, Ev>, id: AttemptId, node: NodeId) {
+    pub(super) fn start_attempt(&mut self, ctx: &mut Ctx<'_, Ev>, id: AttemptId) {
         debug_assert!(!self.attempts.contains_key(&id), "attempt started twice");
         let n_maps = self.slot_for(id).workload.n_maps;
         let rt = AttemptRt {
-            node,
-            started: ctx.now(),
-            shuffle_started: None,
             shuffle_done: None,
             phase: match id.task.kind {
                 TaskKind::Map => Phase::MapRead { flow: None },
@@ -78,16 +74,13 @@ impl World {
                     waiting: (0..n_maps).collect(),
                     inflight: BTreeMap::new(),
                     fetched: BTreeSet::new(),
-                    done_at: None,
                 }),
             },
         };
         self.attempts.insert(id, rt);
-        self.nodes[node.0 as usize].local_attempts.insert(id);
         match id.task.kind {
             TaskKind::Map => self.begin_map_read(ctx, id),
             TaskKind::Reduce => {
-                self.attempts.get_mut(&id).unwrap().shuffle_started = Some(ctx.now());
                 self.pump_shuffle(ctx, id);
                 ctx.schedule(FETCH_RETRY_DELAY, Ev::ShuffleTick(id));
             }
@@ -95,10 +88,10 @@ impl World {
     }
 
     pub(super) fn begin_map_read(&mut self, ctx: &mut Ctx<'_, Ev>, id: AttemptId) {
-        let Some(rt) = self.attempts.get(&id) else {
+        if !self.attempts.contains_key(&id) {
             return;
-        };
-        let node = rt.node;
+        }
+        let node = self.jt.attempt(id).node;
         let block = self.slot_for(id).input_blocks[id.task.index as usize];
         let src =
             self.nn
@@ -120,16 +113,8 @@ impl World {
                 // every replica is gone for good the task fails.
                 if self.nn.live_replicas(block).is_empty() {
                     self.jt.attempt_failed(ctx.now(), id);
-                    if let Some(rt) = self.attempts.remove(&id) {
-                        self.obs_attempt_end(
-                            id.task.kind,
-                            node.0,
-                            rt.started,
-                            ctx.now(),
-                            super::telemetry::ATTEMPT_FAILED,
-                        );
-                    }
-                    self.nodes[node.0 as usize].local_attempts.remove(&id);
+                    self.attempts.remove(&id);
+                    self.obs_attempt_end(id, ctx.now(), super::telemetry::ATTEMPT_FAILED);
                 } else {
                     ctx.schedule(PHASE_RETRY_DELAY, Ev::PhaseRetry(id));
                 }
@@ -138,7 +123,7 @@ impl World {
     }
 
     pub(super) fn begin_compute(&mut self, ctx: &mut Ctx<'_, Ev>, id: AttemptId) {
-        let node = self.attempts[&id].node;
+        let node = self.jt.attempt(id).node;
         let workload = &self.slot_for(id).workload;
         let cpu = match id.task.kind {
             TaskKind::Map => workload
@@ -175,7 +160,8 @@ impl World {
             TaskKind::Reduce => {
                 let slot = self.slot_for(id);
                 let file = slot.output_file.expect("output file exists");
-                let bytes = slot.workload.output_bytes_per_reduce(slot.n_reduces);
+                let n_reduces = self.jt.job_spec(id.task.job).n_reduces;
+                let bytes = slot.workload.output_bytes_per_reduce(n_reduces);
                 let block = self.nn.allocate_block(file, bytes);
                 (file, block)
             }
@@ -190,7 +176,7 @@ impl World {
         file: FileId,
         block: BlockId,
     ) {
-        let node = self.attempts[&id].node;
+        let node = self.jt.attempt(id).node;
         let plan = self.nn.choose_write_targets(
             ctx.now(),
             block,
@@ -232,14 +218,7 @@ impl World {
         let Some(rt) = self.attempts.remove(&id) else {
             return;
         };
-        self.obs_attempt_end(
-            id.task.kind,
-            rt.node.0,
-            rt.started,
-            ctx.now(),
-            super::telemetry::ATTEMPT_KILLED,
-        );
-        self.nodes[rt.node.0 as usize].local_attempts.remove(&id);
+        self.obs_attempt_end(id, ctx.now(), super::telemetry::ATTEMPT_KILLED);
         let mut flows_to_cancel: Vec<FlowId> = Vec::new();
         match rt.phase {
             Phase::MapRead { flow } => {
@@ -375,54 +354,42 @@ impl World {
             }
             Phase::Write {
                 flow: Some(f),
-                file,
                 block,
                 targets,
+                ..
             } if *f == flow => {
-                let (file, block, targets) = (*file, *block, targets.clone());
+                let (block, targets) = (*block, targets.clone());
                 for t in &targets {
                     self.nn.commit_replica(block, *t);
                 }
-                self.finish_attempt(ctx, id, file, block);
+                self.finish_attempt(ctx, id, block);
             }
             _ => {}
         }
     }
 
-    fn finish_attempt(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        id: AttemptId,
-        file: FileId,
-        block: BlockId,
-    ) {
+    fn finish_attempt(&mut self, ctx: &mut Ctx<'_, Ev>, id: AttemptId, block: BlockId) {
         let rt = self.attempts.remove(&id).expect("attempt exists");
-        self.obs_attempt_end(
-            id.task.kind,
-            rt.node.0,
-            rt.started,
-            ctx.now(),
-            super::telemetry::ATTEMPT_SUCCEEDED,
-        );
-        self.nodes[rt.node.0 as usize].local_attempts.remove(&id);
+        self.obs_attempt_end(id, ctx.now(), super::telemetry::ATTEMPT_SUCCEEDED);
+        let started = self.jt.attempt(id).started;
         let resp = self.jt.attempt_succeeded(ctx.now(), id);
         for k in resp.kill {
             self.cancel_attempt_physical(ctx, k);
         }
         match id.task.kind {
             TaskKind::Map => {
-                self.slot_for_mut(id).map_outputs[id.task.index as usize] = Some((file, block));
+                self.slot_for_mut(id).map_outputs[id.task.index as usize] = Some(block);
                 self.metrics
                     .map_times
-                    .record(ctx.now().since(rt.started).as_secs_f64());
+                    .record(ctx.now().since(started).as_secs_f64());
                 self.notify_reduces_of_map(ctx, id.task.job, id.task.index);
             }
             TaskKind::Reduce => {
-                let sh_start = rt.shuffle_started.unwrap_or(rt.started);
+                // A reduce shuffles from its launch.
                 let sh_done = rt.shuffle_done.unwrap_or(ctx.now());
                 self.metrics
                     .shuffle_times
-                    .record(sh_done.since(sh_start).as_secs_f64());
+                    .record(sh_done.since(started).as_secs_f64());
                 self.metrics
                     .reduce_times
                     .record(ctx.now().since(sh_done).as_secs_f64());
@@ -430,9 +397,7 @@ impl World {
         }
         if resp.job_completed {
             let sidx = self.slot_of(id.task.job);
-            let slot = &mut self.jobs[sidx];
-            slot.tasks_done = true;
-            let out = slot.output_file;
+            let out = self.jobs[sidx].output_file;
             self.n_tasks_incomplete -= 1;
             self.commit_pending.insert(sidx);
             // Output commit: promote to reliable; the replication scanner

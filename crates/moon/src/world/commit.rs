@@ -60,7 +60,6 @@ impl World {
             ReduceCount::Fixed(n) => n,
             f @ ReduceCount::SlotsFraction(_) => f.resolve(avail_reduce_slots),
         };
-        self.jobs[slot].n_reduces = n_reduces;
         let locations: Vec<Vec<NodeId>> = self.jobs[slot]
             .input_blocks
             .iter()
@@ -79,17 +78,12 @@ impl World {
         }
         let job = self.jt.submit_job(ctx.now(), spec);
         self.jobs[slot].job = Some(job);
-        self.jobs[slot].submitted_at = Some(ctx.now());
         debug_assert_eq!(job.0 as usize, self.job_slots.len());
         self.job_slots.push(slot);
-        self.n_submitted += 1;
-        if self.metrics.job_submitted.is_none() {
-            self.metrics.job_submitted = Some(ctx.now());
-            self.metrics.n_reduces = n_reduces;
-        }
+        self.metrics.job_submitted.get_or_insert(ctx.now());
         // Committed slots were necessarily submitted, so the active
         // (submitted, not yet committed) gauge is a counter difference.
-        let active = self.n_submitted - self.n_committed;
+        let active = self.job_slots.len() as u32 - self.n_committed;
         self.peak_active_jobs = self.peak_active_jobs.max(active);
         // Output file: opportunistic until commit (§IV-A).
         let out = self

@@ -3,16 +3,21 @@
 //! everything is read-only over the world state.
 
 use super::World;
-use mapred::JobStatus;
+use dfs::NodeId;
+use mapred::{AttemptId, JobId, JobStatus};
 use std::collections::BTreeSet;
 
 impl World {
-    /// Cross-subsystem end-of-run audit: re-derives every incremental
-    /// counter and index from scratch (world job slots, JobTracker,
-    /// NameNode) and — when the run succeeded — checks the terminal
-    /// state is fully drained (no live attempts anywhere, no queued
-    /// jobs, nothing awaiting commit). Returns one line per
-    /// discrepancy; empty means the conservation invariants hold.
+    /// Cross-subsystem audit: re-derives every incremental counter and
+    /// index from scratch (world job slots, JobTracker, NameNode),
+    /// checks across the layers that the runtime attempt table holds
+    /// exactly the attempts the JobTracker places on its trackers, and
+    /// — when the run succeeded — checks the terminal state is fully
+    /// drained (no live attempts anywhere, no queued jobs, nothing
+    /// awaiting commit). Returns one line per discrepancy; empty means
+    /// the conservation invariants hold. Its recounts and the
+    /// cross-layer check hold between any two events, not only at the
+    /// end of a run.
     ///
     /// It never panics and is compiled in release builds, so the
     /// fuzzer can run it after every experiment and turn violations
@@ -23,44 +28,36 @@ impl World {
     pub fn debug_final_audit(&self) -> Vec<String> {
         let mut issues = self.audit_job_counters();
 
-        // Every committed job must be genuinely finished: tasks done,
-        // JobTracker agrees, and time flows forward.
+        // Every committed job must be genuinely finished: the JobTracker
+        // says its tasks all succeeded, and time flows forward.
         for (i, slot) in self.jobs.iter().enumerate() {
             let Some(finished) = slot.finished_at else {
                 continue;
             };
-            if !slot.tasks_done {
-                issues.push(format!("slot {i} committed with incomplete tasks"));
+            let Some(job) = slot.job else {
+                issues.push(format!("slot {i} committed without a submission record"));
+                continue;
+            };
+            let status = self.jt.job_status(job);
+            if status != JobStatus::Succeeded {
+                issues.push(format!("slot {i} committed but JobTracker says {status:?}"));
             }
-            match (slot.job, slot.submitted_at) {
-                (Some(job), Some(submitted)) => {
-                    let status = self.jt.job_status(job);
-                    if status != JobStatus::Succeeded {
-                        issues.push(format!("slot {i} committed but JobTracker says {status:?}"));
-                    }
-                    if finished < submitted {
-                        issues.push(format!("slot {i} committed before it was submitted"));
-                    }
-                }
-                _ => issues.push(format!("slot {i} committed without a submission record")),
+            if finished < self.jt.job_submitted(job) {
+                issues.push(format!("slot {i} committed before it was submitted"));
             }
         }
 
-        // The per-node attempt indexes must mirror the attempt table.
-        let mut local: BTreeSet<_> = BTreeSet::new();
-        for n in &self.nodes {
-            for &a in &n.local_attempts {
-                if !local.insert(a) {
-                    issues.push(format!("attempt {a} indexed on two nodes"));
-                }
-            }
-        }
-        let runtime: BTreeSet<_> = self.attempts.keys().copied().collect();
-        if local != runtime {
+        // Cross-layer: the runtime attempt table holds exactly the
+        // attempts the JobTracker places on its trackers.
+        let placed: BTreeSet<AttemptId> = (0..self.nodes.len() as u32)
+            .flat_map(|n| self.jt.attempts_on(NodeId(n)))
+            .collect();
+        let runtime: BTreeSet<AttemptId> = self.attempts.keys().copied().collect();
+        if placed != runtime {
             issues.push(format!(
-                "node-local attempt index drifted: indexed {}, runtime table {}",
-                local.len(),
-                runtime.len()
+                "runtime attempt table drifted from the JobTracker: only placed {:?}, only runtime {:?}",
+                placed.difference(&runtime).collect::<Vec<_>>(),
+                runtime.difference(&placed).collect::<Vec<_>>()
             ));
         }
 
@@ -131,23 +128,28 @@ impl World {
     }
 
     /// Recount the world's job-slot counters and commit-pending set
-    /// from scratch, one line per discrepancy (empty = no drift).
+    /// from the slots and the JobTracker's job statuses, one line per
+    /// discrepancy (empty = no drift).
     /// Debug builds assert it is empty at each commit sweep; the
     /// end-of-run audit runs it in release builds too.
     pub(super) fn audit_job_counters(&self) -> Vec<String> {
         let mut issues = Vec::new();
-        let submitted = self
+        // `job_slots` lists the submitted slots in `JobId` order.
+        let mut submitted: Vec<(JobId, usize)> = self
             .jobs
             .iter()
-            .filter(|s| s.submitted_at.is_some())
-            .count();
-        if self.n_submitted as usize != submitted {
+            .enumerate()
+            .filter_map(|(i, s)| Some((s.job?, i)))
+            .collect();
+        submitted.sort_unstable();
+        let by_job: Vec<usize> = submitted.into_iter().map(|(_, i)| i).collect();
+        if self.job_slots != by_job {
             issues.push(format!(
-                "submitted-slot counter drifted: counter {}, recount {submitted}",
-                self.n_submitted
+                "job-slot table drifted: table {:?}, recount {by_job:?}",
+                self.job_slots
             ));
         }
-        let incomplete = self.jobs.iter().filter(|s| !s.tasks_done).count();
+        let incomplete = self.jobs.iter().filter(|s| !self.tasks_done(s)).count();
         if self.n_tasks_incomplete != incomplete {
             issues.push(format!(
                 "tasks-incomplete counter drifted: counter {}, recount {incomplete}",
@@ -172,7 +174,7 @@ impl World {
             .jobs
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.tasks_done && s.finished_at.is_none())
+            .filter(|(_, s)| self.tasks_done(s) && s.finished_at.is_none())
             .map(|(i, _)| i)
             .collect();
         if self.commit_pending != pending {

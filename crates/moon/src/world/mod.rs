@@ -13,6 +13,12 @@
 //! while the JobTracker's cross-job policy (FIFO or fair share)
 //! arbitrates slots between them.
 //!
+//! The world keeps physical state only: phases, flows, compute timers
+//! and blocks. The JobTracker is the one record of placement and of the
+//! job lifecycle — which attempt runs on which node since when, each
+//! job's spec, submission time and status — and the world reads those
+//! facts from it rather than keeping copies.
+//!
 //! ## Structure
 //!
 //! The world is decomposed into event-dispatched subsystems, one file
@@ -97,8 +103,9 @@ pub enum Ev {
     Submit(u32),
 }
 
-/// Per-node runtime state: liveness plus the node's physical resources
-/// in the flow network.
+/// Per-node runtime state: liveness, the node's physical resources in
+/// the flow network and its heartbeat schedule. Which attempts run on
+/// the node is the JobTracker's record ([`JobTracker::attempts_on`]).
 struct NodeRt {
     up: bool,
     disk: ResourceId,
@@ -115,11 +122,6 @@ struct NodeRt {
     /// Sorting by it reproduces the queue's FIFO order of
     /// self-rescheduled beats when parked beats are re-pushed.
     hb_key: i64,
-    /// Live attempts running on this node (mirror of `World::attempts`
-    /// filtered by node, so per-node sweeps — heartbeats, suspends,
-    /// resumes — do not scan every attempt in the world). Ordered, so
-    /// iteration matches a filtered scan of the attempts map.
-    local_attempts: BTreeSet<AttemptId>,
 }
 
 /// What a flow in the network is doing, keyed by [`FlowId`] in
@@ -147,20 +149,18 @@ pub(super) enum FlowPurpose {
 
 /// Per-job runtime state: one submitted (or yet-to-arrive) job's
 /// staging, shuffle bookkeeping, and output commit. The single-job
-/// world of the paper is the one-slot special case.
+/// world of the paper is the one-slot special case. What the
+/// JobTracker records — submission time, reduce count, task
+/// completion — is read from it through `job`.
 pub(super) struct JobSlot {
     pub(super) workload: WorkloadSpec,
     /// JobTracker id, assigned at submission.
     pub(super) job: Option<JobId>,
     pub(super) input_blocks: Vec<BlockId>,
     pub(super) output_file: Option<FileId>,
-    pub(super) n_reduces: u32,
-    /// Committed output of each completed map task, indexed by map index.
-    pub(super) map_outputs: Vec<Option<(FileId, BlockId)>>,
-    /// Every task completed (output commit may still be replicating).
-    pub(super) tasks_done: bool,
-    /// When the job was submitted to the JobTracker.
-    pub(super) submitted_at: Option<SimTime>,
+    /// Committed output block of each completed map task, indexed by
+    /// map index.
+    pub(super) map_outputs: Vec<Option<BlockId>>,
     /// When the job's output reached its replication factor.
     pub(super) finished_at: Option<SimTime>,
     /// Closed-stream client that submits its next job once this one
@@ -179,10 +179,7 @@ impl JobSlot {
             job: None,
             input_blocks: Vec::new(),
             output_file: None,
-            n_reduces: 0,
             map_outputs: vec![None; n_maps],
-            tasks_done: false,
-            submitted_at: None,
             finished_at: None,
             client,
             stream_index,
@@ -214,12 +211,11 @@ pub struct World {
     /// incrementally for closed streams).
     jobs: Vec<JobSlot>,
     /// Slot index of each submitted job, indexed by `JobId` (the
-    /// JobTracker hands ids out densely in submission order).
-    job_slots: Vec<usize>,
-    /// Slots submitted so far (monotone). With the counters below this
+    /// JobTracker hands ids out densely in submission order), so its
+    /// length counts the submitted slots. With the counters below this
     /// makes the per-heartbeat `control_plane_active` check O(1)
     /// instead of a walk over every slot the run will ever have.
-    n_submitted: u32,
+    job_slots: Vec<usize>,
     /// Slots whose tasks have not all completed yet.
     n_tasks_incomplete: usize,
     /// Slots whose output commit has been stamped.
@@ -232,6 +228,8 @@ pub struct World {
     /// Slots created per closed-stream client (the workload-cycling
     /// index for that client's next job).
     client_slot_count: Vec<u32>,
+    /// Physical state of every live attempt: exactly the attempts the
+    /// JobTracker lists on some tracker (`debug_final_audit` checks).
     attempts: BTreeMap<AttemptId, AttemptRt>,
     /// Purpose of every open flow. Never iterated (order-free), so a
     /// hash map keeps the per-flow bookkeeping O(1).
@@ -321,7 +319,6 @@ impl World {
             jt,
             jobs,
             job_slots: Vec::new(),
-            n_submitted: 0,
             n_tasks_incomplete: n_slots,
             n_committed: 0,
             client_budget_total,
@@ -377,7 +374,6 @@ impl World {
                 heartbeat_ev: EventId::NONE,
                 next_beat: SimTime::ZERO,
                 hb_key: -(i as i64),
-                local_attempts: BTreeSet::new(),
             });
             w.traces.push(trace);
         }
@@ -495,7 +491,15 @@ impl World {
     /// submission and in the final output-replication tail, exactly as
     /// in the single-job run.
     pub(super) fn control_plane_active(&self) -> bool {
-        self.n_submitted > 0 && (self.n_tasks_incomplete > 0 || self.more_submissions_pending())
+        !self.job_slots.is_empty()
+            && (self.n_tasks_incomplete > 0 || self.more_submissions_pending())
+    }
+
+    /// Has every task of the slot's job completed? Its output commit
+    /// may still be replicating.
+    fn tasks_done(&self, slot: &JobSlot) -> bool {
+        slot.job
+            .is_some_and(|j| self.jt.job_status(j) == JobStatus::Succeeded)
     }
 
     /// Resource chain for a transfer src → dst (skipping the network for
@@ -629,7 +633,7 @@ impl World {
             .filter(|s| s.job.is_some())
             .map(|slot| {
                 let job = slot.job.expect("filtered");
-                let submitted = slot.submitted_at.expect("submitted with id");
+                let submitted = self.jt.job_submitted(job);
                 let first_launch = self.jt.job_first_launch(job);
                 let spec = self.jt.job_spec(job);
                 crate::metrics::JobSlo {
@@ -649,8 +653,7 @@ impl World {
 
     /// Job gauges: (jobs submitted, peak concurrently active).
     pub fn job_gauges(&self) -> (u32, u32) {
-        let submitted = self.jobs.iter().filter(|s| s.job.is_some()).count() as u32;
-        (submitted, self.peak_active_jobs)
+        (self.job_slots.len() as u32, self.peak_active_jobs)
     }
 
     /// The NameNode (read access for tests and metrics).

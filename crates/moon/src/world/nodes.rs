@@ -49,12 +49,7 @@ impl World {
         all.merge(self.net.set_capacity(ctx.now(), down, 0.0));
         self.apply_changes(ctx, all);
         // Pause compute phases running on this node.
-        let paused: Vec<AttemptId> = self.nodes[n.0 as usize]
-            .local_attempts
-            .iter()
-            .copied()
-            .collect();
-        for id in paused {
+        for id in self.jt.attempts_on(n) {
             if let Some(rt) = self.attempts.get_mut(&id) {
                 if let Phase::Compute { work, ev } = &mut rt.phase {
                     work.pause(ctx.now());
@@ -81,12 +76,7 @@ impl World {
         all.merge(self.net.set_capacity(ctx.now(), down, nic_bw));
         self.apply_changes(ctx, all);
         // Resume compute phases.
-        let resumed: Vec<AttemptId> = self.nodes[n.0 as usize]
-            .local_attempts
-            .iter()
-            .copied()
-            .collect();
-        for id in resumed {
+        for id in self.jt.attempts_on(n) {
             if let Some(rt) = self.attempts.get_mut(&id) {
                 if let Phase::Compute { work, ev } = &mut rt.phase {
                     work.resume(ctx.now());
@@ -130,11 +120,7 @@ impl World {
         self.nn.heartbeat(ctx.now(), n, bw);
 
         // Progress reports for local attempts.
-        let local: Vec<AttemptId> = self.nodes[n.0 as usize]
-            .local_attempts
-            .iter()
-            .copied()
-            .collect();
+        let local: Vec<AttemptId> = self.jt.attempts_on(n).collect();
         for id in local {
             let p = self.attempt_progress(id, ctx.now());
             self.jt.report_progress(id, p);
@@ -147,12 +133,12 @@ impl World {
                 self.cancel_attempt_physical(ctx, a);
             }
             for asg in resp.assignments {
-                self.start_attempt(ctx, asg.attempt, asg.node);
+                self.start_attempt(ctx, asg.attempt);
             }
         }
 
         let park = self.jt.active_job_count() == 0
-            && self.node(n).local_attempts.is_empty()
+            && self.jt.attempts_on(n).next().is_none()
             && !self.nn.needs_bandwidth(n);
         let rt = &mut self.nodes[n.0 as usize];
         rt.next_beat = ctx.now() + HEARTBEAT_INTERVAL;

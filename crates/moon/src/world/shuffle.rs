@@ -15,7 +15,7 @@ use super::{Ev, FlowPurpose, World, FETCH_RETRY_DELAY};
 use dfs::NodeId;
 use mapred::{AttemptId, TaskId, TaskKind};
 use netsim::FlowId;
-use simkit::{Ctx, SimTime, StreamId};
+use simkit::{Ctx, StreamId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Maximum map outputs bundled into one shuffle connection (Hadoop
@@ -33,8 +33,6 @@ pub(super) struct ShuffleState {
     pub(super) inflight: BTreeMap<FlowId, Vec<u32>>,
     /// Successfully fetched map indexes.
     pub(super) fetched: BTreeSet<u32>,
-    /// When the shuffle finished (all maps fetched).
-    pub(super) done_at: Option<SimTime>,
 }
 
 /// Split a completed fetch batch into (still-valid, invalidated) map
@@ -50,19 +48,19 @@ impl World {
             let Some(rt) = self.attempts.get(&id) else {
                 return;
             };
-            let node = rt.node;
             let Phase::Shuffle(sh) = &rt.phase else {
                 return;
             };
             if sh.inflight.len() >= MAX_PARALLEL_FETCHES {
                 return;
             }
+            let node = self.jt.attempt(id).node;
             // Find the first waiting map whose output is ready.
             let slot = self.slot_for(id);
             let mut batch: Vec<u32> = Vec::new();
             let mut source: Option<NodeId> = None;
             for &m in &sh.waiting {
-                let Some((_, block)) = slot.map_outputs[m as usize] else {
+                let Some(block) = slot.map_outputs[m as usize] else {
                     continue;
                 };
                 match source {
@@ -88,8 +86,9 @@ impl World {
                 }
             }
             let Some(src) = source else { return };
+            let n_reduces = self.jt.job_spec(id.task.job).n_reduces;
             let bytes: f64 =
-                batch.len() as f64 * slot.workload.shuffle_bytes_per_pair(slot.n_reduces) as f64;
+                batch.len() as f64 * slot.workload.shuffle_bytes_per_pair(n_reduces) as f64;
             let path = self.transfer_path(src, node);
             let (flow, ch) = self.net.start_flow(ctx.now(), &path, bytes.max(1.0));
             self.obs_fetch_started(flow, ctx.now());
@@ -127,22 +126,16 @@ impl World {
         maps: Vec<u32>,
     ) {
         let n_maps = self.slot_for(id).workload.n_maps;
-        if let Some(node) = self.attempts.get(&id).map(|rt| rt.node.0) {
-            self.obs_fetch_end(flow, node, maps.len(), ctx.now(), true);
-        }
+        self.obs_fetch_end(flow, id, maps.len(), ctx.now(), true);
         let slot = self.slot_for(id);
         let (good, stale) = partition_fetched(&maps, |m| slot.map_outputs[m as usize].is_some());
-        self.metrics.stale_fetches += stale.len() as u64;
         let mut shuffle_complete = false;
         if let Some(rt) = self.attempts.get_mut(&id) {
             if let Phase::Shuffle(sh) = &mut rt.phase {
                 sh.inflight.remove(&flow);
                 sh.fetched.extend(good.iter().copied());
                 sh.waiting.extend(stale.iter().copied());
-                if sh.fetched.len() as u32 == n_maps {
-                    sh.done_at = Some(ctx.now());
-                    shuffle_complete = true;
-                }
+                shuffle_complete = sh.fetched.len() as u32 == n_maps;
             }
             if shuffle_complete {
                 rt.shuffle_done = Some(ctx.now());
@@ -163,9 +156,7 @@ impl World {
         flow: FlowId,
         maps: Vec<u32>,
     ) {
-        if let Some(node) = self.attempts.get(&id).map(|rt| rt.node.0) {
-            self.obs_fetch_end(flow, node, maps.len(), ctx.now(), false);
-        }
+        self.obs_fetch_end(flow, id, maps.len(), ctx.now(), false);
         let ch = self.net.cancel_flow(ctx.now(), flow);
         self.drop_flow_records(ctx, flow);
         if let Some(ch) = ch {
@@ -181,7 +172,7 @@ impl World {
                 index: m,
             };
             let output_active = self.slot_for(id).map_outputs[m as usize]
-                .map(|(_, b)| self.nn.is_block_available(b))
+                .map(|b| self.nn.is_block_available(b))
                 .unwrap_or(false);
             let reexec =
                 self.jt
@@ -218,7 +209,7 @@ impl World {
             .iter()
             .copied()
             .filter(|&m| {
-                slot.map_outputs[m as usize].is_some_and(|(_, b)| !self.nn.is_block_available(b))
+                slot.map_outputs[m as usize].is_some_and(|b| !self.nn.is_block_available(b))
             })
             .collect();
         let job = id.task.job;

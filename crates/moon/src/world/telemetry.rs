@@ -11,7 +11,7 @@
 //! that this preserves bit-identical artifacts across threads.
 
 use super::World;
-use mapred::TaskKind;
+use mapred::{AttemptId, TaskKind};
 use netsim::FlowId;
 use simkit::telemetry::{Span, SpanGroup, SpanKind, Telemetry, TelemetryConfig};
 use simkit::SimTime;
@@ -120,27 +120,22 @@ impl World {
             .record_sample(now, &row);
     }
 
-    /// An attempt left the runtime table: emit its lifecycle span.
+    /// An attempt left the runtime table: emit its lifecycle span on
+    /// its node's track, from the launch the JobTracker recorded.
     /// `outcome` is one of the `ATTEMPT_*` codes.
-    pub(super) fn obs_attempt_end(
-        &mut self,
-        kind: TaskKind,
-        node: u32,
-        started: SimTime,
-        now: SimTime,
-        outcome: i64,
-    ) {
+    pub(super) fn obs_attempt_end(&mut self, id: AttemptId, now: SimTime, outcome: i64) {
         let Some(t) = self.telemetry.as_mut() else {
             return;
         };
-        let k = match kind {
+        let k = match id.task.kind {
             TaskKind::Map => t.k_map,
             TaskKind::Reduce => t.k_reduce,
         };
+        let info = self.jt.attempt(id);
         t.rec.push_span(Span {
             kind: k,
-            track: node,
-            start: started,
+            track: info.node.0,
+            start: info.started,
             end: now,
             arg: outcome,
         });
@@ -154,13 +149,13 @@ impl World {
         }
     }
 
-    /// A shuffle fetch flow ended on `node`. `n_maps` is the batch
-    /// size; the span arg carries it, negated when the batch timed out
-    /// instead of completing.
+    /// A shuffle fetch flow of reduce attempt `id` ended. `n_maps` is
+    /// the batch size; the span arg carries it, negated when the batch
+    /// timed out instead of completing.
     pub(super) fn obs_fetch_end(
         &mut self,
         flow: FlowId,
-        node: u32,
+        id: AttemptId,
         n_maps: usize,
         now: SimTime,
         ok: bool,
@@ -174,7 +169,7 @@ impl World {
         let arg = if ok { n_maps as i64 } else { -(n_maps as i64) };
         t.rec.push_span(Span {
             kind: t.k_fetch,
-            track: node,
+            track: self.jt.attempt(id).node.0,
             start: started,
             end: now,
             arg,
@@ -214,13 +209,9 @@ impl World {
 
         // Still-running attempts become open-ended spans (deterministic
         // order: the attempts table is a BTreeMap).
-        let open: Vec<(TaskKind, u32, SimTime)> = self
-            .attempts
-            .iter()
-            .map(|(id, rt)| (id.task.kind, rt.node.0, rt.started))
-            .collect();
-        for (kind, node, started) in open {
-            self.obs_attempt_end(kind, node, started, now, ATTEMPT_OPEN_AT_END);
+        let open: Vec<AttemptId> = self.attempts.keys().copied().collect();
+        for id in open {
+            self.obs_attempt_end(id, now, ATTEMPT_OPEN_AT_END);
         }
 
         let mut t = self.telemetry.take().expect("checked above");

@@ -135,7 +135,7 @@ fn probe_stable_run() {
     eprintln!("metrics={:?}", w.job_metrics());
     eprintln!(
         "tasks_done={} finished={:?}",
-        w.jobs.iter().all(|s| s.tasks_done),
+        w.jobs.iter().all(|s| w.tasks_done(s)),
         w.metrics.job_finished
     );
     eprintln!("live attempts={}", w.attempts.len());
@@ -370,7 +370,7 @@ fn parked_beats_keep_idle_nodes_alive() {
     assert!(parked_seen > 0, "no beat was parked during the gap");
     sim.run_until(submit);
     let w = sim.model();
-    assert!(w.jobs[1].submitted_at.is_some());
+    assert!(w.jobs[1].job.is_some());
     for (i, rt) in w.nodes.iter().enumerate() {
         let n = NodeId(i as u32);
         assert_ne!(
@@ -430,5 +430,59 @@ fn node_down_while_parked_is_silent_from_its_last_grid_beat() {
         assert_eq!(w.nn.node_liveness(n), liveness, "namenode at {sweep}");
         assert_eq!(w.jt.tracker_state(n), tracker, "tracker at {sweep}");
         sweep += SimDuration::from_secs(10);
+    }
+}
+
+/// The end-of-run audit, run at every 10 s boundary of volatile runs:
+/// its cross-layer check (runtime attempt table = the attempts the
+/// JobTracker places) and the JobTracker's index recounts hold while
+/// attempts are live and trackers are suspended, expired and revived,
+/// not only once a completed run has drained.
+#[test]
+fn audit_holds_at_every_mid_run_boundary() {
+    use workloads::DurationModel;
+    let policies = [
+        PolicyConfig::hadoop(SimDuration::from_mins(1), 3),
+        PolicyConfig::moon(),
+        PolicyConfig::moon_hybrid(),
+    ];
+    for policy in policies {
+        let moon = matches!(policy.scheduler, mapred::SchedulerPolicy::Moon(_));
+        for seed in [3, 5] {
+            let mut workload = quick();
+            workload.n_maps = 48;
+            workload.map_cpu = DurationModel::around(SimDuration::from_secs(120));
+            let cluster = ClusterConfig::small(0.5);
+            let horizon = cluster.horizon;
+            let world = World::new(cluster, policy.clone(), workload);
+            let mut sim = simkit::Simulation::new(world, seed);
+            World::init(&mut sim);
+            let (mut live, mut off_alive) = (0, 0);
+            let mut t = SimTime::ZERO;
+            let mut outcome = simkit::RunOutcome::HorizonReached;
+            while outcome == simkit::RunOutcome::HorizonReached && t < horizon {
+                t += SimDuration::from_secs(10);
+                outcome = sim.run_until(t);
+                let w = sim.model();
+                let run = format!("{} seed {seed} at {t}", policy.label);
+                assert_eq!(w.debug_final_audit(), Vec::<String>::new(), "{run}");
+                live += usize::from(!w.attempts.is_empty());
+                off_alive += usize::from(w.attempts.keys().any(|&id| {
+                    w.jt.tracker_state(w.jt.attempt(id).node) != mapred::TrackerState::Alive
+                }));
+            }
+            assert!(
+                live > 0,
+                "{} seed {seed}: no boundary had live attempts",
+                policy.label
+            );
+            if moon {
+                assert!(
+                    off_alive > 0,
+                    "{} seed {seed}: no boundary had attempts on a suspended tracker",
+                    policy.label
+                );
+            }
+        }
     }
 }

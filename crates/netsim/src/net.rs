@@ -195,11 +195,6 @@ impl FlowNet {
         id
     }
 
-    /// Current capacity of a resource.
-    pub fn capacity(&self, r: ResourceId) -> f64 {
-        self.resources[r.0 as usize].capacity
-    }
-
     /// Change a resource's capacity (0 pauses all flows through it).
     /// Returns flows that stalled/resumed as a result.
     pub fn set_capacity(&mut self, now: SimTime, r: ResourceId, capacity: f64) -> Changes {

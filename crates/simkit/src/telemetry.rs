@@ -128,16 +128,6 @@ impl Telemetry {
         }
     }
 
-    /// The recorder's configuration.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.cfg
-    }
-
-    /// The fixed gauge column names, in sample order.
-    pub fn columns(&self) -> &[&'static str] {
-        &self.columns
-    }
-
     /// True if the sampling cadence says a gauge row is due at `now`.
     /// The model's observe hook checks this before computing gauges, so
     /// off-cadence dispatches cost one comparison.
@@ -146,8 +136,8 @@ impl Telemetry {
     }
 
     /// Record one gauge row at `now` and advance the cadence clock past
-    /// `now`. `values` must match [`columns`](Telemetry::columns) in
-    /// length and order.
+    /// `now`. `values` must match the columns given to
+    /// [`Telemetry::new`] in length and order.
     pub fn record_sample(&mut self, now: SimTime, values: &[f64]) {
         assert_eq!(
             values.len(),

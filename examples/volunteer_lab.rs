@@ -32,7 +32,6 @@ fn main() {
         session_fraction_mean: 0.5,
         session_duration: simkit::SimDuration::from_mins(25),
         diurnal: true,
-        ..Default::default()
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(2024);
     let fleet = generate_fleet(&cfg, &mut rng);
