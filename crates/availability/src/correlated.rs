@@ -15,14 +15,13 @@ use crate::trace::{AvailabilityTrace, Outage};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_distr::{Distribution, Normal, Poisson};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 
 /// Coefficient of variation of a session's (Normal) duration.
 const SESSION_DURATION_CV: f64 = 0.3;
 
 /// Parameters for the correlated fleet generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CorrelatedConfig {
     /// Number of volatile nodes in the fleet.
     pub n_nodes: usize,

@@ -22,7 +22,6 @@
 use crate::trace::{AvailabilityTrace, Outage};
 use rand::Rng;
 use rand_distr::{Distribution, Exp, Normal};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 
 /// Mean outage duration. Paper: 409 s (Entropia trace).
@@ -35,7 +34,7 @@ const OUTAGE_CV: f64 = 0.5;
 const MIN_OUTAGE: SimDuration = SimDuration::from_secs(30);
 
 /// Parameters of the synthetic outage model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceGenConfig {
     /// Target long-run fraction of time unavailable (the paper sweeps
     /// 0.1 / 0.3 / 0.5).
@@ -294,10 +293,8 @@ mod tests {
         }
     }
 
-    // The serde derives on trace types are compile-only markers while
-    // the workspace builds against the vendored serde shim (no registry
-    // access); a JSON round-trip test returns with the real serde. Until
-    // then, round-trip through the public outage view instead.
+    // Round-trip through the public outage view; `tracefile` tests the
+    // on-disk format's round trip.
     #[test]
     fn trace_rebuilds_from_outage_view() {
         let cfg = TraceGenConfig::paper(0.3);

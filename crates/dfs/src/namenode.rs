@@ -24,6 +24,9 @@ const AVAILABILITY_GOAL: f64 = 0.9;
 const THROTTLE_THRESHOLD: f64 = 0.1;
 /// Upper bound on the adaptive volatile degree `v′`.
 const MAX_VOLATILE_DEGREE: u32 = 8;
+/// Unavailability estimate reported before any observations: the middle
+/// of the paper's evaluated rates (p = 0.1, 0.3, 0.5 — §VI).
+const ESTIMATOR_PRIOR: f64 = 0.3;
 
 /// NameNode tunables. Defaults follow the paper's experimental setup.
 #[derive(Debug, Clone)]
@@ -35,8 +38,6 @@ pub struct NameNodeConfig {
     pub expiry_interval: SimDuration,
     /// Window `I` of the sliding-window unavailability estimator.
     pub estimator_window: SimDuration,
-    /// Estimate reported before any observations.
-    pub estimator_prior: f64,
     /// Algorithm 1 window size `W` (in heartbeats).
     pub throttle_window: usize,
     /// Enable adaptive volatile replication (`v → v′` when a dedicated
@@ -54,7 +55,6 @@ impl Default for NameNodeConfig {
             hibernate_interval: SimDuration::from_mins(1),
             expiry_interval: SimDuration::from_mins(30),
             estimator_window: SimDuration::from_mins(10),
-            estimator_prior: 0.3,
             throttle_window: 6,
             adaptive_replication: true,
             hybrid: true,
@@ -199,7 +199,7 @@ pub struct NameNode {
 impl NameNode {
     /// A NameNode with no registered nodes.
     pub fn new(cfg: NameNodeConfig) -> Self {
-        let estimator = SlidingWindowEstimator::new(cfg.estimator_window, cfg.estimator_prior);
+        let estimator = SlidingWindowEstimator::new(cfg.estimator_window, ESTIMATOR_PRIOR);
         NameNode {
             cfg,
             nodes: Vec::new(),
@@ -1583,7 +1583,6 @@ mod tests {
     #[test]
     fn estimator_follows_liveness() {
         let mut nn = small_cluster(NameNodeConfig {
-            estimator_prior: 0.0,
             hibernate_interval: SimDuration::from_secs(30),
             ..Default::default()
         });

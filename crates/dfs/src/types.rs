@@ -1,12 +1,11 @@
 //! Core identifiers and descriptors shared by the file system (and reused
 //! by the MapReduce layer).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A machine in the cluster. Node ids are dense (0..n) and stable for the
 /// lifetime of a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -16,7 +15,7 @@ impl fmt::Display for NodeId {
 }
 
 /// MOON's hybrid architecture distinguishes two resource classes (§III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeClass {
     /// Well-maintained, always-on machine (unavailability ≈ 0.001).
     Dedicated,
@@ -25,7 +24,7 @@ pub enum NodeClass {
 }
 
 /// A fixed-size chunk of a file (HDFS block equivalent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub u64);
 
 impl fmt::Display for BlockId {
@@ -35,7 +34,7 @@ impl fmt::Display for BlockId {
 }
 
 /// A file in the MOON file system namespace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(pub u64);
 
 impl fmt::Display for FileId {
@@ -45,7 +44,7 @@ impl fmt::Display for FileId {
 }
 
 /// MOON's two file categories (§IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FileKind {
     /// "Data that cannot be lost under any circumstances"; always keeps at
     /// least one dedicated replica. Input and job system data.
@@ -58,7 +57,7 @@ pub enum FileKind {
 
 /// MOON's two-dimensional replication factor `{d, v}` (§IV-A): the number
 /// of replicas on dedicated and volatile DataNodes respectively.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReplicationFactor {
     /// Replicas required on dedicated nodes.
     pub dedicated: u32,
@@ -101,7 +100,7 @@ impl fmt::Display for ReplicationFactor {
 /// MOON inserts *Hibernate* between alive and dead: a hibernated node
 /// receives no I/O requests (avoiding client timeouts) but its data is not
 /// yet re-replicated wholesale (avoiding replication thrashing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeLiveness {
     /// Heartbeats arriving normally.
     Active,

@@ -4,6 +4,11 @@ use crate::types::{AttemptId, AttemptState, LaunchReason, TaskId};
 use dfs::NodeId;
 use simkit::SimTime;
 
+/// A task whose attempts fail more than this many times fails the whole
+/// job (Hadoop reschedules an incomplete map up to 4 times — paper
+/// footnote 1).
+pub(crate) const MAX_TASK_FAILURES: u32 = 4;
+
 /// Static description of a job as submitted.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
@@ -14,9 +19,6 @@ pub struct JobSpec {
     /// Replica locations of each map's input split at submit time
     /// (locality hints for the scheduler; length = `n_maps`, may be empty).
     pub map_input_locations: Vec<Vec<NodeId>>,
-    /// A task failing this many times fails the whole job (Hadoop
-    /// reschedules an incomplete map up to 4 times — paper footnote 1).
-    pub max_task_failures: u32,
     /// Absolute completion deadline, for deadline-aware cross-job
     /// policies ([`crate::CrossJobPolicy::Edf`]) and deadline-miss
     /// reporting. `None` = no deadline.
@@ -36,7 +38,6 @@ impl JobSpec {
             n_maps,
             n_reduces,
             map_input_locations: Vec::new(),
-            max_task_failures: 4,
             deadline: None,
             priority: 0,
             tenant: 0,
@@ -106,8 +107,8 @@ pub struct TaskState {
     pub attempts: Vec<AttemptInfo>,
     /// Completed successfully?
     pub completed: bool,
-    /// Times this task's attempts *failed* (not kills); counts against
-    /// `max_task_failures`.
+    /// Times this task's attempts *failed* (not kills); more than
+    /// `MAX_TASK_FAILURES` fail the job.
     pub failures: u32,
     /// For completed maps: output later became unavailable and the task
     /// returned to the runnable pool.
@@ -259,7 +260,6 @@ mod tests {
     fn spec_defaults() {
         let s = JobSpec::new(384, 108);
         assert_eq!(s.n_maps, 384);
-        assert_eq!(s.max_task_failures, 4);
         assert_eq!(s.deadline, None);
         assert_eq!(s.priority, 0);
         assert_eq!(s.tenant, 0);

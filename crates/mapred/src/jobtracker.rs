@@ -7,7 +7,7 @@
 //! [`JobTracker::check_trackers`]. All policy differences between stock
 //! Hadoop, MOON and MOON-Hybrid live here and in [`crate::policy`].
 
-use crate::job::{AttemptInfo, JobSpec, JobStatus, TaskState};
+use crate::job::{AttemptInfo, JobSpec, JobStatus, TaskState, MAX_TASK_FAILURES};
 use crate::policy::{CrossJobPolicy, FetchFailurePolicy, SchedulerPolicy};
 use crate::types::{
     AttemptId, AttemptState, JobId, LaunchReason, TaskAssignment, TaskId, TaskKind,
@@ -114,7 +114,6 @@ struct Job {
     reduces: Vec<TaskState>,
     status: JobStatus,
     submitted: SimTime,
-    finished: Option<SimTime>,
     /// When the job's first attempt launched (queueing-delay endpoint).
     first_launch: Option<SimTime>,
     /// The next task's `first_launch_seq` (launch order).
@@ -583,7 +582,6 @@ impl JobTracker {
             spec,
             status: JobStatus::Running,
             submitted: now,
-            finished: None,
             first_launch: None,
             next_launch_seq: 0,
             fetch_failures: BTreeMap::new(),
@@ -1239,7 +1237,7 @@ impl JobTracker {
     }
 
     /// An attempt finished successfully.
-    pub fn attempt_succeeded(&mut self, now: SimTime, attempt: AttemptId) -> SuccessResponse {
+    pub fn attempt_succeeded(&mut self, attempt: AttemptId) -> SuccessResponse {
         let mut resp = SuccessResponse::default();
         let task_id = attempt.task;
         self.release_attempt(attempt);
@@ -1276,7 +1274,6 @@ impl JobTracker {
             && job.metrics.completed_reduces == job.spec.n_reduces;
         if done {
             job.status = JobStatus::Succeeded;
-            job.finished = Some(now);
             resp.job_completed = true;
             self.running_jobs.remove(&task_id.job);
         }
@@ -1289,7 +1286,7 @@ impl JobTracker {
     }
 
     /// An attempt failed (e.g. its input block is unreadable).
-    pub fn attempt_failed(&mut self, _now: SimTime, attempt: AttemptId) {
+    pub fn attempt_failed(&mut self, attempt: AttemptId) {
         self.release_attempt(attempt);
         let job = self.job_mut(attempt.task.job);
         let task = job.task_mut(attempt.task);
@@ -1301,7 +1298,7 @@ impl JobTracker {
         if was_live {
             job.live_attempts -= 1;
         }
-        if failures > job.spec.max_task_failures {
+        if failures > MAX_TASK_FAILURES {
             job.status = JobStatus::Failed;
             self.running_jobs.remove(&attempt.task.job);
         }
@@ -1458,7 +1455,7 @@ mod tests {
         let r0 = jt.heartbeat(t(1), NodeId(0));
         assert_eq!(r0.assignments.len(), 2, "maps only");
         // Complete one map (slowstart = ceil(0.05*4) = 1).
-        jt.attempt_succeeded(t(30), r0.assignments[0].attempt);
+        jt.attempt_succeeded(r0.assignments[0].attempt);
         let r1 = jt.heartbeat(t(31), NodeId(1));
         let kinds: Vec<TaskKind> = r1.assignments.iter().map(|a| a.attempt.task.kind).collect();
         assert!(
@@ -1532,7 +1529,7 @@ mod tests {
         let a1 = jt.heartbeat(t(0), NodeId(1)).assignments;
         assert_eq!(a1.len(), 2);
         for a in &a1 {
-            jt.attempt_succeeded(t(10), a.attempt);
+            jt.attempt_succeeded(a.attempt);
         }
         for a in &a0 {
             jt.report_progress(a.attempt, 0.1);
@@ -1654,7 +1651,7 @@ mod tests {
         assert_eq!(r.len(), 1);
         // The frozen copy finishes first: the stale inactive attempt on the
         // suspended tracker is killed right away.
-        let s = jt.attempt_succeeded(t(100), r[0].attempt);
+        let s = jt.attempt_succeeded(r[0].attempt);
         assert_eq!(s.kill, vec![a[0].attempt]);
         // When n0 resumes there is nothing left to kill or reactivate.
         let resumed = jt.heartbeat(t(120), NodeId(0));
@@ -1738,7 +1735,7 @@ mod tests {
         let a: Vec<AttemptId> = (0..4)
             .map(|i| jt.heartbeat(t(0), NodeId(i)).assignments[0].attempt)
             .collect();
-        jt.attempt_succeeded(t(10), a[3]);
+        jt.attempt_succeeded(a[3]);
         jt.report_progress(a[0], 0.5);
         jt.report_progress(a[1], 0.1);
         jt.report_progress(a[2], 0.9);
@@ -1810,7 +1807,7 @@ mod tests {
         let job = jt.submit_job(t(0), JobSpec::new(1, 3));
         let a = jt.heartbeat(t(0), NodeId(0)).assignments;
         let map_a = a[0].attempt;
-        jt.attempt_succeeded(t(10), map_a);
+        jt.attempt_succeeded(map_a);
         // Start 3 reduces.
         let mut reduces = vec![];
         for n in 1..3 {
@@ -1838,7 +1835,7 @@ mod tests {
         cluster(&mut jt, 4, 0);
         let job = jt.submit_job(t(0), JobSpec::new(1, 3));
         let a = jt.heartbeat(t(0), NodeId(0)).assignments;
-        jt.attempt_succeeded(t(10), a[0].attempt);
+        jt.attempt_succeeded(a[0].attempt);
         let m = map_task(job, 0);
         // 3 failures but replicas still active → reduces just retry.
         assert!(!jt.report_fetch_failure(t(20), m, reduce_task(job, 0), true));
@@ -1854,17 +1851,14 @@ mod tests {
     fn task_failure_budget_fails_job() {
         let mut jt = hadoop_jt();
         cluster(&mut jt, 1, 0);
-        let job = jt.submit_job(
-            t(0),
-            JobSpec {
-                max_task_failures: 2,
-                ..JobSpec::new(1, 0)
-            },
-        );
-        for k in 0..3 {
+        let job = jt.submit_job(t(0), JobSpec::new(1, 0));
+        // The job survives MAX_TASK_FAILURES failures of one task and
+        // fails on the next.
+        for k in 0..=MAX_TASK_FAILURES as u64 {
+            assert_eq!(jt.job_status(job), JobStatus::Running, "after {k} failures");
             let r = jt.heartbeat(t(k * 10), NodeId(0)).assignments;
             assert_eq!(r.len(), 1);
-            jt.attempt_failed(t(k * 10 + 5), r[0].attempt);
+            jt.attempt_failed(r[0].attempt);
         }
         assert_eq!(jt.job_status(job), JobStatus::Failed);
     }
@@ -1881,20 +1875,19 @@ mod tests {
         let spec = jt.heartbeat(t(61), NodeId(1)).assignments;
         assert_eq!(spec.len(), 1);
         // Original completes first: speculative sibling is killed.
-        let s = jt.attempt_succeeded(t(70), a[1].attempt);
+        let s = jt.attempt_succeeded(a[1].attempt);
         assert_eq!(s.kill, vec![spec[0].attempt]);
         assert!(!s.job_completed);
-        jt.attempt_succeeded(t(71), a[0].attempt);
+        jt.attempt_succeeded(a[0].attempt);
         // Reduce now eligible.
         let r = jt.heartbeat(t(72), NodeId(2)).assignments;
         let red = r
             .iter()
             .find(|x| x.attempt.task.kind == TaskKind::Reduce)
             .expect("reduce assigned");
-        let s = jt.attempt_succeeded(t(100), red.attempt);
+        let s = jt.attempt_succeeded(red.attempt);
         assert!(s.job_completed);
         assert_eq!(jt.job_status(job), JobStatus::Succeeded);
-        assert_eq!(jt.job(job).finished, Some(t(100)));
         let m = jt.job_metrics(job);
         assert_eq!(m.completed_maps, 2);
         assert_eq!(m.completed_reduces, 1);
@@ -1978,8 +1971,8 @@ mod tests {
         assert_eq!(jt.queued_job_count(), 1);
         assert_eq!(jt.active_job_count(), 2);
         // j0 finishes; j1 launches on the freed slots.
-        jt.attempt_succeeded(t(40), a[0].attempt);
-        jt.attempt_succeeded(t(41), a[1].attempt);
+        jt.attempt_succeeded(a[0].attempt);
+        jt.attempt_succeeded(a[1].attempt);
         let b = jt.heartbeat(t(42), NodeId(0)).assignments;
         assert_eq!(b[0].attempt.task.job, j1);
         assert_eq!(jt.job_first_launch(j1), Some(t(42)));
@@ -2134,13 +2127,13 @@ mod tests {
         assert_eq!(jt.job_metrics(loose).preempted, 2);
         // Tight job drains; the preempted tasks relaunch.
         for x in &r1.assignments {
-            jt.attempt_succeeded(t(30), x.attempt);
+            jt.attempt_succeeded(x.attempt);
         }
         let r2 = jt.heartbeat(t(31), NodeId(0));
         assert_eq!(r2.assignments.len(), 2, "{r2:?}");
         assert!(r2.assignments.iter().all(|x| x.attempt.task.job == loose));
         for x in &r2.assignments {
-            jt.attempt_succeeded(t(60), x.attempt);
+            jt.attempt_succeeded(x.attempt);
         }
         assert_eq!(jt.job_status(loose), crate::JobStatus::Succeeded);
     }
@@ -2324,7 +2317,7 @@ mod tests {
                     produced[2] |= was_down;
                     for a in resp.assignments {
                         if rng.gen_range(0..100u32) < 50 {
-                            let s = jt.attempt_succeeded(now, a.attempt);
+                            let s = jt.attempt_succeeded(a.attempt);
                             produced[3] |= s.job_completed;
                         }
                     }

@@ -8,14 +8,12 @@
 //!
 //! ## Quickstart
 //!
-//! The two faces of this reproduction in one snippet — a *real*
-//! MapReduce word count on real bytes (the programming model MOON
-//! schedules), then the same application class simulated on a volunteer
-//! cluster at 30 % node unavailability under MOON and stock Hadoop.
-//! The block below *is* `examples/quickstart.rs`, included verbatim
-//! (single source — `cargo run --release --example quickstart` runs
-//! exactly this code) and compiled + executed as a doctest on every
-//! `cargo test`, so the documented entry point can never drift:
+//! One small job simulated on a volunteer cluster at 30 % node
+//! unavailability under MOON and stock Hadoop. The block below *is*
+//! `examples/quickstart.rs`, included verbatim (single source —
+//! `cargo run --release --example quickstart` runs exactly this code)
+//! and compiled + executed as a doctest on every `cargo test`, so the
+//! documented entry point can never drift:
 //!
 //! ```
 #![doc = include_str!("../../../examples/quickstart.rs")]

@@ -104,11 +104,10 @@ pub fn profile_table(title: &str, results: &[RunResult]) -> String {
 
 /// Hand-rolled JSON emission for run results.
 ///
-/// The vendored `serde` shim provides no real serialization (no
-/// registry access — see DESIGN.md §4), and the row schema is flat
-/// enough that hand-rolling stays readable. This is the single source
-/// for the per-run JSON row the scenario reports emit; its parser
-/// reads the campaign checkpoint back.
+/// No code in this workspace uses serde (DESIGN.md §4), and the row
+/// schema is flat enough that hand-rolling stays readable. This is the
+/// single source for the per-run JSON row the scenario reports emit;
+/// its parser reads the campaign checkpoint back.
 pub mod json {
     use crate::metrics::{JobSlo, RunResult};
 

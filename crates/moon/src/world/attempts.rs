@@ -112,7 +112,7 @@ impl World {
                 // Input temporarily unavailable: stall the task (§IV). If
                 // every replica is gone for good the task fails.
                 if self.nn.live_replicas(block).is_empty() {
-                    self.jt.attempt_failed(ctx.now(), id);
+                    self.jt.attempt_failed(id);
                     self.attempts.remove(&id);
                     self.obs_attempt_end(id, ctx.now(), super::telemetry::ATTEMPT_FAILED);
                 } else {
@@ -372,7 +372,7 @@ impl World {
         let rt = self.attempts.remove(&id).expect("attempt exists");
         self.obs_attempt_end(id, ctx.now(), super::telemetry::ATTEMPT_SUCCEEDED);
         let started = self.jt.attempt(id).started;
-        let resp = self.jt.attempt_succeeded(ctx.now(), id);
+        let resp = self.jt.attempt_succeeded(id);
         for k in resp.kill {
             self.cancel_attempt_physical(ctx, k);
         }

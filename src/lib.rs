@@ -5,8 +5,8 @@
 //!
 //! - [`moon`] — the integrated system: cluster/policy configuration,
 //!   experiment driver, results.
-//! - [`workloads`] — Table I workloads (modeled and functional).
-//! - [`mapred`] — the MapReduce engine and functional programming model.
+//! - [`workloads`] — Table I workload cost models and job streams.
+//! - [`mapred`] — the MapReduce control plane (JobTracker, schedulers).
 //! - [`dfs`] — the MOON file system policy engine.
 //! - [`availability`] — outage traces and estimators.
 //! - [`scenarios`] — the declarative scenario engine behind `moon-cli`.

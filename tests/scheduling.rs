@@ -218,7 +218,7 @@ fn preemption_regrants_the_slot_in_the_same_round() {
     // The requeued victims relaunch once the high-priority job drains —
     // kill-and-requeue loses the attempt, never the task.
     for a in &r1.assignments {
-        jt.attempt_succeeded(t(30), a.attempt);
+        jt.attempt_succeeded(a.attempt);
     }
     let r2 = jt.heartbeat(t(31), NodeId(0));
     assert_eq!(r2.assignments.len(), 2, "{r2:?}");
@@ -252,7 +252,7 @@ fn edf_picks_nearest_deadline_first() {
             .map(|a| a.attempt.task.job)
             .collect();
         for a in r.assignments {
-            jt.attempt_succeeded(now.saturating_add(d(5)), a.attempt);
+            jt.attempt_succeeded(a.attempt);
         }
         jobs
     };
