@@ -361,7 +361,9 @@ fn parse_run_flag(args: &[String], i: &mut usize, opts: &mut RunOpts) -> bool {
         "--seeds" => {
             let n: u64 = value("--seeds")
                 .parse()
-                .unwrap_or_else(|_| fail("--seeds needs a positive integer"));
+                .ok()
+                .filter(|&n| n > 0)
+                .unwrap_or_else(|| fail("--seeds needs a positive integer"));
             opts.seeds_override = Some(scenarios::seed_list(n));
             *i += 2;
         }

@@ -1,12 +1,14 @@
 //! The sweep runner: per-cell fault containment, plus optional
 //! checkpoints for resumable sweeps and a dead-letter queue.
 //!
-//! Every scenario sweep runs here, one (point, seed) **cell** per pool
-//! task, in one contained cell loop. A *campaign* is a sweep with
-//! durability: it gets a deterministic key
+//! Every scenario sweep runs here, one (point, seed) **cell** per item
+//! of a parallel `map`, in one contained cell loop. The rayon shim runs
+//! that map on scoped worker threads that claim cells from an atomic
+//! cursor (inline on the caller at `MOON_THREADS=1`). A *campaign* is a
+//! sweep with durability: it gets a deterministic key
 //! ([`scenarios::codec::content_key`]: hash of the canonical spec +
-//! seed list + quick-mode flag), and every cell that finishes on the
-//! worker pool is appended to a checkpoint file as one self-contained
+//! seed list + quick-mode flag), and every cell that finishes on a
+//! worker is appended to a checkpoint file as one self-contained
 //! JSONL record — the full
 //! [`RunResult`] round-trip plus the cell's pre-rendered telemetry
 //! fragments. Killing the process loses at most the in-flight cells;
@@ -18,7 +20,7 @@
 //! *when* a cell ran:
 //!
 //! - results are assembled in grid order (cell index = `point_idx *
-//!   n_seeds + seed_idx`), the same order the live pool collect uses;
+//!   n_seeds + seed_idx`), the same order the live parallel collect uses;
 //! - every `RunResult` field round-trips losslessly through the
 //!   checkpoint codec (times as integer microseconds, floats via
 //!   Rust's shortest round-trip `Display`, seeds as raw `u64` text —
@@ -31,7 +33,7 @@
 //!
 //! Fault containment wraps each cell, with or without a checkpoint:
 //! `catch_unwind` turns a panic into a recorded `crashed` cell
-//! (deterministic placeholder result) instead of a pool abort, and
+//! (deterministic placeholder result) instead of a sweep abort, and
 //! [`RunLimits`] (event budget, optional wall deadline) turns livelocks
 //! into `event_limit` / `wall_deadline` cells. All three are reported
 //! in [`CampaignOutcome::failed`]; a checkpointed campaign also writes
@@ -849,7 +851,7 @@ impl<'a> CheckpointLog<'a> {
 }
 
 /// Emit one progress line for a finished cell (`k` of `total`). Each
-/// line is a single `eprintln!` (one stderr lock), so concurrent pool
+/// line is a single `eprintln!` (one stderr lock), so concurrent
 /// workers never interleave mid-line.
 fn progress_line(k: usize, total: usize, rec: &CellRecord, seed: u64) {
     let Some(r) = &rec.result else {
@@ -874,8 +876,8 @@ fn progress_line(k: usize, total: usize, rec: &CellRecord, seed: u64) {
     );
 }
 
-/// The contained cell loop — the one place sweeps run cells on the
-/// pool. Runs the `pending` (flat cell index, prior attempts) pairs of
+/// The contained cell loop — the one place sweeps run cells in
+/// parallel. Runs the `pending` (flat cell index, prior attempts) pairs of
 /// the `points` × `seeds` grid (cell = `point_idx * n_seeds +
 /// seed_idx`), each under `catch_unwind` and `cfg.limits`, with one
 /// progress line per finished cell. With a checkpoint `log`, each

@@ -4,7 +4,7 @@
 //! paper (see DESIGN.md §3 for the index) by running a *scenario* from
 //! the [`scenarios`] registry. This crate adds the execution layer: one
 //! contained cell loop ([`campaign`]) fanning every (point, seed) cell
-//! out across rayon's work-stealing pool (`MOON_THREADS` /
+//! out over the rayon shim's scoped worker threads (`MOON_THREADS` /
 //! `RAYON_NUM_THREADS` override the worker count), with optional
 //! checkpoints, progress lines with run outcomes, paper-style text
 //! tables on stdout, and machine-readable JSON under `bench_results/`.

@@ -1,6 +1,6 @@
 //! End-to-end checks of the `moon-cli` binary: exit status and
 //! artifacts of a run with a failed cell, the removed `--strict` flag,
-//! and `fig1`.
+//! rejected `--seeds 0` and deep-nested scenario files, and `fig1`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -60,6 +60,40 @@ fn strict_flag_is_gone() {
     let out = moon_cli(&["run", "table1", "--strict"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--strict`"));
+}
+
+/// `--seeds 0` is a usage error, for `run` and for `dlq retry`, not a
+/// silent one-seed run.
+#[test]
+fn zero_seeds_is_a_usage_error() {
+    for args in [
+        &["run", "table1", "--seeds", "0"][..],
+        &["dlq", "retry", "table1", "--seeds", "0"],
+    ] {
+        let out = moon_cli(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("--seeds needs a positive integer"));
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
+/// A scenario file of 100,000 nested `[` is a line-numbered error and
+/// exit 2, not a stack overflow that aborts the process.
+#[test]
+fn deep_nested_scenario_file_is_an_error_not_an_abort() {
+    let spec = scratch("deep-nest").join("evil.toml");
+    std::fs::write(
+        &spec,
+        format!("name = \"evil\"\npoints = {}\n", "[".repeat(100_000)),
+    )
+    .unwrap();
+    let out = moon_cli(&["run", spec.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("line 2: arrays and inline tables nest deeper than 64"),
+        "{stderr}"
+    );
 }
 
 /// `fig1 --save-trace` prints the figure's table and writes the

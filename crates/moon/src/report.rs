@@ -314,12 +314,17 @@ pub mod json {
         }
     }
 
+    /// Deepest array/object nesting [`parse`] accepts. The workspace's
+    /// own documents nest about 5 deep; the cap keeps a hostile line
+    /// (say, 100,000 `[`) an error instead of a stack overflow.
+    pub const MAX_DEPTH: usize = 64;
+
     /// Parse one JSON document. Trailing whitespace is allowed, trailing
     /// garbage is an error. Errors carry a byte offset for triage.
     pub fn parse(src: &str) -> Result<Value, String> {
         let bytes = src.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -342,10 +347,13 @@ pub mod json {
         }
     }
 
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             None => Err("unexpected end of input".into()),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+            }
             Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
             Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
             Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
@@ -359,7 +367,7 @@ pub mod json {
                     return Ok(Value::Arr(items));
                 }
                 loop {
-                    items.push(parse_value(bytes, pos)?);
+                    items.push(parse_value(bytes, pos, depth + 1)?);
                     skip_ws(bytes, pos);
                     match bytes.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -384,7 +392,7 @@ pub mod json {
                     let key = parse_string(bytes, pos)?;
                     skip_ws(bytes, pos);
                     expect(bytes, pos, b':')?;
-                    fields.push((key, parse_value(bytes, pos)?));
+                    fields.push((key, parse_value(bytes, pos, depth + 1)?));
                     skip_ws(bytes, pos);
                     match bytes.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -604,6 +612,22 @@ mod tests {
         assert!(json::parse("[1, 2").is_err());
         assert!(json::parse("\"unterminated").is_err());
         assert!(json::parse("1.2.3").is_err());
+    }
+
+    #[test]
+    fn json_parse_caps_nesting_instead_of_overflowing_the_stack() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "1" + &close.repeat(n);
+        assert!(json::parse(&nest("[", "]", json::MAX_DEPTH)).is_ok());
+        assert!(json::parse(&nest("{\"k\":", "}", json::MAX_DEPTH)).is_ok());
+        let e = json::parse(&nest("[", "]", json::MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            e,
+            format!("nesting deeper than 64 at byte {}", json::MAX_DEPTH)
+        );
+        for open in ["[", "{\"k\":"] {
+            let e = json::parse(&open.repeat(100_000)).unwrap_err();
+            assert!(e.contains("nesting deeper than 64"), "{e}");
+        }
     }
 
     #[test]

@@ -1029,5 +1029,10 @@ mod tests {
         let e = from_str("name = \"x\"\ntitle = @\n").unwrap_err();
         assert_eq!(e.line, Some(2), "{e}");
         assert!(e.to_string().starts_with("line 2:"), "{e}");
+
+        // Deep nesting is an error, not a stack overflow.
+        let e = from_str(&format!("name = \"x\"\npoints = {}\n", "[".repeat(100_000))).unwrap_err();
+        assert_eq!(e.line, Some(2), "{e}");
+        assert!(e.message.contains("nest deeper than 64"), "{e}");
     }
 }

@@ -134,10 +134,17 @@ impl fmt::Display for TomlError {
 
 impl std::error::Error for TomlError {}
 
+/// Deepest array/inline-table nesting [`parse`] accepts. The
+/// workspace's own documents nest about 3 deep; the cap keeps a hostile
+/// value (say, 100,000 `[`) an error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
     line: usize,
+    /// Arrays and inline tables currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -146,6 +153,7 @@ impl<'a> Parser<'a> {
             src: src.as_bytes(),
             pos: 0,
             line: 1,
+            depth: 0,
         }
     }
 
@@ -302,8 +310,8 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.parse_basic_string()?)),
             Some(b'\'') => Err(self.err("literal `'...'` strings are not supported; use \"...\"")),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_inline_table(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_inline_table),
             Some(b't') | Some(b'f') => self.parse_bool(),
             // `inf` / `nan` (TOML float keywords; Rust's Display also
             // prints `NaN`) — the serializer emits these for
@@ -313,6 +321,22 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.err(format!("expected a value, found `{}`", c as char))),
             None => Err(self.err("expected a value, found end of input")),
         }
+    }
+
+    /// Parse one array or inline table, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, TomlError>,
+    ) -> Result<Value, TomlError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!(
+                "arrays and inline tables nest deeper than {MAX_DEPTH}"
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_basic_string(&mut self) -> Result<String, TomlError> {
@@ -733,6 +757,19 @@ points = [0.1, 0.3, 0.5]
         let e = parse("[[points]]\n").unwrap_err();
         assert_eq!(e.line, 1);
         assert!(e.message.contains("not supported"), "{e}");
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_line_number() {
+        let nest = |n: usize| format!("a = 1\nx = {}{}\n", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let e = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.message.contains("nest deeper than 64"), "{e}");
+        let e = parse(&format!("x = {}", "[".repeat(100_000))).unwrap_err();
+        assert_eq!(e.line, 1);
+        let e = parse(&format!("x = {}", "{ k = ".repeat(100_000))).unwrap_err();
+        assert!(e.message.contains("nest deeper than 64"), "{e}");
     }
 
     #[test]

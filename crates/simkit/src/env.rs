@@ -12,7 +12,8 @@
 //!
 //! `MOON_THREADS` is read inside the vendored `rayon` shim, which must
 //! stay dependency-free; its parser mirrors these rules (trimmed
-//! unsigned integer) rather than calling this module.
+//! unsigned integer; `0` counts as unset) rather than calling this
+//! module. It caps the scoped worker threads each parallel `map` starts.
 
 /// True if the environment variable `name` is set to a truthy value:
 /// `1`, `true`, `yes`, or `on` — case-insensitive, whitespace-trimmed.

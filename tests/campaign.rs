@@ -158,6 +158,32 @@ fn resume_refuses_a_mismatched_campaign_key() {
     assert!(msg.contains("campaign key mismatch"), "{msg}");
 }
 
+/// A checkpoint line of 100,000 nested `[` is one more unreadable line:
+/// resume skips it, re-runs the cell it displaced, and reproduces the
+/// uninterrupted report instead of overflowing the stack.
+#[test]
+fn resume_skips_a_deep_nested_checkpoint_line() {
+    pool4();
+    let dir = scratch("deep-nest");
+    let spec = small_spec(false);
+    let ckpt = dir.join("sweep.ckpt.jsonl");
+    let full = run(&spec, &CampaignConfig::new(ckpt.clone()));
+
+    let text = std::fs::read_to_string(&ckpt).unwrap();
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    assert_eq!(lines.len(), 4, "header + 3 cells");
+    lines[1] = format!("{{\"cell\":{}", "[".repeat(100_000));
+    std::fs::write(&ckpt, lines.join("\n") + "\n").unwrap();
+
+    let mut cfg = CampaignConfig::new(ckpt);
+    cfg.resume = true;
+    let resumed = run(&spec, &cfg);
+    assert_eq!(resumed.restored, 2);
+    assert_eq!(resumed.executed, 1, "only the displaced cell re-runs");
+    assert_eq!(resumed.run.tables, full.run.tables);
+    assert_eq!(resumed.run.report_json, full.run.report_json);
+}
+
 #[test]
 fn panicking_cell_is_contained_and_bit_identical_to_serial() {
     pool4();
