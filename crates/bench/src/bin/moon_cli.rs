@@ -348,6 +348,15 @@ fn cmd_fig1(save_trace: Option<String>) {
     print!("{}", bench::fig1::table(&days));
 }
 
+/// Parse `flag`'s value as an integer above 0, or exit 2 saying so.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(flag: &str, value: &str) -> T {
+    value
+        .parse()
+        .ok()
+        .filter(|n| *n > T::from(0))
+        .unwrap_or_else(|| fail(&format!("{flag} needs a positive integer")))
+}
+
 /// Consume one `run`-style flag at `args[*i]` into `opts`, advancing
 /// `*i`. Returns false (leaving `*i` alone) on an unrecognized flag so
 /// callers can layer their own flags or fail with usage.
@@ -359,11 +368,7 @@ fn parse_run_flag(args: &[String], i: &mut usize, opts: &mut RunOpts) -> bool {
     };
     match args[*i].as_str() {
         "--seeds" => {
-            let n: u64 = value("--seeds")
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| fail("--seeds needs a positive integer"));
+            let n = positive("--seeds", &value("--seeds"));
             opts.seeds_override = Some(scenarios::seed_list(n));
             *i += 2;
         }
@@ -396,19 +401,14 @@ fn parse_run_flag(args: &[String], i: &mut usize, opts: &mut RunOpts) -> bool {
             *i += 1;
         }
         "--event-budget" => {
-            opts.event_budget = Some(
-                value("--event-budget")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--event-budget needs a positive integer")),
-            );
+            opts.event_budget = Some(positive("--event-budget", &value("--event-budget")));
             *i += 2;
         }
         "--cell-deadline-secs" => {
-            opts.cell_deadline_secs = Some(
-                value("--cell-deadline-secs")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--cell-deadline-secs needs a positive integer")),
-            );
+            opts.cell_deadline_secs = Some(positive(
+                "--cell-deadline-secs",
+                &value("--cell-deadline-secs"),
+            ));
             *i += 2;
         }
         "--inject-panic" => {
@@ -476,10 +476,10 @@ fn main() {
                     let mut i = 3;
                     while i < args.len() {
                         if args[i].as_str() == "--max-attempts" {
-                            max_attempts = args
-                                .get(i + 1)
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| fail("--max-attempts needs a positive integer"));
+                            max_attempts = positive(
+                                "--max-attempts",
+                                args.get(i + 1).map_or("", String::as_str),
+                            );
                             i += 2;
                         } else if !parse_run_flag(&args, &mut i, &mut opts) {
                             fail(&format!("unknown flag `{}`\n{USAGE}", args[i]));

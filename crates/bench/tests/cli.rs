@@ -77,6 +77,28 @@ fn zero_seeds_is_a_usage_error() {
     }
 }
 
+/// Zero event budgets, cell deadlines and retry caps are usage errors
+/// too: each would fail or skip every cell.
+#[test]
+fn zero_campaign_limits_are_usage_errors() {
+    for (cmd, flag) in [
+        ("run", "--event-budget"),
+        ("run", "--cell-deadline-secs"),
+        ("dlq retry", "--max-attempts"),
+    ] {
+        let mut args: Vec<&str> = cmd.split(' ').collect();
+        args.extend(["table1", flag, "0"]);
+        let out = moon_cli(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} needs a positive integer")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
 /// A scenario file of 100,000 nested `[` is a line-numbered error and
 /// exit 2, not a stack overflow that aborts the process.
 #[test]

@@ -13,7 +13,7 @@ use super::shuffle::ShuffleState;
 use super::{Ev, FlowPurpose, World, FETCH_RETRY_DELAY};
 use dfs::{BlockId, FileId, NodeId};
 use mapred::{AttemptId, TaskKind};
-use netsim::{Changes, FlowId};
+use netsim::FlowId;
 use simkit::{Ctx, EventId, PausableWork, SimDuration, SimTime, StreamId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -106,7 +106,7 @@ impl World {
                     rt.phase = Phase::MapRead { flow: Some(flow) };
                 }
                 self.apply_changes(ctx, ch);
-                self.resched_net_poll(ctx);
+                self.resched_net_poll = true;
             }
             None => {
                 // Input temporarily unavailable: stall the task (§IV). If
@@ -210,7 +210,7 @@ impl World {
             };
         }
         self.apply_changes(ctx, ch);
-        self.resched_net_poll(ctx);
+        self.resched_net_poll = true;
     }
 
     /// Abort an attempt's physical activity (flows, compute timers).
@@ -247,15 +247,11 @@ impl World {
                 flows_to_cancel.extend(sh.inflight.keys().copied());
             }
         }
-        let mut all = Changes::default();
         for f in flows_to_cancel {
             self.drop_flow_records(ctx, f);
-            if let Some(ch) = self.net.cancel_flow(ctx.now(), f) {
-                all.merge(ch);
-            }
+            self.net.cancel_flow(ctx.now(), f);
         }
-        self.apply_changes(ctx, all);
-        self.resched_net_poll(ctx);
+        self.resched_net_poll = true;
     }
 
     /// Current progress score of an attempt (Hadoop-style phase weights).
@@ -322,9 +318,7 @@ impl World {
     // ------------------------------------------------------------------
 
     pub(super) fn on_net_poll(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        let (done, ch) = self.net.poll(ctx.now());
-        self.apply_changes(ctx, ch);
-        for flow in done {
+        for flow in self.net.poll(ctx.now()) {
             let Some(purpose) = self.flows.remove(&flow) else {
                 continue;
             };
@@ -341,7 +335,7 @@ impl World {
                 }
             }
         }
-        self.resched_net_poll(ctx);
+        self.resched_net_poll = true;
     }
 
     fn on_attempt_flow_done(&mut self, ctx: &mut Ctx<'_, Ev>, id: AttemptId, flow: FlowId) {
@@ -424,11 +418,8 @@ impl World {
                 self.on_fetch_timeout(ctx, attempt, flow, maps);
             }
             FlowPurpose::Attempt(id) => {
-                let ch = self.net.cancel_flow(ctx.now(), flow);
-                if let Some(ch) = ch {
-                    self.apply_changes(ctx, ch);
-                }
-                self.resched_net_poll(ctx);
+                self.net.cancel_flow(ctx.now(), flow);
+                self.resched_net_poll = true;
                 // Restart the stalled phase with fresh placement.
                 if let Some(rt) = self.attempts.get_mut(&id) {
                     match &mut rt.phase {
@@ -451,11 +442,8 @@ impl World {
                 }
             }
             FlowPurpose::Replication { block, target } => {
-                let ch = self.net.cancel_flow(ctx.now(), flow);
-                if let Some(ch) = ch {
-                    self.apply_changes(ctx, ch);
-                }
-                self.resched_net_poll(ctx);
+                self.net.cancel_flow(ctx.now(), flow);
+                self.resched_net_poll = true;
                 self.nn.replica_failed(block, target);
             }
         }

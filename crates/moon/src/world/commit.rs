@@ -125,7 +125,7 @@ impl World {
             );
         }
         self.apply_changes(ctx, all);
-        self.resched_net_poll(ctx);
+        self.resched_net_poll = true;
 
         // Output-commit check: a job is done once every output block
         // reached its replication factor (§IV-A). The run ends when the

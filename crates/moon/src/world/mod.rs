@@ -31,8 +31,9 @@
 //! | `shuffle`  | `ShuffleTick` (plus fetch completion/timeout from `attempts`) |
 //! | `commit`   | `Submit`, `TrackerCheck`, `ReplicationScan`          |
 //!
-//! [`Model::handle`] below is a pure dispatcher: it routes each event
-//! to its subsystem and holds no logic of its own. Cross-subsystem
+//! [`Model::handle`] below is a dispatcher: it routes each event to its
+//! subsystem, then settles the flow network once for everything the
+//! handler changed (`World::settle_net`). Cross-subsystem
 //! interactions (a finished map waking shuffling reduces, a heartbeat
 //! starting attempts) go through `pub(super)` methods on [`World`], so
 //! the seams are explicit and a future PR can shard or parallelize a
@@ -236,6 +237,9 @@ pub struct World {
     flows: HashMap<FlowId, FlowPurpose>,
     stall_timeouts: HashMap<FlowId, EventId>,
     net_poll_ev: EventId,
+    /// A handler changed the flow network's next completion: move the
+    /// `NetPoll` once, after the handler's settle.
+    resched_net_poll: bool,
     /// Next `NodeRt::hb_key` handed out by a `NodeUp`.
     next_hb_key: i64,
     /// Peak concurrently-active (submitted, not yet committed) jobs —
@@ -328,6 +332,7 @@ impl World {
             flows: HashMap::new(),
             stall_timeouts: HashMap::new(),
             net_poll_ev: EventId::NONE,
+            resched_net_poll: false,
             next_hb_key: 1,
             peak_active_jobs: 0,
             telemetry: None,
@@ -535,17 +540,30 @@ impl World {
         path
     }
 
-    /// Reschedule the single flow-completion poll event.
-    fn resched_net_poll(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        ctx.cancel(self.net_poll_ev);
-        self.net_poll_ev = match self.net.next_completion() {
-            Some(at) => ctx.schedule_at(at.max(ctx.now()), Ev::NetPoll),
-            None => EventId::NONE,
-        };
+    /// End of every handler: the handler's flow-network mutations only
+    /// seeded the dirty set, so re-share it once, cancel the stall timers
+    /// of the flows that resumed, and, if asked, reschedule the single
+    /// flow-completion poll event.
+    fn settle_net(&mut self, ctx: &mut Ctx<'_, Ev>) {
+        let changes = self.net.settle();
+        self.apply_changes(ctx, changes);
+        if std::mem::take(&mut self.resched_net_poll) {
+            ctx.cancel(self.net_poll_ev);
+            self.net_poll_ev = match self.net.next_completion() {
+                Some(at) => ctx.schedule_at(at.max(ctx.now()), Ev::NetPoll),
+                None => EventId::NONE,
+            };
+        }
     }
 
-    /// React to flows crossing zero rate: start/stop stall timers.
+    /// React to flows crossing zero rate: stop/start stall timers
+    /// (resumes first, as [`Changes`] asks).
     fn apply_changes(&mut self, ctx: &mut Ctx<'_, Ev>, changes: Changes) {
+        for f in changes.resumed {
+            if let Some(ev) = self.stall_timeouts.remove(&f) {
+                ctx.cancel(ev);
+            }
+        }
         for f in changes.stalled {
             if self.stall_timeouts.contains_key(&f) {
                 continue;
@@ -557,11 +575,6 @@ impl World {
             };
             let ev = ctx.schedule(timeout, Ev::FlowStallTimeout(f));
             self.stall_timeouts.insert(f, ev);
-        }
-        for f in changes.resumed {
-            if let Some(ev) = self.stall_timeouts.remove(&f) {
-                ctx.cancel(ev);
-            }
         }
     }
 
@@ -670,7 +683,8 @@ impl World {
 impl Model for World {
     type Event = Ev;
 
-    /// Thin dispatcher: route each event to its subsystem module.
+    /// Route each event to its subsystem module, then settle the flow
+    /// network once.
     fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, ev: Ev) {
         match ev {
             // nodes: availability transitions and heartbeats
@@ -689,6 +703,7 @@ impl Model for World {
             Ev::TrackerCheck => self.on_tracker_check(ctx),
             Ev::ReplicationScan => self.on_replication_scan(ctx),
         }
+        self.settle_net(ctx);
     }
 
     /// Telemetry gauge sampling. Disabled runs take the `None` branch

@@ -58,7 +58,7 @@ impl World {
                 }
             }
         }
-        self.resched_net_poll(ctx);
+        self.resched_net_poll = true;
     }
 
     pub(super) fn on_node_up(&mut self, ctx: &mut Ctx<'_, Ev>, n: dfs::NodeId) {
@@ -92,7 +92,7 @@ impl World {
         self.next_hb_key += 1;
         rt.next_beat = ctx.now() + SimDuration::from_millis(500);
         rt.heartbeat_ev = ctx.schedule_at(rt.next_beat, Ev::Heartbeat(n));
-        self.resched_net_poll(ctx);
+        self.resched_net_poll = true;
     }
 
     pub(super) fn on_heartbeat(&mut self, ctx: &mut Ctx<'_, Ev>, n: dfs::NodeId) {

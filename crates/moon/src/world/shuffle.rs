@@ -108,7 +108,7 @@ impl World {
                 }
             }
             self.apply_changes(ctx, ch);
-            self.resched_net_poll(ctx);
+            self.resched_net_poll = true;
         }
     }
 
@@ -157,12 +157,9 @@ impl World {
         maps: Vec<u32>,
     ) {
         self.obs_fetch_end(flow, id, maps.len(), ctx.now(), false);
-        let ch = self.net.cancel_flow(ctx.now(), flow);
+        self.net.cancel_flow(ctx.now(), flow);
         self.drop_flow_records(ctx, flow);
-        if let Some(ch) = ch {
-            self.apply_changes(ctx, ch);
-        }
-        self.resched_net_poll(ctx);
+        self.resched_net_poll = true;
         let job = id.task.job;
         let reduce_task = id.task;
         for &m in &maps {

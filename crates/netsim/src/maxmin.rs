@@ -15,8 +15,8 @@
 //!   caller streams in one (sub)problem per [`Solver::reset`], paths are
 //!   expected pre-deduplicated, and no allocation happens once the
 //!   buffers have grown to the problem's high-water mark. [`FlowNet`]
-//!   feeds it one dirty connected component per mutation instead of the
-//!   whole network.
+//!   feeds it the dirty connected components of one settle instead of
+//!   the whole network.
 //!
 //! [`FlowNet`]: crate::FlowNet
 

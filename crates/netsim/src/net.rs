@@ -4,10 +4,35 @@
 //! The engine is *host-driven*: a discrete-event model embeds a
 //! [`FlowNet`], asks it for [`FlowNet::next_completion`], schedules an
 //! event at that instant, and calls [`FlowNet::poll`] when the event
-//! fires. Every mutation (new flow, capacity change, cancellation)
-//! re-shares bandwidth and reports flows that stalled (rate became zero —
-//! e.g. a node suspended) or resumed, so the host can run stall timeouts
-//! (fetch failures in MapReduce terms).
+//! fires. Flows that stall (a resource on their path drops to capacity
+//! 0 — a node suspended) and resume are reported as [`Changes`], so the
+//! host can run stall timeouts (fetch failures in MapReduce terms).
+//!
+//! ## Batched mutations, one settle
+//!
+//! A mutation — [`start_flow`](FlowNet::start_flow),
+//! [`cancel_flow`](FlowNet::cancel_flow),
+//! [`set_capacity`](FlowNet::set_capacity), [`poll`](FlowNet::poll) —
+//! only advances time, changes the slab and seeds the *dirty set*. One
+//! [`settle`](FlowNet::settle) then re-shares the union of the dirty
+//! components at once, so a host that makes several mutations at one
+//! instant (a node going down zeroes three resources; a finished fetch
+//! starts the next) pays for one solve, not one per mutation. Rates
+//! between two mutations of one instant are never charged to any flow,
+//! so nothing is lost by not computing them.
+//!
+//! Stalls need no solve: a flow is stalled exactly when its path
+//! crosses a zero-capacity resource. So the mutation that stalls a flow
+//! reports it at once — a kill in `set_capacity`, a `start_flow` over a
+//! dead resource — and the host's stall timers start where they would
+//! have started had every mutation re-shared. Resumes come from
+//! `settle`. Rate reads ([`rate`](FlowNet::rate),
+//! [`resource_throughput`](FlowNet::resource_throughput)) see the last
+//! solve and `debug_assert!` that no batch is pending.
+//! [`next_completion`](FlowNet::next_completion) and a time advance solve
+//! a pending batch themselves, so a host that never calls `settle` still
+//! gets correct progress and completions; the resumes such a solve finds
+//! are reported by the next `settle`.
 //!
 //! ## Incremental sharing
 //!
@@ -15,29 +40,30 @@
 //! monotone serial so stale [`FlowId`]s never alias a reused slot), and
 //! every resource keeps the list of live flows crossing it. Disjoint
 //! connected components of the *sharing graph* have independent max-min
-//! allocations, so a mutation re-solves only the component it touches: a
-//! bipartite BFS from the touched resources collects the dirty component
+//! allocations, so a settle re-solves only the components its batch
+//! touched: a bipartite BFS from the seeded resources collects them
 //! into persistent scratch buffers and a reusable
 //! [`maxmin::Solver`](crate::maxmin::Solver) re-runs progressive filling
 //! on just that slice of the network, with zero steady-state allocation.
 //! Paths are deduplicated once at [`start_flow`](FlowNet::start_flow),
 //! never per solve.
 //!
-//! The sharing graph links running flows to live resources. A flow whose
-//! path crosses a zero-capacity resource is *stalled*: its rate is 0
-//! exactly then, it takes no capacity, and so it is left out of the graph
-//! (it stays in the slab and its resources' lists). Killing a resource
-//! stalls its running flows directly and re-shares only what they freed;
-//! starting, cancelling or completing a stalled flow re-shares nothing.
+//! The sharing graph links running flows to live resources. A stalled
+//! flow's rate is 0, it takes no capacity, and so it is left out of the
+//! graph (it stays in the slab and its resources' lists). Killing a
+//! resource stalls its running flows directly and seeds only what they
+//! freed; starting, cancelling or completing a stalled flow seeds
+//! nothing.
 //!
 //! Rates, stall transitions, and completion order match a from-scratch
 //! global solve because component flows are processed in flow-creation
 //! order and untouched components would re-derive exactly the same rates
 //! from unchanged inputs. The match is bit-for-bit except for near-ties
-//! *across* components: two components whose bottleneck shares lie
-//! within the solver's relative freeze tolerance (1e-12) without being
-//! equal each keep their own share here, where a global solve freezes
-//! both at the smaller one. See `DESIGN.md` §5 for the argument.
+//! *across* components solved apart: two components whose bottleneck
+//! shares lie within the solver's relative freeze tolerance (1e-12)
+//! without being equal each keep their own share when solved in
+//! different settles, where one solve freezes both at the smaller one.
+//! See `DESIGN.md` §5 for the argument.
 
 use crate::maxmin::Solver;
 use simkit::{SimDuration, SimTime};
@@ -71,7 +97,8 @@ struct Resource {
     /// [`FlowNet::resource_throughput`] sum in the same order as a scan
     /// of all flows, hence bit-identical.
     flows: Vec<u32>,
-    /// Component-BFS visit stamp (`== FlowNet::epoch` when visited).
+    /// Dirty-set / component-BFS stamp (`== FlowNet::epoch` when in the
+    /// current batch's dirty set).
     mark: u32,
     /// Dense index handed to the solver while visited.
     local: u32,
@@ -85,18 +112,34 @@ struct FlowSlot {
     /// Deduplicated, sorted resource indices (computed once at start).
     path: Vec<u32>,
     remaining: f64,
+    /// Rate of the last solve (0 from a kill or a start until the next).
     rate: f64,
+    /// Reported to the host as stalled, and no resume reported since
+    /// (a solve may already have revived it).
+    stalled: bool,
     live: bool,
     /// Component-BFS visit stamp (`== FlowNet::epoch` when visited).
     mark: u32,
 }
 
-/// Flows whose rate crossed zero during a mutation.
+/// Stall and resume transitions of flows, as the host sees them.
+///
+/// `stalled` comes from the mutation that stalls a flow — a kill in
+/// [`FlowNet::set_capacity`] or a [`FlowNet::start_flow`] over a dead
+/// resource — and lists each flow with bytes left whose path now
+/// crosses a zero-capacity resource. `resumed` comes from
+/// [`FlowNet::settle`] and lists flows reported stalled earlier whose
+/// path is live again, including any that completed or were cancelled
+/// since. A flow born running is never "resumed". The one mutation
+/// that reports a resume is a kill that re-stalls a flow whose resume
+/// is still pending: it lists the flow in both, and a host applies
+/// `resumed` before `stalled`, exactly as if it had settled between the
+/// two mutations.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Changes {
-    /// Flows whose rate dropped to zero (endpoint died or saturated away).
+    /// Flows that stalled (a resource on the path went dead).
     pub stalled: Vec<FlowId>,
-    /// Flows whose rate rose from zero.
+    /// Flows that resumed (their whole path is live again).
     pub resumed: Vec<FlowId>,
 }
 
@@ -117,14 +160,15 @@ impl Changes {
 /// (exposed for benches: `perfbench --trace 1` reports them per workload).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NetStats {
-    /// Incremental reshare invocations: one per mutation that can move a
-    /// running flow's rate. Mutations that touch only stalled flows
-    /// (starting, cancelling or completing a flow over a dead resource,
-    /// killing a resource with no running flows) re-share nothing and do
-    /// not count.
+    /// Settles that re-shared a non-empty dirty set: at most one per
+    /// [`FlowNet::settle`], plus one when a read or a time advance finds
+    /// a batch pending. A batch of mutations that touch only stalled
+    /// flows (starting, cancelling or completing a flow over a dead
+    /// resource, killing a resource with no running flows) seeds nothing
+    /// and costs no settle.
     pub reshares: u64,
-    /// Total running flows solved across all reshared components (stalled
-    /// flows are outside the sharing graph and never visited). Divide by
+    /// Total running flows solved across all settles (stalled flows are
+    /// outside the sharing graph and never visited). Divide by
     /// `reshares` for the mean dirty-component size; compare against
     /// `peak_live_flows` to see what a full recompute would have cost.
     pub reshare_flow_visits: u64,
@@ -141,12 +185,14 @@ pub struct FlowNet {
     next_serial: u64,
     n_live: usize,
     last_advance: SimTime,
-    /// Current component-BFS epoch (marks equal to it are "visited").
+    /// Current batch epoch: resources marked with it are in the dirty
+    /// set; during a settle, flows marked with it are visited.
     epoch: u32,
     solver: Solver,
-    /// Scratch: resources of the dirty component, BFS order.
+    /// The dirty set: seeded resources in seeding order, then, during a
+    /// settle, the rest of their components in BFS order.
     comp_res: Vec<u32>,
-    /// Scratch: flow slots of the dirty component, sorted by serial
+    /// Scratch: flow slots of the dirty components, sorted by serial
     /// before solving.
     comp_flows: Vec<u32>,
     /// Flows that crossed the completion threshold but have not been
@@ -154,6 +200,12 @@ pub struct FlowNet {
     /// validated at drain time (a cancel or slot reuse invalidates an
     /// entry).
     finished: Vec<(u32, u64)>,
+    /// Flows reported stalled that a solve revived, in the order found;
+    /// [`settle`](Self::settle) reports those still revived.
+    revived: Vec<FlowId>,
+    /// Revived flows that completed or were cancelled before a settle
+    /// reported their resume.
+    revived_gone: Vec<FlowId>,
     stats: NetStats,
 }
 
@@ -173,11 +225,14 @@ impl FlowNet {
             next_serial: 0,
             n_live: 0,
             last_advance: SimTime::ZERO,
-            epoch: 0,
+            // New resources and slots start at mark 0, outside any batch.
+            epoch: 1,
             solver: Solver::new(),
             comp_res: Vec::new(),
             comp_flows: Vec::new(),
             finished: Vec::new(),
+            revived: Vec::new(),
+            revived_gone: Vec::new(),
             stats: NetStats::default(),
         }
     }
@@ -196,41 +251,53 @@ impl FlowNet {
     }
 
     /// Change a resource's capacity (0 pauses all flows through it).
-    /// Returns flows that stalled/resumed as a result.
+    ///
+    /// A kill (positive to 0) returns the flows it stalls, in creation
+    /// order; every other change returns no transition and leaves its
+    /// resumes to the next [`settle`](Self::settle).
     pub fn set_capacity(&mut self, now: SimTime, r: ResourceId, capacity: f64) -> Changes {
         assert!(capacity >= 0.0 && capacity.is_finite());
         self.advance(now);
-        self.begin_component();
         let mut changes = Changes::default();
         let ri = r.0 as usize;
         if capacity <= 0.0 && self.resources[ri].capacity > 0.0 {
             // The resource dies: its running flows stall here, leaving the
             // sharing graph, and the capacity they held on the rest of
-            // their paths is re-shared among the flows still running.
+            // their paths is seeded for re-sharing. "Running" is a live
+            // path, not a positive rate: a flow started or revived earlier
+            // in this batch has no rate yet.
             for k in 0..self.resources[ri].flows.len() {
                 let s = self.resources[ri].flows[k];
+                if crosses_dead(&self.resources, &self.slots[s as usize].path) {
+                    continue;
+                }
+                self.seed_path(s);
                 let f = &mut self.slots[s as usize];
-                if f.rate > 0.0 {
-                    f.rate = 0.0;
-                    if f.remaining > EPS_BYTES {
-                        changes.stalled.push(FlowId {
-                            serial: f.serial,
-                            slot: s,
-                        });
-                    }
-                    self.seed_path(s);
+                let id = FlowId {
+                    serial: f.serial,
+                    slot: s,
+                };
+                if f.stalled {
+                    // Revived since its stall was reported, its resume not
+                    // reported yet: report it ahead of the new stall.
+                    changes.resumed.push(id);
+                }
+                f.rate = 0.0;
+                f.stalled = f.remaining > EPS_BYTES;
+                if f.stalled {
+                    changes.stalled.push(id);
                 }
             }
         } else {
             self.seed_resource(r.0);
         }
         self.resources[ri].capacity = capacity;
-        changes.merge(self.reshare_component());
         changes
     }
 
     /// Start a transfer of `bytes` across `path`. The flow exists until it
-    /// completes (returned by [`poll`](Self::poll)) or is cancelled.
+    /// completes (returned by [`poll`](Self::poll)) or is cancelled. Its
+    /// rate is set by the next [`settle`](Self::settle).
     ///
     /// A flow created over a dead resource is *born stalled* and is
     /// reported in `Changes::stalled` immediately, so the host can start
@@ -254,6 +321,7 @@ impl FlowNet {
                     path: Vec::new(),
                     remaining: 0.0,
                     rate: 0.0,
+                    stalled: false,
                     live: false,
                     mark: 0,
                 });
@@ -265,6 +333,7 @@ impl FlowNet {
             f.serial = serial;
             f.remaining = bytes;
             f.rate = 0.0;
+            f.stalled = false;
             f.live = true;
             // Deduplicate the path once, here — the resource lists, the
             // solver, and throughput sums all assume unique entries.
@@ -286,36 +355,38 @@ impl FlowNet {
             // advancing; queue them as completion candidates now.
             self.finished.push((slot, serial));
         }
-        self.begin_component();
-        self.seed_path(slot);
-        let mut changes = self.reshare_component();
-        let f = &self.slots[slot as usize];
-        if f.rate <= 0.0 && f.remaining > EPS_BYTES {
+        let mut changes = Changes::default();
+        if !crosses_dead(&self.resources, &self.slots[slot as usize].path) {
+            self.seed_path(slot);
+        } else if bytes > EPS_BYTES {
+            self.slots[slot as usize].stalled = true;
             changes.stalled.push(id);
         }
         (id, changes)
     }
 
-    /// Abort a flow, discarding its remaining bytes. Returns `None` if the
-    /// flow no longer exists, else the freed-bandwidth change set.
-    pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<Changes> {
+    /// Abort a flow, discarding its remaining bytes. Returns false if the
+    /// flow no longer exists.
+    pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> bool {
         self.advance(now);
         if !self.is_live(id) {
-            return None;
+            return false;
         }
-        self.begin_component();
+        let f = &self.slots[id.slot as usize];
+        if f.stalled && !crosses_dead(&self.resources, &f.path) {
+            self.revived_gone.push(id);
+        }
         self.seed_path(id.slot);
         self.unlink_flow(id.slot);
-        Some(self.reshare_component())
+        true
     }
 
     /// Advance to `now` and collect flows that have finished, removing
-    /// them. Also returns stall/resume transitions caused by the departure
-    /// of the finished flows.
-    pub fn poll(&mut self, now: SimTime) -> (Vec<FlowId>, Changes) {
+    /// them, in flow creation order.
+    pub fn poll(&mut self, now: SimTime) -> Vec<FlowId> {
         self.advance(now);
         if self.finished.is_empty() {
-            return (Vec::new(), Changes::default());
+            return Vec::new();
         }
         let mut done: Vec<FlowId> = Vec::new();
         for &(slot, serial) in &self.finished {
@@ -326,24 +397,52 @@ impl FlowNet {
             }
         }
         self.finished.clear();
-        if done.is_empty() {
-            return (done, Changes::default());
-        }
         // Report completions in flow creation order, like a scan of an
         // ordered flow map would.
         done.sort_unstable();
-        self.begin_component();
         for id in &done {
+            if self.slots[id.slot as usize].stalled {
+                // It ran, so a solve revived it after its stall.
+                self.revived_gone.push(*id);
+            }
             self.seed_path(id.slot);
             self.unlink_flow(id.slot);
         }
-        let changes = self.reshare_component();
-        (done, changes)
+        done
+    }
+
+    /// Re-share the batch: solve the union of the dirty components once
+    /// and return the resumes since the last settle — flows reported
+    /// stalled whose path is live again (those that left the net since
+    /// first, then the rest in the order the solves found them).
+    pub fn settle(&mut self) -> Changes {
+        self.reshare();
+        let mut resumed = std::mem::take(&mut self.revived_gone);
+        for id in self.revived.drain(..) {
+            let f = &mut self.slots[id.slot as usize];
+            // Skip a flow gone since, re-stalled by a kill, or reported
+            // twice by two solves.
+            if f.live
+                && f.serial == id.serial
+                && f.stalled
+                && !crosses_dead(&self.resources, &f.path)
+            {
+                f.stalled = false;
+                resumed.push(id);
+            }
+        }
+        Changes {
+            stalled: Vec::new(),
+            resumed,
+        }
     }
 
     /// Earliest instant at which some flow completes, assuming no further
     /// mutations. `None` if no flow can finish (all stalled or no flows).
-    pub fn next_completion(&self) -> Option<SimTime> {
+    /// Solves a pending batch first; its resumes wait for the next
+    /// [`settle`](Self::settle).
+    pub fn next_completion(&mut self) -> Option<SimTime> {
+        self.reshare();
         let mut best: Option<SimTime> = None;
         for f in &self.slots {
             if !f.live {
@@ -365,8 +464,9 @@ impl FlowNet {
         best
     }
 
-    /// Current rate of a flow (bytes/sec), if it exists.
+    /// Rate of a flow (bytes/sec) as of the last solve, if it exists.
     pub fn rate(&self, id: FlowId) -> Option<f64> {
+        debug_assert!(self.comp_res.is_empty(), "rate read mid-batch");
         self.is_live(id).then(|| self.slots[id.slot as usize].rate)
     }
 
@@ -381,8 +481,10 @@ impl FlowNet {
         self.n_live
     }
 
-    /// Sum of current flow rates through a resource (bytes/sec).
+    /// Sum of flow rates through a resource (bytes/sec) as of the last
+    /// solve.
     pub fn resource_throughput(&self, r: ResourceId) -> f64 {
+        debug_assert!(self.comp_res.is_empty(), "throughput read mid-batch");
         // The per-resource list is in creation order, so this adds the
         // same terms in the same order as a filtered scan of all flows.
         self.resources[r.0 as usize]
@@ -404,19 +506,22 @@ impl FlowNet {
             .is_some_and(|f| f.live && f.serial == id.serial)
     }
 
-    /// Charge progress at current rates up to `now`.
+    /// Charge progress up to `now`. A batch pending from an earlier instant
+    /// is solved first: its rates hold from there on.
     fn advance(&mut self, now: SimTime) {
         debug_assert!(now >= self.last_advance, "FlowNet time went backwards");
+        if now == self.last_advance {
+            return;
+        }
+        self.reshare();
         let dt = now.since(self.last_advance).as_secs_f64();
-        if dt > 0.0 {
-            let finished = &mut self.finished;
-            for (i, f) in self.slots.iter_mut().enumerate() {
-                if f.live && f.rate > 0.0 {
-                    let before = f.remaining;
-                    f.remaining = (f.remaining - f.rate * dt).max(0.0);
-                    if before > EPS_BYTES && f.remaining <= EPS_BYTES {
-                        finished.push((i as u32, f.serial));
-                    }
+        let finished = &mut self.finished;
+        for (i, f) in self.slots.iter_mut().enumerate() {
+            if f.live && f.rate > 0.0 {
+                let before = f.remaining;
+                f.remaining = (f.remaining - f.rate * dt).max(0.0);
+                if before > EPS_BYTES && f.remaining <= EPS_BYTES {
+                    finished.push((i as u32, f.serial));
                 }
             }
         }
@@ -449,23 +554,6 @@ impl FlowNet {
     // Incremental resharing
     // ------------------------------------------------------------------
 
-    /// Open a fresh dirty-component, invalidating all visit marks.
-    fn begin_component(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Epoch wrapped: clear stale marks so none alias the new epoch.
-            for r in &mut self.resources {
-                r.mark = 0;
-            }
-            for f in &mut self.slots {
-                f.mark = 0;
-            }
-            self.epoch = 1;
-        }
-        self.comp_res.clear();
-        self.comp_flows.clear();
-    }
-
     /// Add a resource (and transitively its component) to the dirty set.
     fn seed_resource(&mut self, r: u32) {
         let res = &mut self.resources[r as usize];
@@ -492,13 +580,14 @@ impl FlowNet {
         }
     }
 
-    /// Expand the seeded dirty set to its full connected component(s) in
-    /// the sharing graph (running flows ↔ live resources), solve max-min
-    /// on that subproblem, apply the rates, and report zero-crossings in
-    /// flow creation order. An empty seed set is no reshare at all.
-    fn reshare_component(&mut self) -> Changes {
+    /// Expand the dirty set to its full connected component(s) in the
+    /// sharing graph (running flows ↔ live resources), solve max-min on
+    /// that subproblem, apply the rates, note revived flows in creation
+    /// order, and open the next batch. An empty dirty set is no reshare
+    /// at all.
+    fn reshare(&mut self) {
         if self.comp_res.is_empty() {
-            return Changes::default();
+            return;
         }
         let FlowNet {
             resources,
@@ -508,6 +597,7 @@ impl FlowNet {
             solver,
             epoch,
             stats,
+            revived,
             ..
         } = self;
         let epoch = *epoch;
@@ -572,26 +662,37 @@ impl FlowNet {
         }
         let rates = solver.solve();
 
-        let mut changes = Changes::default();
         for (k, &s) in comp_flows.iter().enumerate() {
             let f = &mut slots[s as usize];
-            let new_rate = rates[k];
-            let was_stalled = f.rate <= 0.0;
-            let now_stalled = new_rate <= 0.0;
-            if !was_stalled && now_stalled && f.remaining > EPS_BYTES {
-                changes.stalled.push(FlowId {
-                    serial: f.serial,
-                    slot: s,
-                });
-            } else if was_stalled && !now_stalled {
-                changes.resumed.push(FlowId {
+            // Progressive filling gives every flow over a live path a
+            // positive share, so a solve never stalls a flow.
+            debug_assert!(rates[k] > 0.0, "live path solved to rate 0");
+            if f.stalled && f.rate <= 0.0 {
+                revived.push(FlowId {
                     serial: f.serial,
                     slot: s,
                 });
             }
-            f.rate = new_rate;
+            f.rate = rates[k];
         }
-        changes
+        self.begin_batch();
+    }
+
+    /// Open a fresh batch: an empty dirty set, all visit marks stale.
+    fn begin_batch(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Epoch wrapped: clear stale marks so none alias the new epoch.
+            for r in &mut self.resources {
+                r.mark = 0;
+            }
+            for f in &mut self.slots {
+                f.mark = 0;
+            }
+            self.epoch = 1;
+        }
+        self.comp_res.clear();
+        self.comp_flows.clear();
     }
 }
 
@@ -614,11 +715,11 @@ mod tests {
         let mut net = FlowNet::new();
         let nic = net.add_resource(100.0); // 100 B/s
         let (id, _) = net.start_flow(t(0), &[nic], 1000.0);
+        assert!(net.settle().is_empty(), "a flow born running never resumes");
         let eta = net.next_completion().unwrap();
         // 1000 B at 100 B/s = exactly 10 s on the µs grid.
         assert_eq!(eta, t(10));
-        let (done, _) = net.poll(eta);
-        assert_eq!(done, vec![id]);
+        assert_eq!(net.poll(eta), vec![id]);
         assert_eq!(net.n_flows(), 0);
     }
 
@@ -628,12 +729,13 @@ mod tests {
         let nic = net.add_resource(100.0);
         let (a, _) = net.start_flow(t(0), &[nic], 500.0);
         let (b, _) = net.start_flow(t(0), &[nic], 1500.0);
+        net.settle();
         assert_eq!(net.rate(a), Some(50.0));
         assert_eq!(net.rate(b), Some(50.0));
         // a finishes at 10s; b then gets the full 100 B/s.
         let eta_a = net.next_completion().unwrap();
-        let (done, _) = net.poll(eta_a);
-        assert_eq!(done, vec![a]);
+        assert_eq!(net.poll(eta_a), vec![a]);
+        net.settle();
         assert_eq!(net.rate(b), Some(100.0));
         // b had 1500-500=1000 left at t≈10, so finishes ≈ t=20.
         let eta_b = net.next_completion().unwrap();
@@ -645,17 +747,22 @@ mod tests {
         let mut net = FlowNet::new();
         let nic = net.add_resource(100.0);
         let (id, _) = net.start_flow(t(0), &[nic], 1000.0);
+        net.settle();
         let ch = net.set_capacity(t(5), nic, 0.0);
-        assert_eq!(ch.stalled, vec![id]);
+        assert_eq!(ch.stalled, vec![id], "a stall is reported by the kill");
+        assert!(net.settle().is_empty());
         assert!(net.next_completion().is_none(), "stalled flow has no ETA");
         // 500 B were transferred before the stall.
         assert!((net.remaining_bytes(id).unwrap() - 500.0).abs() < 1e-6);
         // No progress while stalled.
-        let (done, _) = net.poll(t(60));
-        assert!(done.is_empty());
+        assert!(net.poll(t(60)).is_empty());
         assert!((net.remaining_bytes(id).unwrap() - 500.0).abs() < 1e-6);
-        let ch = net.set_capacity(t(60), nic, 100.0);
-        assert_eq!(ch.resumed, vec![id]);
+        assert!(net.set_capacity(t(60), nic, 100.0).is_empty());
+        assert_eq!(
+            net.settle().resumed,
+            vec![id],
+            "a resume is reported by the settle"
+        );
         let eta = net.next_completion().unwrap();
         assert!(eta >= t(65) && eta <= t(65) + SimDuration::from_millis(1));
     }
@@ -667,6 +774,7 @@ mod tests {
         let src_nic = net.add_resource(117.0);
         let dst_nic = net.add_resource(117.0);
         let (id, _) = net.start_flow(t(0), &[src_disk, src_nic, dst_nic], 600.0);
+        net.settle();
         assert_eq!(net.rate(id), Some(60.0));
     }
 
@@ -676,10 +784,12 @@ mod tests {
         let nic = net.add_resource(100.0);
         let (a, _) = net.start_flow(t(0), &[nic], 1e9);
         let (b, _) = net.start_flow(t(0), &[nic], 1e9);
+        net.settle();
         assert_eq!(net.rate(b), Some(50.0));
-        net.cancel_flow(t(1), a).unwrap();
+        assert!(net.cancel_flow(t(1), a));
+        net.settle();
         assert_eq!(net.rate(b), Some(100.0));
-        assert!(net.cancel_flow(t(1), a).is_none(), "double cancel");
+        assert!(!net.cancel_flow(t(1), a), "double cancel");
     }
 
     #[test]
@@ -688,8 +798,7 @@ mod tests {
         let nic = net.add_resource(100.0);
         let (id, _) = net.start_flow(t(3), &[nic], 0.0);
         assert_eq!(net.next_completion(), Some(t(3)));
-        let (done, _) = net.poll(t(3));
-        assert_eq!(done, vec![id]);
+        assert_eq!(net.poll(t(3)), vec![id]);
     }
 
     #[test]
@@ -699,6 +808,7 @@ mod tests {
         net.start_flow(t(0), &[nic], 1e9);
         net.start_flow(t(0), &[nic], 1e9);
         net.start_flow(t(0), &[nic], 1e9);
+        net.settle();
         assert!((net.resource_throughput(nic) - 90.0).abs() < 1e-9);
     }
 
@@ -716,17 +826,16 @@ mod tests {
 
     #[test]
     fn departure_resumes_starved_flow() {
-        // Two flows through a shared bottleneck; one endpoint dies, its
-        // flow stalls; when the dead flow is cancelled nothing resumes,
-        // but when capacity returns the stall clears.
+        // A flow through a shared resource and a leaf; the leaf dies and
+        // the flow stalls; when the leaf comes back the stall clears.
         let mut net = FlowNet::new();
         let shared = net.add_resource(100.0);
         let leaf = net.add_resource(100.0);
         let (a, _) = net.start_flow(t(0), &[shared, leaf], 1e6);
-        let ch = net.set_capacity(t(1), leaf, 0.0);
-        assert_eq!(ch.stalled, vec![a]);
-        let ch = net.set_capacity(t(2), leaf, 50.0);
-        assert_eq!(ch.resumed, vec![a]);
+        net.settle();
+        assert_eq!(net.set_capacity(t(1), leaf, 0.0).stalled, vec![a]);
+        assert!(net.set_capacity(t(2), leaf, 50.0).is_empty());
+        assert_eq!(net.settle().resumed, vec![a]);
         assert_eq!(net.rate(a), Some(50.0));
     }
 
@@ -742,8 +851,7 @@ mod tests {
         assert_eq!(eta, t(10), "eta must be the exact ceil to the µs grid");
         // Polling at the predicted instant — never one tick later — must
         // yield the completion.
-        let (done, _) = net.poll(eta);
-        assert_eq!(done, vec![id], "completion polled late");
+        assert_eq!(net.poll(eta), vec![id], "completion polled late");
 
         // Non-divisible case: eta is the ceil, and polling there
         // completes the flow too.
@@ -754,8 +862,7 @@ mod tests {
         let exact: f64 = 1000.0 / 3.0 * 1e6; // µs, non-integral
         let eta_us = eta.since(SimTime::ZERO).as_micros();
         assert_eq!(eta_us, exact.ceil() as u64);
-        let (done, _) = net.poll(eta);
-        assert_eq!(done, vec![id], "completion polled late");
+        assert_eq!(net.poll(eta), vec![id], "completion polled late");
     }
 
     #[test]
@@ -767,8 +874,10 @@ mod tests {
         // The freed slot is reused by the next flow; the old handle must
         // stay dead.
         let (b, _) = net.start_flow(t(1), &[nic], 500.0);
+        net.settle();
         assert_eq!(net.rate(a), None, "stale id resolved after slot reuse");
-        assert!(net.cancel_flow(t(2), a).is_none());
+        assert!(!net.cancel_flow(t(2), a));
+        net.settle();
         assert_eq!(net.rate(b), Some(100.0));
         assert!(a < b, "creation order must be preserved by FlowId ordering");
     }
@@ -783,9 +892,10 @@ mod tests {
         let (a1, _) = net.start_flow(t(0), &[nic_a], 1e9);
         let (a2, _) = net.start_flow(t(0), &[nic_a], 1e9);
         let (b1, _) = net.start_flow(t(0), &[nic_b], 1e9);
+        net.settle();
         let visits_before = net.stats().reshare_flow_visits;
-        let ch = net.set_capacity(t(1), nic_b, 40.0);
-        assert!(ch.is_empty());
+        assert!(net.set_capacity(t(1), nic_b, 40.0).is_empty());
+        assert!(net.settle().is_empty());
         let visits = net.stats().reshare_flow_visits - visits_before;
         assert_eq!(visits, 1, "dirty component is just b1");
         assert_eq!(net.rate(a1), Some(50.0));
@@ -805,9 +915,10 @@ mod tests {
         let (b1, _) = net.start_flow(t(0), &[nic_b], 1e9);
         let (b2, _) = net.start_flow(t(0), &[nic_b], 1e9);
         let (s, _) = net.start_flow(t(0), &[nic_a, dead, nic_b], 1e9);
+        net.settle();
         let visits_before = net.stats().reshare_flow_visits;
-        let ch = net.set_capacity(t(1), nic_b, 40.0);
-        assert!(ch.is_empty());
+        assert!(net.set_capacity(t(1), nic_b, 40.0).is_empty());
+        assert!(net.settle().is_empty());
         let visits = net.stats().reshare_flow_visits - visits_before;
         assert_eq!(visits, 2, "dirty component is just b1 and b2");
         assert_eq!(net.rate(a1), Some(100.0));
@@ -822,20 +933,22 @@ mod tests {
         let nic = net.add_resource(100.0);
         let dead = net.add_resource(0.0);
         net.start_flow(t(0), &[nic], 1e9);
+        net.settle();
         let before = net.stats().reshares;
         // Born stalled over a dead resource.
         let (s, ch) = net.start_flow(t(1), &[nic, dead], 500.0);
         assert_eq!(ch.stalled, vec![s]);
+        assert!(net.settle().is_empty());
         assert_eq!(net.stats().reshares, before, "start over a dead resource");
         // Cancelled while stalled.
-        assert_eq!(net.cancel_flow(t(2), s), Some(Changes::default()));
+        assert!(net.cancel_flow(t(2), s));
+        assert!(net.settle().is_empty());
         assert_eq!(net.stats().reshares, before, "cancel of a stalled flow");
         // A zero-byte flow born on a dead resource, polled to completion.
         let (z, ch) = net.start_flow(t(3), &[dead], 0.0);
         assert!(ch.is_empty());
-        let (done, ch) = net.poll(t(3));
-        assert_eq!(done, vec![z]);
-        assert!(ch.is_empty());
+        assert_eq!(net.poll(t(3)), vec![z]);
+        assert!(net.settle().is_empty());
         assert_eq!(net.stats().reshares, before, "poll of a stalled flow");
     }
 
@@ -847,12 +960,15 @@ mod tests {
         let (f1, _) = net.start_flow(t(0), &[x], 1e9);
         let (f2, _) = net.start_flow(t(0), &[x, y], 1e9);
         let (f3, _) = net.start_flow(t(0), &[x], 1e9);
-        let ch = net.set_capacity(t(1), y, 0.0);
-        assert_eq!(ch.stalled, vec![f2]);
+        net.settle();
+        assert_eq!(net.set_capacity(t(1), y, 0.0).stalled, vec![f2]);
+        net.settle();
         assert_eq!(net.rate(f1), Some(45.0), "freed capacity re-shared");
         let ch = net.set_capacity(t(2), x, 0.0);
         assert_eq!(ch.stalled, vec![f1, f3], "creation order");
-        let ch = net.set_capacity(t(3), x, 90.0);
+        net.settle();
+        assert!(net.set_capacity(t(3), x, 90.0).is_empty());
+        let ch = net.settle();
         assert_eq!(ch.resumed, vec![f1, f3], "f2 still crosses dead y");
         assert!(ch.stalled.is_empty());
         assert_eq!(net.rate(f2), Some(0.0));
@@ -861,32 +977,104 @@ mod tests {
 
     #[test]
     fn near_tie_across_components_is_solved_per_component() {
-        // The one case where a component solve is not bit-identical to a
-        // global one: shares within the solver's freeze tolerance
-        // (1e-12 relative) in *different* components. The global solve
-        // freezes both in one round at the smaller share; each component
-        // solved alone keeps its own.
+        // The one case where rates depend on how mutations are batched:
+        // bottleneck shares within the solver's freeze tolerance (1e-12
+        // relative) in *different* components. One solve freezes both in
+        // one round at the smaller share, like the global solve; each
+        // component settled alone keeps its own.
         let caps = [100.0, 100.0 * (1.0 + 1e-13)];
+        let global = crate::maxmin_rates(&caps, &[vec![0], vec![1]]);
+        assert_eq!(global, vec![100.0, 100.0]);
+
+        let mut net = FlowNet::new();
+        let a = net.add_resource(caps[0]);
+        let b = net.add_resource(caps[1]);
+        let (fa, _) = net.start_flow(t(0), &[a], 1e9);
+        net.settle();
+        let (fb, _) = net.start_flow(t(0), &[b], 1e9);
+        net.settle();
+        assert_eq!(net.rate(fa), Some(100.0));
+        assert_eq!(net.rate(fb), Some(100.00000000000999));
+
         let mut net = FlowNet::new();
         let a = net.add_resource(caps[0]);
         let b = net.add_resource(caps[1]);
         let (fa, _) = net.start_flow(t(0), &[a], 1e9);
         let (fb, _) = net.start_flow(t(0), &[b], 1e9);
-        assert_eq!(net.rate(fa), Some(100.0));
-        assert_eq!(net.rate(fb), Some(100.00000000000999));
-        let global = crate::maxmin_rates(&caps, &[vec![0], vec![1]]);
-        assert_eq!(global, vec![100.0, 100.0]);
+        net.settle();
+        assert_eq!(net.rate(fa), Some(global[0]));
+        assert_eq!(net.rate(fb), Some(global[1]));
     }
 
     #[test]
     fn stats_count_reshares() {
         let mut net = FlowNet::new();
         let nic = net.add_resource(100.0);
+        let disk = net.add_resource(60.0);
         let (a, _) = net.start_flow(t(0), &[nic], 1000.0);
-        net.set_capacity(t(1), nic, 50.0);
-        net.cancel_flow(t(2), a);
+        net.start_flow(t(0), &[nic, disk], 1000.0);
+        net.set_capacity(t(0), nic, 50.0);
+        net.cancel_flow(t(0), a);
+        assert_eq!(net.stats().reshares, 0, "mutations only seed");
+        net.settle();
+        net.settle();
         let stats = net.stats();
-        assert_eq!(stats.reshares, 3);
-        assert_eq!(stats.peak_live_flows, 1);
+        assert_eq!(
+            stats.reshares, 1,
+            "one solve for the batch, none for an empty one"
+        );
+        assert_eq!(stats.reshare_flow_visits, 1);
+        assert_eq!(stats.peak_live_flows, 2);
+    }
+
+    #[test]
+    fn kill_stalls_a_flow_started_in_the_same_batch() {
+        // The flow has no rate yet; its live path is what makes it
+        // running, so the kill must report it.
+        let mut net = FlowNet::new();
+        let nic = net.add_resource(100.0);
+        let (a, ch) = net.start_flow(t(0), &[nic], 1000.0);
+        assert!(ch.is_empty());
+        assert_eq!(net.set_capacity(t(0), nic, 0.0).stalled, vec![a]);
+        assert!(net.settle().is_empty());
+        assert_eq!(net.rate(a), Some(0.0));
+    }
+
+    #[test]
+    fn pending_resume_is_reported_when_the_batch_ends_it() {
+        // A stalled flow revived and then killed again in one batch: the
+        // kill reports the resume with the new stall, so a host applying
+        // `resumed` first restarts its timer as if it had settled in
+        // between.
+        let mut net = FlowNet::new();
+        let nic = net.add_resource(100.0);
+        let (a, _) = net.start_flow(t(0), &[nic], 1000.0);
+        net.settle();
+        net.set_capacity(t(1), nic, 0.0);
+        net.settle();
+        assert!(net.set_capacity(t(2), nic, 100.0).is_empty());
+        let ch = net.set_capacity(t(2), nic, 0.0);
+        assert_eq!((ch.resumed, ch.stalled), (vec![a], vec![a]));
+        assert!(net.settle().is_empty());
+        // Revived and then cancelled: the settle still reports the resume.
+        net.set_capacity(t(3), nic, 100.0);
+        assert!(net.cancel_flow(t(3), a));
+        assert_eq!(net.settle().resumed, vec![a]);
+    }
+
+    #[test]
+    fn a_time_advance_settles_the_pending_batch() {
+        // Progress is charged at the batch's rates, and the implicit
+        // settle's resumes wait for the next `settle`.
+        let mut net = FlowNet::new();
+        let nic = net.add_resource(100.0);
+        let (a, _) = net.start_flow(t(0), &[nic], 1000.0);
+        net.settle();
+        net.set_capacity(t(1), nic, 0.0);
+        net.settle();
+        net.set_capacity(t(2), nic, 100.0);
+        assert!(net.poll(t(3)).is_empty());
+        assert!((net.remaining_bytes(a).unwrap() - 800.0).abs() < 1e-6);
+        assert_eq!(net.settle().resumed, vec![a]);
     }
 }
