@@ -188,8 +188,6 @@ pub struct NameNode {
     unthrottled_active_dedicated: usize,
     /// Reusable exclude-set scratch for the replication scanner.
     scratch_exclude: BTreeSet<NodeId>,
-    next_file: u64,
-    next_block: u64,
     /// Total replication commands issued (metric).
     pub replication_commands: u64,
     /// Total bytes ordered re-replicated (metric).
@@ -214,8 +212,6 @@ impl NameNode {
             n_dedicated_total: 0,
             unthrottled_active_dedicated: 0,
             scratch_exclude: BTreeSet::new(),
-            next_file: 0,
-            next_block: 0,
             replication_commands: 0,
             replication_bytes: 0,
         }
@@ -586,9 +582,7 @@ impl NameNode {
 
     /// Create a file of the given kind and replication factor.
     pub fn create_file(&mut self, kind: FileKind, factor: ReplicationFactor) -> FileId {
-        let id = FileId(self.next_file);
-        self.next_file += 1;
-        debug_assert_eq!(id.0 as usize, self.files.len(), "file ids are dense");
+        let id = FileId(self.files.len() as u64);
         self.files.push(Some(FileMeta {
             kind,
             factor,
@@ -599,9 +593,7 @@ impl NameNode {
 
     /// Append a block of `size` bytes to `file`.
     pub fn allocate_block(&mut self, file: FileId, size: u64) -> BlockId {
-        let id = BlockId(self.next_block);
-        self.next_block += 1;
-        debug_assert_eq!(id.0 as usize, self.blocks.len(), "block ids are dense");
+        let id = BlockId(self.blocks.len() as u64);
         self.blocks.push(Some(BlockMeta {
             file,
             size,

@@ -16,7 +16,6 @@ use super::{
 };
 use dfs::{FileKind, NodeId};
 use mapred::JobSpec;
-use netsim::Changes;
 use simkit::{Ctx, StreamId};
 use workloads::{ArrivalModel, ReduceCount};
 
@@ -111,11 +110,9 @@ impl World {
             MAX_REPLICATION_STREAMS,
             ctx.rng().stream(StreamId::Placement),
         );
-        let mut all = Changes::default();
         for cmd in cmds {
             let path = self.transfer_path(cmd.source, cmd.target);
             let (flow, ch) = self.net.start_flow(ctx.now(), &path, cmd.size as f64);
-            all.merge(ch);
             self.flows.insert(
                 flow,
                 FlowPurpose::Replication {
@@ -123,8 +120,8 @@ impl World {
                     target: cmd.target,
                 },
             );
+            self.apply_changes(ctx, ch);
         }
-        self.apply_changes(ctx, all);
         self.resched_net_poll = true;
 
         // Output-commit check: a job is done once every output block

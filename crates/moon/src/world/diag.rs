@@ -5,13 +5,16 @@
 use super::World;
 use dfs::NodeId;
 use mapred::{AttemptId, JobId, JobStatus};
+use netsim::FlowId;
 use std::collections::BTreeSet;
 
 impl World {
     /// Cross-subsystem audit: re-derives every incremental counter and
     /// index from scratch (world job slots, JobTracker, NameNode),
     /// checks across the layers that the runtime attempt table holds
-    /// exactly the attempts the JobTracker places on its trackers, and
+    /// exactly the attempts the JobTracker places on its trackers and
+    /// that the flows holding a stall timer are exactly the live flows
+    /// the flow network reports stalled, and
     /// — when the run succeeded — checks the terminal state is fully
     /// drained (no live attempts anywhere, no queued jobs, nothing
     /// awaiting commit). Returns one line per discrepancy; empty means
@@ -58,6 +61,23 @@ impl World {
                 "runtime attempt table drifted from the JobTracker: only placed {:?}, only runtime {:?}",
                 placed.difference(&runtime).collect::<Vec<_>>(),
                 runtime.difference(&placed).collect::<Vec<_>>()
+            ));
+        }
+
+        // Cross-layer: a flow holds a stall timer exactly while the flow
+        // network reports it stalled.
+        let timed: BTreeSet<FlowId> = self.stall_timeouts.keys().copied().collect();
+        let stalled: BTreeSet<FlowId> = self
+            .flows
+            .keys()
+            .copied()
+            .filter(|&f| self.net.is_stalled(f))
+            .collect();
+        if timed != stalled {
+            issues.push(format!(
+                "stall timers drifted from the flow network: only timed {:?}, only stalled {:?}",
+                timed.difference(&stalled).collect::<Vec<_>>(),
+                stalled.difference(&timed).collect::<Vec<_>>()
             ));
         }
 

@@ -32,8 +32,9 @@
 //! | `commit`   | `Submit`, `TrackerCheck`, `ReplicationScan`          |
 //!
 //! [`Model::handle`] below is a dispatcher: it routes each event to its
-//! subsystem, then settles the flow network once for everything the
-//! handler changed (`World::settle_net`). Cross-subsystem
+//! subsystem, then, if the handler touched the flow network, moves the
+//! single `NetPoll` event once (its `next_completion` is the one
+//! re-share of everything the handler changed). Cross-subsystem
 //! interactions (a finished map waking shuffling reduces, a heartbeat
 //! starting attempts) go through `pub(super)` methods on [`World`], so
 //! the seams are explicit and a future PR can shard or parallelize a
@@ -235,10 +236,12 @@ pub struct World {
     /// Purpose of every open flow. Never iterated (order-free), so a
     /// hash map keeps the per-flow bookkeeping O(1).
     flows: HashMap<FlowId, FlowPurpose>,
+    /// Stall timer of every flow in `flows` that the flow network
+    /// reports stalled, and of no other (`debug_final_audit` checks).
     stall_timeouts: HashMap<FlowId, EventId>,
     net_poll_ev: EventId,
     /// A handler changed the flow network's next completion: move the
-    /// `NetPoll` once, after the handler's settle.
+    /// `NetPoll` once, after the handler.
     resched_net_poll: bool,
     /// Next `NodeRt::hb_key` handed out by a `NodeUp`.
     next_hb_key: i64,
@@ -540,24 +543,8 @@ impl World {
         path
     }
 
-    /// End of every handler: the handler's flow-network mutations only
-    /// seeded the dirty set, so re-share it once, cancel the stall timers
-    /// of the flows that resumed, and, if asked, reschedule the single
-    /// flow-completion poll event.
-    fn settle_net(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        let changes = self.net.settle();
-        self.apply_changes(ctx, changes);
-        if std::mem::take(&mut self.resched_net_poll) {
-            ctx.cancel(self.net_poll_ev);
-            self.net_poll_ev = match self.net.next_completion() {
-                Some(at) => ctx.schedule_at(at.max(ctx.now()), Ev::NetPoll),
-                None => EventId::NONE,
-            };
-        }
-    }
-
-    /// React to flows crossing zero rate: stop/start stall timers
-    /// (resumes first, as [`Changes`] asks).
+    /// React to flows crossing zero rate, as one flow-network mutation
+    /// reported them: stop/start stall timers.
     fn apply_changes(&mut self, ctx: &mut Ctx<'_, Ev>, changes: Changes) {
         for f in changes.resumed {
             if let Some(ev) = self.stall_timeouts.remove(&f) {
@@ -683,8 +670,10 @@ impl World {
 impl Model for World {
     type Event = Ev;
 
-    /// Route each event to its subsystem module, then settle the flow
-    /// network once.
+    /// Route each event to its subsystem module, then, if asked,
+    /// reschedule the single flow-completion poll event. Every handler
+    /// that mutates the flow network asks, so its mutations only seeded
+    /// the dirty set and `next_completion` re-shares it once.
     fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, ev: Ev) {
         match ev {
             // nodes: availability transitions and heartbeats
@@ -703,7 +692,13 @@ impl Model for World {
             Ev::TrackerCheck => self.on_tracker_check(ctx),
             Ev::ReplicationScan => self.on_replication_scan(ctx),
         }
-        self.settle_net(ctx);
+        if std::mem::take(&mut self.resched_net_poll) {
+            ctx.cancel(self.net_poll_ev);
+            self.net_poll_ev = match self.net.next_completion() {
+                Some(at) => ctx.schedule_at(at.max(ctx.now()), Ev::NetPoll),
+                None => EventId::NONE,
+            };
+        }
     }
 
     /// Telemetry gauge sampling. Disabled runs take the `None` branch

@@ -21,7 +21,6 @@
 
 use super::{Ev, World, HEARTBEAT_INTERVAL};
 use mapred::AttemptId;
-use netsim::Changes;
 use simkit::{Ctx, EventId, SimDuration, SimTime, StreamId};
 
 use super::attempts::Phase;
@@ -43,11 +42,10 @@ impl World {
         rt.heartbeat_ev = EventId::NONE;
         let (disk, up, down) = (rt.disk, rt.nic_up, rt.nic_down);
         self.obs_node_down(n.0, ctx.now());
-        let mut all = Changes::default();
-        all.merge(self.net.set_capacity(ctx.now(), disk, 0.0));
-        all.merge(self.net.set_capacity(ctx.now(), up, 0.0));
-        all.merge(self.net.set_capacity(ctx.now(), down, 0.0));
-        self.apply_changes(ctx, all);
+        for r in [disk, up, down] {
+            let ch = self.net.set_capacity(ctx.now(), r, 0.0);
+            self.apply_changes(ctx, ch);
+        }
         // Pause compute phases running on this node.
         for id in self.jt.attempts_on(n) {
             if let Some(rt) = self.attempts.get_mut(&id) {
@@ -70,11 +68,10 @@ impl World {
         let (disk, up, down) = (rt.disk, rt.nic_up, rt.nic_down);
         self.obs_node_up(n.0, ctx.now());
         let (disk_bw, nic_bw) = (self.cluster.disk_bandwidth, self.cluster.nic_bandwidth);
-        let mut all = Changes::default();
-        all.merge(self.net.set_capacity(ctx.now(), disk, disk_bw));
-        all.merge(self.net.set_capacity(ctx.now(), up, nic_bw));
-        all.merge(self.net.set_capacity(ctx.now(), down, nic_bw));
-        self.apply_changes(ctx, all);
+        for (r, bw) in [(disk, disk_bw), (up, nic_bw), (down, nic_bw)] {
+            let ch = self.net.set_capacity(ctx.now(), r, bw);
+            self.apply_changes(ctx, ch);
+        }
         // Resume compute phases.
         for id in self.jt.attempts_on(n) {
             if let Some(rt) = self.attempts.get_mut(&id) {

@@ -14,19 +14,18 @@
 //! reported to the host so it can model fetch timeouts.
 //!
 //! Re-sharing is *batched* and *incremental*. A mutation (start, cancel,
-//! capacity change, completion) only seeds a dirty set; one
-//! [`FlowNet::settle`] per host event then re-solves the connected
-//! components of the sharing graph (running flows and live resources;
-//! stalled flows are outside it) that the batch touched, through the
-//! reusable scratch-buffer [`Solver`] — zero steady-state allocation,
-//! bit-identical to a from-scratch [`maxmin_rates`] solve except when
-//! bottleneck shares in different components lie within the solver's
-//! 1e-12 freeze tolerance without being equal (see `DESIGN.md` §5).
-//! Stalls need no solve and are reported by the mutation that causes
-//! them; resumes are reported by the settle. [`FlowNet::next_completion`]
-//! and time advances settle a pending batch themselves, so a host that
-//! never settles still sees correct progress. [`FlowNet::stats`]
-//! exposes the re-share work counters the benchmark reports.
+//! capacity change, completion) only seeds a dirty set; the next read
+//! ([`FlowNet::next_completion`], [`FlowNet::rate`],
+//! [`FlowNet::resource_throughput`]) or time advance then re-solves the
+//! connected components of the sharing graph (running flows and live
+//! resources; stalled flows are outside it) that the batch touched,
+//! through the reusable scratch-buffer [`Solver`] — zero steady-state
+//! allocation, bit-identical to a from-scratch [`maxmin_rates`] solve
+//! except when bottleneck shares in different components lie within the
+//! solver's 1e-12 freeze tolerance without being equal (see `DESIGN.md`
+//! §5). Stalls and resumes need no solve and are reported by the
+//! mutation that causes them. [`FlowNet::stats`] exposes the re-share
+//! work counters the benchmark reports.
 //!
 //! ## Example
 //!
@@ -38,7 +37,7 @@
 //! let nic_a = net.add_resource(100.0); // 100 B/s
 //! let nic_b = net.add_resource(100.0);
 //! let (flow, _) = net.start_flow(SimTime::ZERO, &[nic_a, nic_b], 1_000.0);
-//! net.settle(); // one re-share for everything the event changed
+//! // The read re-shares once for everything changed since the last one.
 //! assert_eq!(net.rate(flow), Some(100.0));
 //! let eta = net.next_completion().unwrap();
 //! assert_eq!(eta.as_secs_f64(), 10.0);

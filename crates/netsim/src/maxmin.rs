@@ -15,7 +15,7 @@
 //!   caller streams in one (sub)problem per [`Solver::reset`], paths are
 //!   expected pre-deduplicated, and no allocation happens once the
 //!   buffers have grown to the problem's high-water mark. [`FlowNet`]
-//!   feeds it the dirty connected components of one settle instead of
+//!   feeds it the dirty connected components of one batch instead of
 //!   the whole network.
 //!
 //! [`FlowNet`]: crate::FlowNet

@@ -8,31 +8,28 @@
 //! 0 — a node suspended) and resume are reported as [`Changes`], so the
 //! host can run stall timeouts (fetch failures in MapReduce terms).
 //!
-//! ## Batched mutations, one settle
+//! ## Batched mutations, lazy solves
 //!
 //! A mutation — [`start_flow`](FlowNet::start_flow),
 //! [`cancel_flow`](FlowNet::cancel_flow),
 //! [`set_capacity`](FlowNet::set_capacity), [`poll`](FlowNet::poll) —
-//! only advances time, changes the slab and seeds the *dirty set*. One
-//! [`settle`](FlowNet::settle) then re-shares the union of the dirty
-//! components at once, so a host that makes several mutations at one
-//! instant (a node going down zeroes three resources; a finished fetch
-//! starts the next) pays for one solve, not one per mutation. Rates
-//! between two mutations of one instant are never charged to any flow,
-//! so nothing is lost by not computing them.
+//! only advances time, changes the slab and seeds the *dirty set*. The
+//! next read ([`next_completion`](FlowNet::next_completion),
+//! [`rate`](FlowNet::rate),
+//! [`resource_throughput`](FlowNet::resource_throughput)) or time
+//! advance re-shares the union of the dirty components at once, so a
+//! host that makes several mutations at one instant (a node going down
+//! zeroes three resources; a finished fetch starts the next) pays for
+//! one solve, not one per mutation. Rates between two mutations of one
+//! instant are never charged to any flow, so nothing is lost by not
+//! computing them.
 //!
-//! Stalls need no solve: a flow is stalled exactly when its path
-//! crosses a zero-capacity resource. So the mutation that stalls a flow
-//! reports it at once — a kill in `set_capacity`, a `start_flow` over a
-//! dead resource — and the host's stall timers start where they would
-//! have started had every mutation re-shared. Resumes come from
-//! `settle`. Rate reads ([`rate`](FlowNet::rate),
-//! [`resource_throughput`](FlowNet::resource_throughput)) see the last
-//! solve and `debug_assert!` that no batch is pending.
-//! [`next_completion`](FlowNet::next_completion) and a time advance solve
-//! a pending batch themselves, so a host that never calls `settle` still
-//! gets correct progress and completions; the resumes such a solve finds
-//! are reported by the next `settle`.
+//! Stalls and resumes need no solve: a flow is stalled exactly while it
+//! has bytes left and its path crosses a zero-capacity resource. So the
+//! mutation that changes that reports it at once — a kill or a revival
+//! in `set_capacity`, a `start_flow` over a dead resource — and the
+//! host's stall timers start and stop where they would have had every
+//! mutation re-shared.
 //!
 //! ## Incremental sharing
 //!
@@ -40,7 +37,7 @@
 //! monotone serial so stale [`FlowId`]s never alias a reused slot), and
 //! every resource keeps the list of live flows crossing it. Disjoint
 //! connected components of the *sharing graph* have independent max-min
-//! allocations, so a settle re-solves only the components its batch
+//! allocations, so a solve re-solves only the components its batch
 //! touched: a bipartite BFS from the seeded resources collects them
 //! into persistent scratch buffers and a reusable
 //! [`maxmin::Solver`](crate::maxmin::Solver) re-runs progressive filling
@@ -62,7 +59,7 @@
 //! *across* components solved apart: two components whose bottleneck
 //! shares lie within the solver's relative freeze tolerance (1e-12)
 //! without being equal each keep their own share when solved in
-//! different settles, where one solve freezes both at the smaller one.
+//! different batches, where one solve freezes both at the smaller one.
 //! See `DESIGN.md` §5 for the argument.
 
 use crate::maxmin::Solver;
@@ -114,27 +111,22 @@ struct FlowSlot {
     remaining: f64,
     /// Rate of the last solve (0 from a kill or a start until the next).
     rate: f64,
-    /// Reported to the host as stalled, and no resume reported since
-    /// (a solve may already have revived it).
-    stalled: bool,
     live: bool,
     /// Component-BFS visit stamp (`== FlowNet::epoch` when visited).
     mark: u32,
 }
 
-/// Stall and resume transitions of flows, as the host sees them.
+/// Stall and resume transitions of flows, reported by the mutation that
+/// causes them.
 ///
-/// `stalled` comes from the mutation that stalls a flow — a kill in
-/// [`FlowNet::set_capacity`] or a [`FlowNet::start_flow`] over a dead
-/// resource — and lists each flow with bytes left whose path now
-/// crosses a zero-capacity resource. `resumed` comes from
-/// [`FlowNet::settle`] and lists flows reported stalled earlier whose
-/// path is live again, including any that completed or were cancelled
-/// since. A flow born running is never "resumed". The one mutation
-/// that reports a resume is a kill that re-stalls a flow whose resume
-/// is still pending: it lists the flow in both, and a host applies
-/// `resumed` before `stalled`, exactly as if it had settled between the
-/// two mutations.
+/// A flow is stalled exactly while it has bytes left and its path
+/// crosses a zero-capacity resource. `stalled` lists the flows that a
+/// kill in [`FlowNet::set_capacity`] or a [`FlowNet::start_flow`] over a
+/// dead resource puts in that state; `resumed` lists the flows that a
+/// revival in [`FlowNet::set_capacity`] takes out of it. Each list is in
+/// flow creation order, and no call reports both transitions of one
+/// flow. A flow born running is never "resumed", and a flow that
+/// completes or is cancelled reports nothing.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Changes {
     /// Flows that stalled (a resource on the path went dead).
@@ -148,26 +140,19 @@ impl Changes {
     pub fn is_empty(&self) -> bool {
         self.stalled.is_empty() && self.resumed.is_empty()
     }
-
-    /// Append another change set.
-    pub fn merge(&mut self, other: Changes) {
-        self.stalled.extend(other.stalled);
-        self.resumed.extend(other.resumed);
-    }
 }
 
 /// Counters describing how much re-sharing work a [`FlowNet`] performed
 /// (exposed for benches: `perfbench --trace 1` reports them per workload).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NetStats {
-    /// Settles that re-shared a non-empty dirty set: at most one per
-    /// [`FlowNet::settle`], plus one when a read or a time advance finds
-    /// a batch pending. A batch of mutations that touch only stalled
-    /// flows (starting, cancelling or completing a flow over a dead
-    /// resource, killing a resource with no running flows) seeds nothing
-    /// and costs no settle.
+    /// Solves of a non-empty dirty set: one each time a read or a time
+    /// advance finds a batch pending. A batch of mutations that touch
+    /// only stalled flows (starting, cancelling or completing a flow over
+    /// a dead resource, killing a resource with no running flows) seeds
+    /// nothing and costs no solve.
     pub reshares: u64,
-    /// Total running flows solved across all settles (stalled flows are
+    /// Total running flows solved across all solves (stalled flows are
     /// outside the sharing graph and never visited). Divide by
     /// `reshares` for the mean dirty-component size; compare against
     /// `peak_live_flows` to see what a full recompute would have cost.
@@ -186,11 +171,11 @@ pub struct FlowNet {
     n_live: usize,
     last_advance: SimTime,
     /// Current batch epoch: resources marked with it are in the dirty
-    /// set; during a settle, flows marked with it are visited.
+    /// set; during a solve, flows marked with it are visited.
     epoch: u32,
     solver: Solver,
     /// The dirty set: seeded resources in seeding order, then, during a
-    /// settle, the rest of their components in BFS order.
+    /// solve, the rest of their components in BFS order.
     comp_res: Vec<u32>,
     /// Scratch: flow slots of the dirty components, sorted by serial
     /// before solving.
@@ -200,12 +185,6 @@ pub struct FlowNet {
     /// validated at drain time (a cancel or slot reuse invalidates an
     /// entry).
     finished: Vec<(u32, u64)>,
-    /// Flows reported stalled that a solve revived, in the order found;
-    /// [`settle`](Self::settle) reports those still revived.
-    revived: Vec<FlowId>,
-    /// Revived flows that completed or were cancelled before a settle
-    /// reported their resume.
-    revived_gone: Vec<FlowId>,
     stats: NetStats,
 }
 
@@ -231,8 +210,6 @@ impl FlowNet {
             comp_res: Vec::new(),
             comp_flows: Vec::new(),
             finished: Vec::new(),
-            revived: Vec::new(),
-            revived_gone: Vec::new(),
             stats: NetStats::default(),
         }
     }
@@ -252,15 +229,17 @@ impl FlowNet {
 
     /// Change a resource's capacity (0 pauses all flows through it).
     ///
-    /// A kill (positive to 0) returns the flows it stalls, in creation
-    /// order; every other change returns no transition and leaves its
-    /// resumes to the next [`settle`](Self::settle).
+    /// A kill (positive to 0) returns the flows it stalls and a revival
+    /// (0 to positive) the flows it resumes — those whose path it leaves
+    /// live — each in creation order; any other change returns no
+    /// transition.
     pub fn set_capacity(&mut self, now: SimTime, r: ResourceId, capacity: f64) -> Changes {
         assert!(capacity >= 0.0 && capacity.is_finite());
         self.advance(now);
         let mut changes = Changes::default();
         let ri = r.0 as usize;
-        if capacity <= 0.0 && self.resources[ri].capacity > 0.0 {
+        let was_dead = self.resources[ri].capacity <= 0.0;
+        if capacity <= 0.0 && !was_dead {
             // The resource dies: its running flows stall here, leaving the
             // sharing graph, and the capacity they held on the rest of
             // their paths is seeded for re-sharing. "Running" is a live
@@ -273,31 +252,38 @@ impl FlowNet {
                 }
                 self.seed_path(s);
                 let f = &mut self.slots[s as usize];
-                let id = FlowId {
-                    serial: f.serial,
-                    slot: s,
-                };
-                if f.stalled {
-                    // Revived since its stall was reported, its resume not
-                    // reported yet: report it ahead of the new stall.
-                    changes.resumed.push(id);
-                }
                 f.rate = 0.0;
-                f.stalled = f.remaining > EPS_BYTES;
-                if f.stalled {
-                    changes.stalled.push(id);
+                if f.remaining > EPS_BYTES {
+                    changes.stalled.push(FlowId {
+                        serial: f.serial,
+                        slot: s,
+                    });
                 }
             }
+            self.resources[ri].capacity = capacity;
         } else {
             self.seed_resource(r.0);
+            self.resources[ri].capacity = capacity;
+            if was_dead && capacity > 0.0 {
+                // The resource revives: its flows whose path is now live
+                // resume (the solve gives them their rates).
+                for &s in &self.resources[ri].flows {
+                    let f = &self.slots[s as usize];
+                    if f.remaining > EPS_BYTES && !crosses_dead(&self.resources, &f.path) {
+                        changes.resumed.push(FlowId {
+                            serial: f.serial,
+                            slot: s,
+                        });
+                    }
+                }
+            }
         }
-        self.resources[ri].capacity = capacity;
         changes
     }
 
     /// Start a transfer of `bytes` across `path`. The flow exists until it
     /// completes (returned by [`poll`](Self::poll)) or is cancelled. Its
-    /// rate is set by the next [`settle`](Self::settle).
+    /// rate is set by the next solve.
     ///
     /// A flow created over a dead resource is *born stalled* and is
     /// reported in `Changes::stalled` immediately, so the host can start
@@ -321,7 +307,6 @@ impl FlowNet {
                     path: Vec::new(),
                     remaining: 0.0,
                     rate: 0.0,
-                    stalled: false,
                     live: false,
                     mark: 0,
                 });
@@ -333,7 +318,6 @@ impl FlowNet {
             f.serial = serial;
             f.remaining = bytes;
             f.rate = 0.0;
-            f.stalled = false;
             f.live = true;
             // Deduplicate the path once, here — the resource lists, the
             // solver, and throughput sums all assume unique entries.
@@ -359,7 +343,6 @@ impl FlowNet {
         if !crosses_dead(&self.resources, &self.slots[slot as usize].path) {
             self.seed_path(slot);
         } else if bytes > EPS_BYTES {
-            self.slots[slot as usize].stalled = true;
             changes.stalled.push(id);
         }
         (id, changes)
@@ -371,10 +354,6 @@ impl FlowNet {
         self.advance(now);
         if !self.is_live(id) {
             return false;
-        }
-        let f = &self.slots[id.slot as usize];
-        if f.stalled && !crosses_dead(&self.resources, &f.path) {
-            self.revived_gone.push(id);
         }
         self.seed_path(id.slot);
         self.unlink_flow(id.slot);
@@ -401,46 +380,15 @@ impl FlowNet {
         // ordered flow map would.
         done.sort_unstable();
         for id in &done {
-            if self.slots[id.slot as usize].stalled {
-                // It ran, so a solve revived it after its stall.
-                self.revived_gone.push(*id);
-            }
             self.seed_path(id.slot);
             self.unlink_flow(id.slot);
         }
         done
     }
 
-    /// Re-share the batch: solve the union of the dirty components once
-    /// and return the resumes since the last settle — flows reported
-    /// stalled whose path is live again (those that left the net since
-    /// first, then the rest in the order the solves found them).
-    pub fn settle(&mut self) -> Changes {
-        self.reshare();
-        let mut resumed = std::mem::take(&mut self.revived_gone);
-        for id in self.revived.drain(..) {
-            let f = &mut self.slots[id.slot as usize];
-            // Skip a flow gone since, re-stalled by a kill, or reported
-            // twice by two solves.
-            if f.live
-                && f.serial == id.serial
-                && f.stalled
-                && !crosses_dead(&self.resources, &f.path)
-            {
-                f.stalled = false;
-                resumed.push(id);
-            }
-        }
-        Changes {
-            stalled: Vec::new(),
-            resumed,
-        }
-    }
-
     /// Earliest instant at which some flow completes, assuming no further
     /// mutations. `None` if no flow can finish (all stalled or no flows).
-    /// Solves a pending batch first; its resumes wait for the next
-    /// [`settle`](Self::settle).
+    /// Solves a pending batch first.
     pub fn next_completion(&mut self) -> Option<SimTime> {
         self.reshare();
         let mut best: Option<SimTime> = None;
@@ -464,10 +412,20 @@ impl FlowNet {
         best
     }
 
-    /// Rate of a flow (bytes/sec) as of the last solve, if it exists.
-    pub fn rate(&self, id: FlowId) -> Option<f64> {
-        debug_assert!(self.comp_res.is_empty(), "rate read mid-batch");
+    /// Rate of a flow (bytes/sec), if it exists. Solves a pending batch
+    /// first.
+    pub fn rate(&mut self, id: FlowId) -> Option<f64> {
+        self.reshare();
         self.is_live(id).then(|| self.slots[id.slot as usize].rate)
+    }
+
+    /// True if `id` is live and stalled: it has bytes left and its path
+    /// crosses a zero-capacity resource. Needs no solve.
+    pub fn is_stalled(&self, id: FlowId) -> bool {
+        self.is_live(id) && {
+            let f = &self.slots[id.slot as usize];
+            f.remaining > EPS_BYTES && crosses_dead(&self.resources, &f.path)
+        }
     }
 
     /// Bytes left to transfer, if the flow exists.
@@ -481,10 +439,10 @@ impl FlowNet {
         self.n_live
     }
 
-    /// Sum of flow rates through a resource (bytes/sec) as of the last
-    /// solve.
-    pub fn resource_throughput(&self, r: ResourceId) -> f64 {
-        debug_assert!(self.comp_res.is_empty(), "throughput read mid-batch");
+    /// Sum of flow rates through a resource (bytes/sec). Solves a pending
+    /// batch first.
+    pub fn resource_throughput(&mut self, r: ResourceId) -> f64 {
+        self.reshare();
         // The per-resource list is in creation order, so this adds the
         // same terms in the same order as a filtered scan of all flows.
         self.resources[r.0 as usize]
@@ -582,9 +540,8 @@ impl FlowNet {
 
     /// Expand the dirty set to its full connected component(s) in the
     /// sharing graph (running flows ↔ live resources), solve max-min on
-    /// that subproblem, apply the rates, note revived flows in creation
-    /// order, and open the next batch. An empty dirty set is no reshare
-    /// at all.
+    /// that subproblem, apply the rates, and open the next batch. An
+    /// empty dirty set is no reshare at all.
     fn reshare(&mut self) {
         if self.comp_res.is_empty() {
             return;
@@ -597,7 +554,6 @@ impl FlowNet {
             solver,
             epoch,
             stats,
-            revived,
             ..
         } = self;
         let epoch = *epoch;
@@ -667,12 +623,6 @@ impl FlowNet {
             // Progressive filling gives every flow over a live path a
             // positive share, so a solve never stalls a flow.
             debug_assert!(rates[k] > 0.0, "live path solved to rate 0");
-            if f.stalled && f.rate <= 0.0 {
-                revived.push(FlowId {
-                    serial: f.serial,
-                    slot: s,
-                });
-            }
             f.rate = rates[k];
         }
         self.begin_batch();
@@ -714,8 +664,8 @@ mod tests {
     fn single_flow_completes_analytically() {
         let mut net = FlowNet::new();
         let nic = net.add_resource(100.0); // 100 B/s
-        let (id, _) = net.start_flow(t(0), &[nic], 1000.0);
-        assert!(net.settle().is_empty(), "a flow born running never resumes");
+        let (id, ch) = net.start_flow(t(0), &[nic], 1000.0);
+        assert!(ch.is_empty(), "a flow born running reports nothing");
         let eta = net.next_completion().unwrap();
         // 1000 B at 100 B/s = exactly 10 s on the µs grid.
         assert_eq!(eta, t(10));
@@ -729,13 +679,11 @@ mod tests {
         let nic = net.add_resource(100.0);
         let (a, _) = net.start_flow(t(0), &[nic], 500.0);
         let (b, _) = net.start_flow(t(0), &[nic], 1500.0);
-        net.settle();
         assert_eq!(net.rate(a), Some(50.0));
         assert_eq!(net.rate(b), Some(50.0));
         // a finishes at 10s; b then gets the full 100 B/s.
         let eta_a = net.next_completion().unwrap();
         assert_eq!(net.poll(eta_a), vec![a]);
-        net.settle();
         assert_eq!(net.rate(b), Some(100.0));
         // b had 1500-500=1000 left at t≈10, so finishes ≈ t=20.
         let eta_b = net.next_completion().unwrap();
@@ -747,22 +695,20 @@ mod tests {
         let mut net = FlowNet::new();
         let nic = net.add_resource(100.0);
         let (id, _) = net.start_flow(t(0), &[nic], 1000.0);
-        net.settle();
         let ch = net.set_capacity(t(5), nic, 0.0);
         assert_eq!(ch.stalled, vec![id], "a stall is reported by the kill");
-        assert!(net.settle().is_empty());
+        assert!(ch.resumed.is_empty());
+        assert!(net.is_stalled(id));
         assert!(net.next_completion().is_none(), "stalled flow has no ETA");
         // 500 B were transferred before the stall.
         assert!((net.remaining_bytes(id).unwrap() - 500.0).abs() < 1e-6);
         // No progress while stalled.
         assert!(net.poll(t(60)).is_empty());
         assert!((net.remaining_bytes(id).unwrap() - 500.0).abs() < 1e-6);
-        assert!(net.set_capacity(t(60), nic, 100.0).is_empty());
-        assert_eq!(
-            net.settle().resumed,
-            vec![id],
-            "a resume is reported by the settle"
-        );
+        let ch = net.set_capacity(t(60), nic, 100.0);
+        assert_eq!(ch.resumed, vec![id], "a resume is reported by the revival");
+        assert!(ch.stalled.is_empty());
+        assert!(!net.is_stalled(id));
         let eta = net.next_completion().unwrap();
         assert!(eta >= t(65) && eta <= t(65) + SimDuration::from_millis(1));
     }
@@ -774,7 +720,6 @@ mod tests {
         let src_nic = net.add_resource(117.0);
         let dst_nic = net.add_resource(117.0);
         let (id, _) = net.start_flow(t(0), &[src_disk, src_nic, dst_nic], 600.0);
-        net.settle();
         assert_eq!(net.rate(id), Some(60.0));
     }
 
@@ -784,10 +729,8 @@ mod tests {
         let nic = net.add_resource(100.0);
         let (a, _) = net.start_flow(t(0), &[nic], 1e9);
         let (b, _) = net.start_flow(t(0), &[nic], 1e9);
-        net.settle();
         assert_eq!(net.rate(b), Some(50.0));
         assert!(net.cancel_flow(t(1), a));
-        net.settle();
         assert_eq!(net.rate(b), Some(100.0));
         assert!(!net.cancel_flow(t(1), a), "double cancel");
     }
@@ -808,7 +751,6 @@ mod tests {
         net.start_flow(t(0), &[nic], 1e9);
         net.start_flow(t(0), &[nic], 1e9);
         net.start_flow(t(0), &[nic], 1e9);
-        net.settle();
         assert!((net.resource_throughput(nic) - 90.0).abs() < 1e-9);
     }
 
@@ -819,9 +761,11 @@ mod tests {
         net.set_capacity(t(0), nic, 0.0);
         let (id, ch) = net.start_flow(t(1), &[nic], 500.0);
         assert_eq!(ch.stalled, vec![id], "born-stalled flow must be reported");
-        // A zero-byte flow on a dead resource still completes (no stall).
+        // A zero-byte flow on a dead resource still completes (no stall),
+        // so the revival does not resume it.
         let (_z, ch) = net.start_flow(t(1), &[nic], 0.0);
         assert!(ch.stalled.is_empty());
+        assert_eq!(net.set_capacity(t(1), nic, 100.0).resumed, vec![id]);
     }
 
     #[test]
@@ -832,10 +776,8 @@ mod tests {
         let shared = net.add_resource(100.0);
         let leaf = net.add_resource(100.0);
         let (a, _) = net.start_flow(t(0), &[shared, leaf], 1e6);
-        net.settle();
         assert_eq!(net.set_capacity(t(1), leaf, 0.0).stalled, vec![a]);
-        assert!(net.set_capacity(t(2), leaf, 50.0).is_empty());
-        assert_eq!(net.settle().resumed, vec![a]);
+        assert_eq!(net.set_capacity(t(2), leaf, 50.0).resumed, vec![a]);
         assert_eq!(net.rate(a), Some(50.0));
     }
 
@@ -874,10 +816,8 @@ mod tests {
         // The freed slot is reused by the next flow; the old handle must
         // stay dead.
         let (b, _) = net.start_flow(t(1), &[nic], 500.0);
-        net.settle();
         assert_eq!(net.rate(a), None, "stale id resolved after slot reuse");
         assert!(!net.cancel_flow(t(2), a));
-        net.settle();
         assert_eq!(net.rate(b), Some(100.0));
         assert!(a < b, "creation order must be preserved by FlowId ordering");
     }
@@ -892,13 +832,12 @@ mod tests {
         let (a1, _) = net.start_flow(t(0), &[nic_a], 1e9);
         let (a2, _) = net.start_flow(t(0), &[nic_a], 1e9);
         let (b1, _) = net.start_flow(t(0), &[nic_b], 1e9);
-        net.settle();
+        assert_eq!(net.rate(b1), Some(80.0));
         let visits_before = net.stats().reshare_flow_visits;
         assert!(net.set_capacity(t(1), nic_b, 40.0).is_empty());
-        assert!(net.settle().is_empty());
+        assert_eq!(net.rate(a1), Some(50.0));
         let visits = net.stats().reshare_flow_visits - visits_before;
         assert_eq!(visits, 1, "dirty component is just b1");
-        assert_eq!(net.rate(a1), Some(50.0));
         assert_eq!(net.rate(a2), Some(50.0));
         assert_eq!(net.rate(b1), Some(40.0));
     }
@@ -915,14 +854,13 @@ mod tests {
         let (b1, _) = net.start_flow(t(0), &[nic_b], 1e9);
         let (b2, _) = net.start_flow(t(0), &[nic_b], 1e9);
         let (s, _) = net.start_flow(t(0), &[nic_a, dead, nic_b], 1e9);
-        net.settle();
+        assert_eq!(net.rate(a1), Some(100.0));
         let visits_before = net.stats().reshare_flow_visits;
         assert!(net.set_capacity(t(1), nic_b, 40.0).is_empty());
-        assert!(net.settle().is_empty());
+        assert_eq!(net.rate(b1), Some(20.0));
         let visits = net.stats().reshare_flow_visits - visits_before;
         assert_eq!(visits, 2, "dirty component is just b1 and b2");
         assert_eq!(net.rate(a1), Some(100.0));
-        assert_eq!(net.rate(b1), Some(20.0));
         assert_eq!(net.rate(b2), Some(20.0));
         assert_eq!(net.rate(s), Some(0.0));
     }
@@ -933,22 +871,22 @@ mod tests {
         let nic = net.add_resource(100.0);
         let dead = net.add_resource(0.0);
         net.start_flow(t(0), &[nic], 1e9);
-        net.settle();
+        net.next_completion();
         let before = net.stats().reshares;
         // Born stalled over a dead resource.
         let (s, ch) = net.start_flow(t(1), &[nic, dead], 500.0);
         assert_eq!(ch.stalled, vec![s]);
-        assert!(net.settle().is_empty());
+        net.next_completion();
         assert_eq!(net.stats().reshares, before, "start over a dead resource");
         // Cancelled while stalled.
         assert!(net.cancel_flow(t(2), s));
-        assert!(net.settle().is_empty());
+        net.next_completion();
         assert_eq!(net.stats().reshares, before, "cancel of a stalled flow");
         // A zero-byte flow born on a dead resource, polled to completion.
         let (z, ch) = net.start_flow(t(3), &[dead], 0.0);
         assert!(ch.is_empty());
         assert_eq!(net.poll(t(3)), vec![z]);
-        assert!(net.settle().is_empty());
+        net.next_completion();
         assert_eq!(net.stats().reshares, before, "poll of a stalled flow");
     }
 
@@ -960,19 +898,17 @@ mod tests {
         let (f1, _) = net.start_flow(t(0), &[x], 1e9);
         let (f2, _) = net.start_flow(t(0), &[x, y], 1e9);
         let (f3, _) = net.start_flow(t(0), &[x], 1e9);
-        net.settle();
         assert_eq!(net.set_capacity(t(1), y, 0.0).stalled, vec![f2]);
-        net.settle();
         assert_eq!(net.rate(f1), Some(45.0), "freed capacity re-shared");
         let ch = net.set_capacity(t(2), x, 0.0);
         assert_eq!(ch.stalled, vec![f1, f3], "creation order");
-        net.settle();
-        assert!(net.set_capacity(t(3), x, 90.0).is_empty());
-        let ch = net.settle();
+        let ch = net.set_capacity(t(3), x, 90.0);
         assert_eq!(ch.resumed, vec![f1, f3], "f2 still crosses dead y");
         assert!(ch.stalled.is_empty());
         assert_eq!(net.rate(f2), Some(0.0));
         assert_eq!(net.rate(f3), Some(45.0));
+        assert_eq!(net.set_capacity(t(4), y, 90.0).resumed, vec![f2]);
+        assert_eq!(net.rate(f2), Some(30.0));
     }
 
     #[test]
@@ -981,7 +917,7 @@ mod tests {
         // bottleneck shares within the solver's freeze tolerance (1e-12
         // relative) in *different* components. One solve freezes both in
         // one round at the smaller share, like the global solve; each
-        // component settled alone keeps its own.
+        // component solved alone keeps its own.
         let caps = [100.0, 100.0 * (1.0 + 1e-13)];
         let global = crate::maxmin_rates(&caps, &[vec![0], vec![1]]);
         assert_eq!(global, vec![100.0, 100.0]);
@@ -990,18 +926,16 @@ mod tests {
         let a = net.add_resource(caps[0]);
         let b = net.add_resource(caps[1]);
         let (fa, _) = net.start_flow(t(0), &[a], 1e9);
-        net.settle();
-        let (fb, _) = net.start_flow(t(0), &[b], 1e9);
-        net.settle();
         assert_eq!(net.rate(fa), Some(100.0));
+        let (fb, _) = net.start_flow(t(0), &[b], 1e9);
         assert_eq!(net.rate(fb), Some(100.00000000000999));
+        assert_eq!(net.rate(fa), Some(100.0));
 
         let mut net = FlowNet::new();
         let a = net.add_resource(caps[0]);
         let b = net.add_resource(caps[1]);
         let (fa, _) = net.start_flow(t(0), &[a], 1e9);
         let (fb, _) = net.start_flow(t(0), &[b], 1e9);
-        net.settle();
         assert_eq!(net.rate(fa), Some(global[0]));
         assert_eq!(net.rate(fb), Some(global[1]));
     }
@@ -1012,12 +946,12 @@ mod tests {
         let nic = net.add_resource(100.0);
         let disk = net.add_resource(60.0);
         let (a, _) = net.start_flow(t(0), &[nic], 1000.0);
-        net.start_flow(t(0), &[nic, disk], 1000.0);
+        let (b, _) = net.start_flow(t(0), &[nic, disk], 1000.0);
         net.set_capacity(t(0), nic, 50.0);
         net.cancel_flow(t(0), a);
         assert_eq!(net.stats().reshares, 0, "mutations only seed");
-        net.settle();
-        net.settle();
+        assert_eq!(net.rate(b), Some(50.0));
+        assert_eq!(net.resource_throughput(nic), 50.0);
         let stats = net.stats();
         assert_eq!(
             stats.reshares, 1,
@@ -1036,45 +970,39 @@ mod tests {
         let (a, ch) = net.start_flow(t(0), &[nic], 1000.0);
         assert!(ch.is_empty());
         assert_eq!(net.set_capacity(t(0), nic, 0.0).stalled, vec![a]);
-        assert!(net.settle().is_empty());
         assert_eq!(net.rate(a), Some(0.0));
     }
 
     #[test]
     fn pending_resume_is_reported_when_the_batch_ends_it() {
-        // A stalled flow revived and then killed again in one batch: the
-        // kill reports the resume with the new stall, so a host applying
-        // `resumed` first restarts its timer as if it had settled in
-        // between.
+        // A stalled flow revived and then killed again in one batch, with
+        // no solve in between: the revival reports the resume and the
+        // kill the new stall, each by itself.
         let mut net = FlowNet::new();
         let nic = net.add_resource(100.0);
         let (a, _) = net.start_flow(t(0), &[nic], 1000.0);
-        net.settle();
-        net.set_capacity(t(1), nic, 0.0);
-        net.settle();
-        assert!(net.set_capacity(t(2), nic, 100.0).is_empty());
+        assert_eq!(net.set_capacity(t(1), nic, 0.0).stalled, vec![a]);
+        let ch = net.set_capacity(t(2), nic, 100.0);
+        assert_eq!((ch.resumed, ch.stalled), (vec![a], vec![]));
         let ch = net.set_capacity(t(2), nic, 0.0);
-        assert_eq!((ch.resumed, ch.stalled), (vec![a], vec![a]));
-        assert!(net.settle().is_empty());
-        // Revived and then cancelled: the settle still reports the resume.
-        net.set_capacity(t(3), nic, 100.0);
+        assert_eq!((ch.resumed, ch.stalled), (vec![], vec![a]));
+        // Revived and then cancelled: nothing is owed to the host.
+        assert_eq!(net.set_capacity(t(3), nic, 100.0).resumed, vec![a]);
         assert!(net.cancel_flow(t(3), a));
-        assert_eq!(net.settle().resumed, vec![a]);
+        assert!(!net.is_stalled(a));
+        assert_eq!(net.next_completion(), None);
     }
 
     #[test]
     fn a_time_advance_settles_the_pending_batch() {
-        // Progress is charged at the batch's rates, and the implicit
-        // settle's resumes wait for the next `settle`.
+        // Progress is charged at the batch's rates, solved by the advance
+        // itself, with no read in between.
         let mut net = FlowNet::new();
         let nic = net.add_resource(100.0);
         let (a, _) = net.start_flow(t(0), &[nic], 1000.0);
-        net.settle();
         net.set_capacity(t(1), nic, 0.0);
-        net.settle();
-        net.set_capacity(t(2), nic, 100.0);
+        assert_eq!(net.set_capacity(t(2), nic, 100.0).resumed, vec![a]);
         assert!(net.poll(t(3)).is_empty());
         assert!((net.remaining_bytes(a).unwrap() - 800.0).abs() < 1e-6);
-        assert_eq!(net.settle().resumed, vec![a]);
     }
 }

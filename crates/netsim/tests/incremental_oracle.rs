@@ -2,25 +2,27 @@
 //! Random mutation streams (start / cancel / set_capacity / poll) are
 //! checked three ways.
 //!
-//! * **Against a from-scratch oracle.** After every settle — one per
+//! * **Against the definition of a stall, exactly.** After every
+//!   mutation, the host view built by applying each reported
+//!   [`Changes`] — every stall and resume a real transition, each list in
+//!   creation order — holds exactly the live flows that have bytes left
+//!   and a path across a zero-capacity resource, and
+//!   [`FlowNet::is_stalled`] agrees flow by flow.
+//! * **Against a from-scratch oracle.** After every solve — one per
 //!   mutation, or one per random batch of mutations — every live flow's
 //!   rate is **bit-identical** to a [`maxmin_rates`] solve of the whole
-//!   network; the host-visible stall state each flow reaches by applying
-//!   the reported [`Changes`] (resumes first) is the oracle's: stalled
-//!   exactly when its rate is 0 with bytes left; every reported stall
-//!   and resume is a real transition of that state; no resource is
-//!   oversubscribed; and the slab never resurrects a stale [`FlowId`].
-//! * **Differentially.** One stream fed to a net that settles after
-//!   every mutation and to one that settles once per random batch gives
-//!   the same rates bit for bit, the same stall lists in the same order
-//!   and the same resumed sets per batch. (`DESIGN.md` §5 exempts
-//!   near-ties across components; capacities drawn from a continuous
-//!   range do not produce them, and the unit test
-//!   `near_tie_across_components_is_solved_per_component` pins the
-//!   case.)
-//! * **A host that never settles** (it only starts, kills, restores,
-//!   reads `next_completion` and polls) completes the same flows at the
-//!   same instants as one that settles after every mutation.
+//!   network; a flow is stalled in the host view exactly when its rate is
+//!   0 with bytes left; no resource is oversubscribed; and the slab never
+//!   resurrects a stale [`FlowId`].
+//! * **Differentially.** One stream fed to a net that solves after every
+//!   mutation and to one that solves once per random batch gives the
+//!   same rates bit for bit and the same stall and resume lists in the
+//!   same order. (`DESIGN.md` §5 exempts near-ties across components;
+//!   capacities drawn from a continuous range do not produce them, and
+//!   the unit test `near_tie_across_components_is_solved_per_component`
+//!   pins the case.) A host that only starts, kills, restores, reads
+//!   `next_completion` and polls completes the same flows at the same
+//!   instants as one that solves after every mutation.
 
 use netsim::{maxmin_rates, Changes, FlowId, FlowNet, ResourceId};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -54,9 +56,6 @@ struct Harness {
     caps: Vec<f64>,
     live: Vec<ShadowFlow>,
     dead: Vec<FlowId>,
-    /// Flows that left the net while the host saw them stalled: a resume
-    /// may still be reported for them.
-    owed: Vec<FlowId>,
     now: SimTime,
 }
 
@@ -74,7 +73,6 @@ impl Harness {
             caps,
             live: Vec::new(),
             dead: Vec::new(),
-            owed: Vec::new(),
             now: SimTime::ZERO,
         }
     }
@@ -96,7 +94,7 @@ impl Harness {
     }
 
     /// Draw one mutation. A poll target may come from `next_completion`,
-    /// which settles a pending batch — the implicit path under test too.
+    /// which solves a pending batch — the implicit path under test too.
     fn random_op(&mut self, rng: &mut StdRng) -> Op {
         match rng.gen_range(0..100u32) {
             // Start a flow (sometimes zero-byte, sometimes over a path
@@ -144,9 +142,16 @@ impl Harness {
         }
     }
 
-    /// Apply one mutation to the net and the shadow; returns the changes
-    /// it reported and, for a poll, the completed flows.
+    /// Apply one mutation to the net and the shadow, and check the host
+    /// view against the definition of a stall; returns the changes it
+    /// reported and, for a poll, the completed flows.
     fn apply(&mut self, op: &Op) -> (Changes, Vec<FlowId>) {
+        let out = self.mutate(op);
+        self.check_stalls(op);
+        out
+    }
+
+    fn mutate(&mut self, op: &Op) -> (Changes, Vec<FlowId>) {
         match op {
             Op::Start(path, bytes) => {
                 let rpath: Vec<ResourceId> = path.iter().map(|&r| self.resources[r]).collect();
@@ -165,9 +170,7 @@ impl Harness {
             Op::Cancel(id) => {
                 assert!(self.net.cancel_flow(self.now, *id), "cancel of live flow");
                 let k = self.live.iter().position(|f| f.id == *id).unwrap();
-                if self.live.remove(k).stalled {
-                    self.owed.push(*id);
-                }
+                self.live.remove(k);
                 self.dead.push(*id);
                 (Changes::default(), Vec::new())
             }
@@ -186,11 +189,10 @@ impl Harness {
                         .iter()
                         .position(|f| f.id == *id)
                         .expect("completed flow unknown to shadow");
-                    if self.live.remove(k).stalled {
-                        // A solve revived it and it ran to completion;
-                        // the next settle reports the resume.
-                        self.owed.push(*id);
-                    }
+                    assert!(
+                        !self.live.remove(k).stalled,
+                        "stalled flow {id:?} completed"
+                    );
                     self.dead.push(*id);
                 }
                 (Changes::default(), done)
@@ -198,42 +200,55 @@ impl Harness {
         }
     }
 
-    /// Settle and apply the settle's changes to the host view.
-    fn settle(&mut self) -> Changes {
-        let ch = self.net.settle();
-        self.observe(&ch);
-        ch
+    /// Solve a pending batch, as any read does.
+    fn solve(&mut self) {
+        self.net.next_completion();
     }
 
-    /// Apply reported transitions to the host view, resumes first, and
-    /// assert each is a real transition.
+    /// Apply reported transitions to the host view and assert each is a
+    /// real transition of a live flow, each list in creation order.
     fn observe(&mut self, ch: &Changes) {
-        for id in &ch.resumed {
-            match self.live.iter_mut().find(|f| f.id == *id) {
-                Some(f) => {
-                    assert!(f.stalled, "resume of a flow not stalled: {id:?}");
-                    f.stalled = false;
-                }
-                None => {
-                    let k = self.owed.iter().position(|o| o == id);
-                    let k = k.unwrap_or_else(|| panic!("resume of unknown flow {id:?}"));
-                    self.owed.remove(k);
-                }
+        for (list, to) in [(&ch.resumed, false), (&ch.stalled, true)] {
+            assert!(
+                list.windows(2).all(|w| w[0] < w[1]),
+                "not in creation order: {list:?}"
+            );
+            for id in list {
+                let f = self.live.iter_mut().find(|f| f.id == *id);
+                let f = f.unwrap_or_else(|| panic!("transition of unknown flow {id:?}"));
+                assert_ne!(f.stalled, to, "not a transition: {id:?} to stalled={to}");
+                f.stalled = to;
             }
         }
-        for id in &ch.stalled {
-            let f = self.live.iter_mut().find(|f| f.id == *id);
-            let f = f.unwrap_or_else(|| panic!("stall of unknown flow {id:?}"));
-            assert!(!f.stalled, "stall of a flow already stalled: {id:?}");
-            f.stalled = true;
+    }
+
+    /// After a mutation: the host view is stalled exactly for the live
+    /// flows with bytes left whose path crosses a zero-capacity resource.
+    fn check_stalls(&self, op: &Op) {
+        for f in &self.live {
+            let want = self.net.remaining_bytes(f.id).unwrap() > EPS_BYTES
+                && f.path.iter().any(|&r| self.caps[r] <= 0.0);
+            assert_eq!(f.stalled, want, "after {op:?}: host view of {:?}", f.id);
+            assert_eq!(
+                self.net.is_stalled(f.id),
+                want,
+                "after {op:?}: is_stalled({:?})",
+                f.id
+            );
+        }
+        for id in &self.dead {
+            assert!(
+                !self.net.is_stalled(*id),
+                "after {op:?}: gone flow {id:?} stalled"
+            );
         }
     }
 
-    /// After a settle: compare the engine against a from-scratch global
-    /// solve, and the host's stall view against the oracle's rates.
+    /// Compare the engine (whose first read solves a pending batch)
+    /// against a from-scratch global solve, and the host's stall view
+    /// against the oracle's rates.
     fn check_against_oracle(&mut self, step: usize) {
         assert_eq!(self.net.n_flows(), self.live.len(), "live count diverged");
-        self.owed.clear();
         let paths: Vec<Vec<usize>> = self.live.iter().map(|f| f.path.clone()).collect();
         let oracle = maxmin_rates(&self.caps, &paths);
         for (f, &want) in self.live.iter().zip(&oracle) {
@@ -278,7 +293,6 @@ fn incremental_rates_match_fresh_solve_under_churn() {
         for step in 0..1500 {
             let op = h.random_op(&mut rng);
             h.apply(&op);
-            h.settle();
             h.check_against_oracle(step);
         }
         // The engine must actually have exercised slot reuse.
@@ -296,7 +310,6 @@ fn random_batches_match_fresh_solve() {
                 let op = h.random_op(&mut rng);
                 h.apply(&op);
             }
-            h.settle();
             h.check_against_oracle(batch);
         }
         assert!(!h.dead.is_empty(), "seed {seed}: no flow ever retired");
@@ -320,9 +333,7 @@ fn batched_settles_match_settling_every_mutation() {
                 // batched one sees only the mutations.
                 let op = eager.random_op(&mut rng);
                 let (ch, done) = eager.apply(&op);
-                eager_stalled.extend(ch.stalled);
-                eager_resumed.extend(ch.resumed);
-                let ch = eager.settle();
+                eager.solve();
                 eager_stalled.extend(ch.stalled);
                 eager_resumed.extend(ch.resumed);
                 let (ch, batched_done) = batched.apply(&op);
@@ -330,15 +341,10 @@ fn batched_settles_match_settling_every_mutation() {
                 batched_resumed.extend(ch.resumed);
                 assert_eq!(done, batched_done, "batch {batch}: completions diverged");
             }
-            let ch = batched.settle();
-            batched_stalled.extend(ch.stalled);
-            batched_resumed.extend(ch.resumed);
             assert_eq!(
                 eager_stalled, batched_stalled,
                 "batch {batch}: stalls diverged"
             );
-            eager_resumed.sort_unstable();
-            batched_resumed.sort_unstable();
             assert_eq!(
                 eager_resumed, batched_resumed,
                 "batch {batch}: resumes diverged"
@@ -373,7 +379,7 @@ fn batched_settles_match_settling_every_mutation() {
         assert!(stalls > 0 && resumes > 0, "seed {seed}: no transitions");
         assert!(
             batched.net.stats().reshares < eager.net.stats().reshares,
-            "seed {seed}: batching saved no settle"
+            "seed {seed}: batching saved no solve"
         );
     }
 }
@@ -382,7 +388,8 @@ fn batched_settles_match_settling_every_mutation() {
 fn host_that_never_settles_completes_the_same_flows() {
     // The pattern of a host that drives the net directly: fill to a
     // target, kill and restore resources, and otherwise only ask for the
-    // next completion and poll there.
+    // next completion and poll there. It never reads a rate, so its only
+    // solves are those `next_completion` and time advances make.
     let mut rng = StdRng::seed_from_u64(41);
     let mut eager = Harness::new(9, &mut rng);
     let mut lazy = eager.twin();
@@ -413,9 +420,9 @@ fn host_that_never_settles_completes_the_same_flows() {
             );
         }
         let (ch, done) = eager.apply(&op);
-        eager.settle();
+        eager.solve();
         let (lazy_ch, lazy_done) = lazy.apply(&op);
-        assert_eq!(ch.stalled, lazy_ch.stalled, "turn {turn}: stalls diverged");
+        assert_eq!(ch, lazy_ch, "turn {turn}: transitions diverged");
         assert_eq!(done, lazy_done, "turn {turn}: completions diverged");
         completed += done.len();
     }
@@ -434,13 +441,11 @@ fn completion_drains_network() {
         let path = h.random_path(&mut rng);
         let bytes = rng.gen_range(1.0..10_000.0);
         h.apply(&Op::Start(path, bytes));
-        h.settle();
         h.check_against_oracle(i);
     }
     let mut polls = 0;
     while let Some(eta) = h.net.next_completion() {
         h.apply(&Op::Poll(eta.max(h.now)));
-        h.settle();
         h.check_against_oracle(polls);
         polls += 1;
         assert!(polls < 10_000, "network failed to drain");
