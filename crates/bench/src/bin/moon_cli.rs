@@ -44,12 +44,14 @@
 //! **campaign**: every completed cell is appended to a checkpoint file
 //! (default `bench_results/campaigns/<name>.ckpt.jsonl`), a killed
 //! sweep resumes with `--resume` (completed cells are restored,
-//! artifacts come out byte-identical to an uninterrupted run), and
-//! failed cells are recorded in a dead-letter queue next to the
-//! checkpoint. `dlq list` shows the failed cells; `dlq retry` re-runs
-//! them with bounded attempts. The checkpoint is keyed by a content
-//! hash of the spec + seeds + quick mode, so pass the same spec, seeds,
-//! `MOON_QUICK`, and telemetry flags when resuming or retrying.
+//! artifacts come out byte-identical to an uninterrupted run). The
+//! checkpoint records every cell's fate and attempt count, so its
+//! failed cells are the dead-letter queue: `dlq list` shows them (it
+//! reads the seeds from the checkpoint, so it needs only the spec) and
+//! `dlq retry` re-runs them with bounded attempts. The checkpoint is
+//! keyed by a content hash of the spec + seeds + quick mode, so pass the
+//! same spec, seeds, `MOON_QUICK`, and telemetry flags when resuming or
+//! retrying.
 
 use scenarios::{codec, registry, ScenarioError, ScenarioSpec};
 use std::path::{Path, PathBuf};
@@ -195,7 +197,7 @@ fn cmd_run(cmd: &str, arg: &str, opts: RunOpts, retry: bool, max_attempts: u32) 
     }
     let cfg = opts.campaign_config(&spec.name, retry, max_attempts);
     match bench::run_campaign(&spec, opts.seeds_override.clone(), &cfg) {
-        Ok(outcome) => finish_run(&spec, &outcome, &opts),
+        Ok(outcome) => finish_run(&spec, &outcome, &opts, cfg.checkpoint.is_some()),
         Err(e) => {
             eprintln!("scenario `{}` failed: {e}", spec.name);
             std::process::exit(1);
@@ -205,7 +207,12 @@ fn cmd_run(cmd: &str, arg: &str, opts: RunOpts, retry: bool, max_attempts: u32) 
 
 /// Print tables + outcome summary + audit findings, write the JSON
 /// report and any telemetry artifacts, and exit 1 if any cell failed.
-fn finish_run(spec: &ScenarioSpec, outcome: &bench::CampaignOutcome, opts: &RunOpts) {
+fn finish_run(
+    spec: &ScenarioSpec,
+    outcome: &bench::CampaignOutcome,
+    opts: &RunOpts,
+    checkpointed: bool,
+) {
     let run = &outcome.run;
     print!("{}", run.tables);
     if !run.results.is_empty() {
@@ -241,7 +248,7 @@ fn finish_run(spec: &ScenarioSpec, outcome: &bench::CampaignOutcome, opts: &RunO
             e.cell, e.policy, e.workload, e.column, e.seed, e.reason, e.detail
         );
     }
-    let hint = if outcome.dlq_path.is_some() {
+    let hint = if checkpointed {
         "`moon-cli dlq list` shows them, `moon-cli dlq retry` re-runs them with bounded attempts"
     } else {
         "re-run with --checkpoint to retry them through `moon-cli dlq retry`"
@@ -262,13 +269,12 @@ fn cmd_dlq_list(arg: &str, checkpoint: Option<String>) {
     let ckpt = checkpoint
         .map(PathBuf::from)
         .unwrap_or_else(|| bench::campaign::default_checkpoint_path(&spec.name));
-    let dlq = bench::campaign::dlq_path_for(&ckpt);
-    let entries = match bench::campaign::load_dlq(&dlq) {
+    let entries = match bench::campaign::list_failed(&spec, &ckpt) {
         Ok(e) => e,
         Err(e) => fail(&format!("dlq list: {e}")),
     };
     if entries.is_empty() {
-        eprintln!("dlq {}: empty", dlq.display());
+        eprintln!("checkpoint {}: no failed cells", ckpt.display());
         return;
     }
     println!("cell\tpoint\tpanel\tpolicy\tcolumn\tseed\treason\tattempts\tdetail");
@@ -286,7 +292,11 @@ fn cmd_dlq_list(arg: &str, checkpoint: Option<String>) {
             e.detail.replace(['\t', '\n'], " "),
         );
     }
-    eprintln!("dlq {}: {} failed cell(s)", dlq.display(), entries.len());
+    eprintln!(
+        "checkpoint {}: {} failed cell(s)",
+        ckpt.display(),
+        entries.len()
+    );
 }
 
 fn cmd_fuzz(n_cases: u32, seed: u64, out: Option<String>, fault: Option<scenarios::Fault>) {

@@ -1,5 +1,5 @@
 //! The sweep runner: per-cell fault containment, plus optional
-//! checkpoints for resumable sweeps and a dead-letter queue.
+//! checkpoints for resumable sweeps.
 //!
 //! Every scenario sweep runs here, one (point, seed) **cell** per item
 //! of a parallel `map`, in one contained cell loop. The rayon shim runs
@@ -9,7 +9,7 @@
 //! ([`scenarios::codec::content_key`]: hash of the canonical spec +
 //! seed list + quick-mode flag), and every cell that finishes on a
 //! worker is appended to a checkpoint file as one self-contained
-//! JSONL record — the full
+//! JSONL record — status, attempt count, the full
 //! [`RunResult`] round-trip plus the cell's pre-rendered telemetry
 //! fragments. Killing the process loses at most the in-flight cells;
 //! `moon-cli run --resume` verifies the key, restores completed cells,
@@ -36,10 +36,11 @@
 //! (deterministic placeholder result) instead of a sweep abort, and
 //! [`RunLimits`] (event budget, optional wall deadline) turns livelocks
 //! into `event_limit` / `wall_deadline` cells. All three are reported
-//! in [`CampaignOutcome::failed`]; a checkpointed campaign also writes
-//! them to the **dead-letter queue** — a sibling JSONL file with the
-//! cell's grid coordinates and attempt count — drained by
-//! `moon-cli dlq list` / `dlq retry --max-attempts N`.
+//! in [`CampaignOutcome::failed`]. In a checkpointed campaign the
+//! failed records *are* the dead-letter queue: [`list_failed`] reads
+//! them back as [`FailedCell`] rows for `moon-cli dlq list`, and
+//! `moon-cli dlq retry --max-attempts N` re-runs them, counting
+//! attempts in the same records.
 //!
 //! Without a checkpoint nothing is read or written, and the results
 //! keep their live telemetry recorders.
@@ -63,8 +64,8 @@ const CKPT_VERSION: u64 = 1;
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Checkpoint file (append-only JSONL, atomically compacted on
-    /// open). The DLQ lives next to it ([`dlq_path_for`]). `None` runs
-    /// the sweep without reading or writing any file.
+    /// open). `None` runs the sweep without reading or writing any
+    /// file.
     pub checkpoint: Option<PathBuf>,
     /// Restore completed cells from an existing checkpoint instead of
     /// starting over. The campaign key must match.
@@ -73,8 +74,8 @@ pub struct CampaignConfig {
     /// [`CampaignConfig::max_attempts`] (the `dlq retry` mode —
     /// implies `resume`).
     pub retry_failed: bool,
-    /// Attempt bound for `retry_failed`; cells at the bound stay in
-    /// the DLQ.
+    /// Attempt bound for `retry_failed`; cells at the bound stay
+    /// failed.
     pub max_attempts: u32,
     /// Per-cell containment limits (event budget, wall deadline).
     pub limits: RunLimits,
@@ -112,8 +113,11 @@ pub fn default_checkpoint_path(scenario: &str) -> PathBuf {
     PathBuf::from(format!("bench_results/campaigns/{scenario}.ckpt.jsonl"))
 }
 
-/// The DLQ file that belongs to a checkpoint: `<x>.ckpt.jsonl` →
-/// `<x>.dlq.jsonl` (any other name just gains a `.dlq.jsonl` suffix).
+/// Where older builds wrote a checkpoint's dead-letter file:
+/// `<x>.ckpt.jsonl` → `<x>.dlq.jsonl` (any other name just gains a
+/// `.dlq.jsonl` suffix). Nothing writes that file any more; the
+/// benchmark harness still derives the name to delete a stale copy,
+/// and the function goes once that call does.
 pub fn dlq_path_for(checkpoint: &Path) -> PathBuf {
     let s = checkpoint.to_string_lossy();
     match s.strip_suffix(".ckpt.jsonl") {
@@ -122,12 +126,10 @@ pub fn dlq_path_for(checkpoint: &Path) -> PathBuf {
     }
 }
 
-/// One dead-letter-queue entry: a failed cell with everything needed
-/// to locate and retry it.
+/// A failed cell as `moon-cli dlq list` shows it: the checkpoint
+/// record's fate placed on the plan's grid.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DlqEntry {
-    /// Campaign key the cell belongs to.
-    pub campaign: String,
+pub struct FailedCell {
     /// Flat cell index (`point * n_seeds + seed_idx`).
     pub cell: usize,
     /// Grid point index.
@@ -163,10 +165,8 @@ pub struct CampaignOutcome {
     pub restored: usize,
     /// Cells executed this invocation.
     pub executed: usize,
-    /// Currently-failed cells (the DLQ contents, grid order).
-    pub failed: Vec<DlqEntry>,
-    /// Where the DLQ lives (`None` without a checkpoint).
-    pub dlq_path: Option<PathBuf>,
+    /// Currently-failed cells, in grid order.
+    pub failed: Vec<FailedCell>,
     /// The stitched metrics JSONL artifact (empty without telemetry).
     pub metrics_jsonl: String,
     /// The stitched Chrome-trace artifact.
@@ -302,16 +302,6 @@ fn encode_job_metrics(m: &mapred::JobMetrics) -> String {
     )
 }
 
-/// Like [`dec_u32`], but a missing key decodes as 0 — counters added
-/// after a checkpoint was written (e.g. `preempted`) read back as
-/// zero instead of poisoning the resume.
-fn dec_u32_or_zero(v: &Value, key: &str) -> Result<u32, String> {
-    match v.get(key) {
-        None => Ok(0),
-        Some(_) => dec_u32(v, key),
-    }
-}
-
 fn decode_job_metrics(v: &Value) -> Result<mapred::JobMetrics, String> {
     Ok(mapred::JobMetrics {
         duplicated_tasks: dec_u32(v, "duplicated_tasks")?,
@@ -321,7 +311,7 @@ fn decode_job_metrics(v: &Value) -> Result<mapred::JobMetrics, String> {
         map_output_relaunches: dec_u32(v, "map_output_relaunches")?,
         completed_maps: dec_u32(v, "completed_maps")?,
         completed_reduces: dec_u32(v, "completed_reduces")?,
-        preempted: dec_u32_or_zero(v, "preempted")?,
+        preempted: dec_u32(v, "preempted")?,
     })
 }
 
@@ -355,28 +345,18 @@ fn encode_slo(j: &JobSlo) -> String {
 
 fn decode_slo(v: &Value) -> Result<JobSlo, String> {
     let time = simkit::SimTime::from_micros;
-    // Scheduling metadata keys postdate the checkpoint format; missing
-    // ones decode as "no metadata" so older checkpoints still resume.
-    let deadline = match v.get("deadline_us") {
-        None => None,
-        Some(_) => dec_opt_micros(v, "deadline_us")?.map(time),
-    };
-    let priority = match v.get("priority") {
-        None => 0,
-        Some(n) => n
-            .as_i64()
-            .and_then(|i| i32::try_from(i).ok())
-            .ok_or_else(|| "`priority` is not an i32".to_string())?,
-    };
     Ok(JobSlo {
         job: dec_u32(v, "job")?,
         workload: dec_str(v, "workload")?,
         submitted: time(dec_u64(v, "submitted_us")?),
         first_launch: dec_opt_micros(v, "first_launch_us")?.map(time),
         finished: dec_opt_micros(v, "finished_us")?.map(time),
-        deadline,
-        priority,
-        tenant: dec_u32_or_zero(v, "tenant")?,
+        deadline: dec_opt_micros(v, "deadline_us")?.map(time),
+        priority: field(v, "priority")?
+            .as_i64()
+            .and_then(|i| i32::try_from(i).ok())
+            .ok_or("`priority` is not an i32")?,
+        tenant: dec_u32(v, "tenant")?,
         metrics: decode_job_metrics(field(v, "metrics")?)?,
     })
 }
@@ -546,61 +526,79 @@ fn encode_header(
 // ---------------------------------------------------------------------
 // Checkpoint store.
 
+/// Read the checkpoint of an `n_points`-point plan: the header's seed
+/// list and the winning record of each cell of its grid. The header must
+/// parse, carry this format version, name `expect_key` (when given) and
+/// an `n_points`-point grid. The file is read as bytes and split on
+/// `\n`; a record line that is not UTF-8, does not decode, or names a
+/// cell outside the grid is reported with its line number and ignored,
+/// so its cell runs again.
 fn load_checkpoint(
     path: &Path,
-    expect_key: &str,
-    n_cells: usize,
-) -> Result<Vec<Option<CellRecord>>, ScenarioError> {
-    let text = std::fs::read_to_string(path)
+    n_points: usize,
+    expect_key: Option<&str>,
+) -> Result<(Vec<u64>, Vec<Option<CellRecord>>), ScenarioError> {
+    let bytes = std::fs::read(path)
         .map_err(|e| ScenarioError::msg(format!("cannot read {}: {e}", path.display())))?;
-    let mut lines = text.lines().enumerate();
-    let Some((_, header)) = lines.next() else {
-        return Err(ScenarioError::msg(format!(
-            "{}: empty checkpoint",
-            path.display()
-        )));
+    let refuse = |what: String| ScenarioError::msg(format!("{}: {what}", path.display()));
+    let mut lines = bytes.split(|&b| b == b'\n').enumerate();
+    let header = match lines.next() {
+        Some((_, h)) if !h.is_empty() => h,
+        _ => return Err(refuse("empty checkpoint".into())),
     };
-    let header = json::parse(header)
-        .map_err(|e| ScenarioError::msg(format!("{}: bad header: {e}", path.display())))?;
+    let header = std::str::from_utf8(header)
+        .map_err(|e| e.to_string())
+        .and_then(json::parse)
+        .map_err(|e| refuse(format!("bad header: {e}")))?;
     let version = header.get("v").and_then(Value::as_u64);
     if version != Some(CKPT_VERSION) {
-        return Err(ScenarioError::msg(format!(
-            "{}: unsupported checkpoint version {version:?}",
-            path.display()
+        return Err(refuse(format!(
+            "unsupported checkpoint version {version:?}"
         )));
     }
     let found_key = header.get("campaign").and_then(Value::as_str).unwrap_or("");
-    if found_key != expect_key {
-        return Err(ScenarioError::msg(format!(
-            "{}: campaign key mismatch — checkpoint {found_key}, current {expect_key} \
-             (spec, seeds, or MOON_QUICK changed); re-run without --resume to start over",
-            path.display()
+    if let Some(expect_key) = expect_key.filter(|k| *k != found_key) {
+        return Err(refuse(format!(
+            "campaign key mismatch — checkpoint {found_key}, current {expect_key} \
+             (spec, seeds, or MOON_QUICK changed); re-run without --resume to start over"
         )));
     }
+    let seeds = header
+        .get("seeds")
+        .and_then(Value::as_arr)
+        .and_then(|s| s.iter().map(Value::as_u64).collect::<Option<Vec<u64>>>())
+        .ok_or_else(|| refuse("bad header: `seeds` is not a list of u64".into()))?;
+    if header.get("n_points").and_then(Value::as_u64) != Some(n_points as u64) {
+        return Err(refuse(format!(
+            "checkpoint grid is not the spec's plan, which has {n_points} points"
+        )));
+    }
+    let n_cells = n_points * seeds.len();
     let mut records: Vec<Option<CellRecord>> = vec![None; n_cells];
     for (line_no, line) in lines {
-        match decode_record(line) {
-            Ok(rec) if rec.cell < n_cells => {
-                // Later lines win: a retry's fresh record supersedes
-                // the failure it replaces.
-                let cell = rec.cell;
-                records[cell] = Some(rec);
-            }
-            Ok(rec) => eprintln!(
-                "checkpoint {}: line {} names cell {} outside the {}-cell grid — ignored",
-                path.display(),
-                line_no + 1,
-                rec.cell,
-                n_cells
-            ),
+        if line.is_empty() {
+            continue;
+        }
+        let rec = std::str::from_utf8(line)
+            .map_err(|e| e.to_string())
+            .and_then(decode_record)
+            .and_then(|rec| {
+                (rec.cell < n_cells)
+                    .then_some((rec.cell, rec))
+                    .ok_or_else(|| format!("names a cell outside the {n_cells}-cell grid"))
+            });
+        match rec {
+            // Later lines win: a retry's fresh record supersedes the
+            // failure it replaces.
+            Ok((cell, rec)) => records[cell] = Some(rec),
             Err(e) => eprintln!(
-                "checkpoint {}: line {} unreadable ({e}) — likely a torn write, ignored",
+                "checkpoint {}: line {} unreadable ({e}) — ignored",
                 path.display(),
                 line_no + 1
             ),
         }
     }
-    Ok(records)
+    Ok((seeds, records))
 }
 
 /// Atomically rewrite the checkpoint as header + one line per known
@@ -617,81 +615,6 @@ fn compact_checkpoint(
     body.push('\n');
     for rec in records.iter().flatten() {
         body.push_str(&encode_record(rec));
-        body.push('\n');
-    }
-    simkit::fsio::atomic_write(path, body.as_bytes())
-        .map_err(|e| ScenarioError::msg(format!("cannot write {}: {e}", path.display())))
-}
-
-// ---------------------------------------------------------------------
-// DLQ store.
-
-fn encode_dlq_entry(e: &DlqEntry) -> String {
-    format!(
-        concat!(
-            "{{\"campaign\":\"{}\",\"cell\":{},\"point\":{},\"seed\":{},",
-            "\"panel\":\"{}\",\"policy\":\"{}\",\"workload\":\"{}\",\"column\":\"{}\",",
-            "\"reason\":\"{}\",\"detail\":\"{}\",\"attempts\":{}}}"
-        ),
-        e.campaign,
-        e.cell,
-        e.point,
-        e.seed,
-        escape(&e.panel),
-        escape(&e.policy),
-        escape(&e.workload),
-        escape(&e.column),
-        escape(&e.reason),
-        escape(&e.detail),
-        e.attempts,
-    )
-}
-
-fn decode_dlq_entry(line: &str) -> Result<DlqEntry, String> {
-    let v = json::parse(line)?;
-    Ok(DlqEntry {
-        campaign: dec_str(&v, "campaign")?,
-        cell: usize::try_from(dec_u64(&v, "cell")?).map_err(|_| "cell overflows usize")?,
-        point: usize::try_from(dec_u64(&v, "point")?).map_err(|_| "point overflows usize")?,
-        seed: dec_u64(&v, "seed")?,
-        panel: dec_str(&v, "panel")?,
-        policy: dec_str(&v, "policy")?,
-        workload: dec_str(&v, "workload")?,
-        column: dec_str(&v, "column")?,
-        reason: dec_str(&v, "reason")?,
-        detail: dec_str(&v, "detail")?,
-        attempts: dec_u32(&v, "attempts")?,
-    })
-}
-
-/// Load a DLQ file; a missing file is an empty queue.
-pub fn load_dlq(path: &Path) -> Result<Vec<DlqEntry>, ScenarioError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => {
-            return Err(ScenarioError::msg(format!(
-                "cannot read {}: {e}",
-                path.display()
-            )))
-        }
-    };
-    let mut entries = Vec::new();
-    for (line_no, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        entries.push(decode_dlq_entry(line).map_err(|e| {
-            ScenarioError::msg(format!("{} line {}: {e}", path.display(), line_no + 1))
-        })?);
-    }
-    Ok(entries)
-}
-
-fn write_dlq(path: &Path, entries: &[DlqEntry]) -> Result<(), ScenarioError> {
-    let mut body = String::new();
-    for e in entries {
-        body.push_str(&encode_dlq_entry(e));
         body.push('\n');
     }
     simkit::fsio::atomic_write(path, body.as_bytes())
@@ -917,52 +840,57 @@ fn run_cells(
         .collect()
 }
 
-/// Run every (point, seed) cell of a grid through the contained cell
-/// loop with default containment and no checkpoint, without a scenario
-/// spec around it; results come back grouped per point, seeds inside,
-/// in grid order.
-pub fn run_grid_with_seeds(points: Vec<Point>, seeds: &[u64]) -> Vec<Vec<RunResult>> {
-    let pending = (0..points.len() * seeds.len()).map(|c| (c, 0)).collect();
-    let cfg = CampaignConfig::default();
-    let mut cells = run_cells(&points, seeds, pending, &cfg, None).into_iter();
-    points
-        .iter()
-        .map(|point| {
-            seeds
-                .iter()
-                .map(|&seed| {
-                    let rec = cells.next().expect("one record per cell");
-                    rec.into_result(point, seed)
-                })
-                .collect()
+// ---------------------------------------------------------------------
+// The campaign runner.
+
+/// The failed records among `records` (grid order in, grid order out)
+/// as rows: fate and attempts from the record, seed from `seeds`, and
+/// panel, policy, workload and column from the plan. The one mapping
+/// from checkpoint records to [`FailedCell`]s.
+fn failed_cells<'a>(
+    plan: &Plan,
+    seeds: &[u64],
+    records: impl IntoIterator<Item = &'a CellRecord>,
+) -> Vec<FailedCell> {
+    let n_seeds = seeds.len();
+    let n_rows = plan.row_labels.len();
+    let n_cols = plan.col_labels.len();
+    records
+        .into_iter()
+        .filter(|rec| rec.status != CellStatus::Ok)
+        .map(|rec| {
+            let point = rec.cell / n_seeds;
+            let col = point % n_cols;
+            let row = (point / n_cols) % n_rows;
+            let panel = point / (n_cols * n_rows);
+            FailedCell {
+                cell: rec.cell,
+                point,
+                seed: seeds[rec.cell % n_seeds],
+                panel: plan.spec.panels.get(panel).cloned().unwrap_or_default(),
+                policy: plan.row_labels.get(row).cloned().unwrap_or_default(),
+                workload: plan.workload_names.get(panel).cloned().unwrap_or_default(),
+                column: plan.col_labels.get(col).cloned().unwrap_or_default(),
+                reason: rec.status.as_str().to_string(),
+                detail: rec.detail.clone(),
+                attempts: rec.attempts,
+            }
         })
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// The campaign runner.
-
-fn dlq_entry_for(plan: &Plan, campaign: &str, seeds: &[u64], rec: &CellRecord) -> DlqEntry {
-    let n_seeds = seeds.len();
-    let point = rec.cell / n_seeds;
-    let n_rows = plan.row_labels.len();
-    let n_cols = plan.col_labels.len();
-    let col = point % n_cols;
-    let row = (point / n_cols) % n_rows;
-    let panel = point / (n_cols * n_rows);
-    DlqEntry {
-        campaign: campaign.to_string(),
-        cell: rec.cell,
-        point,
-        seed: seeds[rec.cell % n_seeds],
-        panel: plan.spec.panels.get(panel).cloned().unwrap_or_default(),
-        policy: plan.row_labels.get(row).cloned().unwrap_or_default(),
-        workload: plan.workload_names.get(panel).cloned().unwrap_or_default(),
-        column: plan.col_labels.get(col).cloned().unwrap_or_default(),
-        reason: rec.status.as_str().to_string(),
-        detail: rec.detail.clone(),
-        attempts: rec.attempts,
+/// The failed cells recorded in the checkpoint at `path`, as rows on
+/// `spec`'s grid (what `moon-cli dlq list` prints). Seeds come from the
+/// checkpoint's header, so no seed or telemetry flags are needed; a
+/// header whose grid is not the spec's plan is refused, and a missing
+/// checkpoint has no failed cells.
+pub fn list_failed(spec: &ScenarioSpec, path: &Path) -> Result<Vec<FailedCell>, ScenarioError> {
+    if !path.exists() {
+        return Ok(Vec::new());
     }
+    let plan = scenarios::expand(spec)?;
+    let (seeds, records) = load_checkpoint(path, plan.points.len(), None)?;
+    Ok(failed_cells(&plan, &seeds, records.iter().flatten()))
 }
 
 /// Run a scenario sweep: fresh, or with a checkpoint also resumed or
@@ -995,7 +923,7 @@ pub fn run_campaign(
     if let Some(path) = &cfg.checkpoint {
         if cfg.resume || cfg.retry_failed {
             if path.is_file() {
-                records = load_checkpoint(path, &campaign, n_cells)?;
+                (_, records) = load_checkpoint(path, plan.points.len(), Some(&campaign))?;
             } else {
                 eprintln!(
                     "campaign {campaign}: no checkpoint at {} — starting fresh",
@@ -1051,15 +979,12 @@ pub fn run_campaign(
     let mut results: Vec<Vec<RunResult>> = Vec::with_capacity(plan.points.len());
     let mut metrics_frags: Vec<Option<String>> = Vec::with_capacity(n_cells);
     let mut trace_frags: Vec<Option<String>> = Vec::with_capacity(n_cells);
-    let mut failed: Vec<DlqEntry> = Vec::new();
+    let failed = failed_cells(&plan, &seeds, records.iter().flatten());
     let mut records = records.into_iter();
     for point in &plan.points {
         let mut per_point = Vec::with_capacity(n_seeds);
         for &seed in &seeds {
             let mut rec = records.next().flatten().expect("every cell resolved");
-            if rec.status != CellStatus::Ok {
-                failed.push(dlq_entry_for(&plan, &campaign, &seeds, &rec));
-            }
             metrics_frags.push(rec.metrics_frag.take());
             trace_frags.push(rec.trace_frag.take());
             per_point.push(rec.into_result(point, seed));
@@ -1086,25 +1011,12 @@ pub fn run_campaign(
         (obs::metrics_jsonl(&run), obs::chrome_trace(&run))
     };
 
-    let dlq_path = cfg.checkpoint.as_deref().map(dlq_path_for);
-    if let Some(path) = &dlq_path {
-        write_dlq(path, &failed)?;
-        if !failed.is_empty() {
-            eprintln!(
-                "campaign {campaign}: {} failed cell(s) in DLQ {}",
-                failed.len(),
-                path.display()
-            );
-        }
-    }
-
     Ok(CampaignOutcome {
         run,
         campaign,
         restored,
         executed,
         failed,
-        dlq_path,
         metrics_jsonl,
         chrome_trace,
     })
@@ -1219,23 +1131,5 @@ mod tests {
         for s in [CellStatus::Livelock, CellStatus::Deadline] {
             assert_eq!(CellStatus::from_name(s.as_str()), Some(s));
         }
-    }
-
-    #[test]
-    fn dlq_entry_codec_round_trips() {
-        let e = DlqEntry {
-            campaign: "00ff00ff00ff00ff".into(),
-            cell: 11,
-            point: 5,
-            seed: u64::MAX,
-            panel: "sort".into(),
-            policy: "MOON \"Hybrid\"".into(),
-            workload: "sort".into(),
-            column: "p=0.5".into(),
-            reason: "panic".into(),
-            detail: "boom\n\t\"quoted\"".into(),
-            attempts: 2,
-        };
-        assert_eq!(decode_dlq_entry(&encode_dlq_entry(&e)).unwrap(), e);
     }
 }

@@ -6,8 +6,10 @@
 //! contained cell loop ([`campaign`]) fanning every (point, seed) cell
 //! out over the rayon shim's scoped worker threads (`MOON_THREADS` /
 //! `RAYON_NUM_THREADS` override the worker count), with optional
-//! checkpoints, progress lines with run outcomes, paper-style text
-//! tables on stdout, and machine-readable JSON under `bench_results/`.
+//! checkpoints that are also the record of failed cells (the dead-letter
+//! queue `moon-cli dlq` reads), progress lines with run outcomes,
+//! paper-style text tables on stdout, and machine-readable JSON under
+//! `bench_results/`.
 //! [`fig1`] generates the Figure 1 availability trace.
 
 #![warn(missing_docs)]
@@ -19,7 +21,7 @@ pub mod campaign;
 pub mod fig1;
 pub mod obs;
 
-pub use campaign::{run_campaign, run_grid_with_seeds, CampaignConfig, CampaignOutcome, DlqEntry};
+pub use campaign::{run_campaign, CampaignConfig, CampaignOutcome, FailedCell};
 
 /// A completed scenario run.
 #[derive(Debug)]

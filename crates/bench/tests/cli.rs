@@ -1,6 +1,7 @@
 //! End-to-end checks of the `moon-cli` binary: exit status and
-//! artifacts of a run with a failed cell, the removed `--strict` flag,
-//! rejected `--seeds 0` and deep-nested scenario files, and `fig1`.
+//! artifacts of a run with a failed cell, `dlq list` of that cell, the
+//! removed `--strict` flag, rejected `--seeds 0` and deep-nested
+//! scenario files, and `fig1`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -53,6 +54,42 @@ fn failed_cell_writes_artifacts_then_exits_1() {
     let json = std::fs::read_to_string(&report).expect("report written");
     assert!(json.contains("\"outcome\": \"crashed\""), "{json}");
     assert!(!std::fs::read_to_string(&metrics).unwrap().is_empty());
+}
+
+/// `dlq list` reads a panicked cell back from the checkpoint: one row
+/// with its grid coordinates, reason and attempt count.
+#[test]
+fn dlq_list_shows_the_panicked_cell_from_the_checkpoint() {
+    let dir = scratch("dlq-list");
+    let spec = repo_file("data/scenarios/campaign-demo.toml");
+    let ckpt = dir.join("demo.ckpt.jsonl");
+    let (spec, ckpt) = (spec.to_str().unwrap(), ckpt.to_str().unwrap());
+    let out = moon_cli(&[
+        "run",
+        spec,
+        "--checkpoint",
+        ckpt,
+        "--inject-panic",
+        "1",
+        "--out",
+        dir.join("demo.json").to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let out = moon_cli(&["dlq", "list", spec, "--checkpoint", ckpt]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let rows: Vec<Vec<&str>> = stdout
+        .lines()
+        .skip(1)
+        .map(|l| l.split('\t').collect())
+        .collect();
+    assert_eq!(rows.len(), 1, "{stdout}");
+    // cell, point, panel, policy, column, seed, reason, attempts.
+    assert_eq!(
+        rows[0][..8],
+        ["1", "1", "", "MOON-Hybrid", "p=0.3", "42", "panic", "1"],
+        "{stdout}"
+    );
 }
 
 #[test]

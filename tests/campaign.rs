@@ -1,9 +1,11 @@
 //! Integration tests for the checkpointed campaign runner
 //! ([`bench::campaign`]): kill-and-resume byte-identity (tables, JSON
-//! report, telemetry artifacts), campaign-key verification, per-cell
-//! panic containment that is bit-identical serial vs pooled, livelock
-//! containment into the DLQ, bounded `dlq retry` attempts, and the
-//! same containment for sweeps run without a checkpoint.
+//! report, telemetry artifacts) past torn, non-UTF-8 and older-format
+//! checkpoint lines, campaign-key verification, per-cell panic
+//! containment that is bit-identical serial vs pooled, livelock
+//! containment into the checkpoint's failed cells (the DLQ `dlq list`
+//! reads), bounded `dlq retry` attempts, and the same containment for
+//! sweeps run without a checkpoint.
 //!
 //! The global worker pool is pinned to 4 threads (this test binary is
 //! its own process), and every "serial" reference below is computed by
@@ -12,7 +14,7 @@
 //! artifacts do not depend on scheduling, interruption, or thread
 //! count.
 
-use bench::campaign::{self, dlq_path_for, load_dlq};
+use bench::campaign::{self, list_failed};
 use bench::{run_campaign, CampaignConfig, CampaignOutcome};
 use moon::{Experiment, Outcome, RunLimits, RunResult};
 use std::path::PathBuf;
@@ -23,7 +25,7 @@ fn pool4() {
         .build_global();
 }
 
-/// A fresh scratch directory for one test's checkpoint + DLQ.
+/// A fresh scratch directory for one test's checkpoints.
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("moon-campaign-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -109,27 +111,43 @@ fn resumed_campaign_is_byte_identical_including_torn_tail() {
     assert_eq!(full.metrics_jsonl, bench::obs::metrics_jsonl(&plain));
     assert_eq!(full.chrome_trace, bench::obs::chrome_trace(&plain));
 
-    // Simulate a SIGKILL mid-sweep: keep the header + one completed
-    // cell, then a torn (half-written) record.
+    // Keep the header and cell 0's record, then damage cell 1's the
+    // ways a resume must survive: a SIGKILL mid-`write` (ASCII, or in
+    // the middle of the `—` the trace fragment's process names carry),
+    // or a line from an older format that lacks a counter. The bad line
+    // is ignored and its cell re-runs with the lost one.
     let text = std::fs::read_to_string(&ckpt).unwrap();
-    let mut lines = text.lines();
-    let mut truncated = String::new();
-    truncated.push_str(lines.next().unwrap()); // header
-    truncated.push('\n');
-    truncated.push_str(lines.next().unwrap()); // one cell
-    truncated.push('\n');
-    truncated.push_str("{\"cell\":1,\"status\":\"ok\",\"att"); // torn write
-    std::fs::write(&ckpt, truncated).unwrap();
-
+    let lines: Vec<&str> = text.lines().collect();
+    let record = |cell: usize| -> &str {
+        let prefix = format!("{{\"cell\":{cell},");
+        lines[1..].iter().find(|l| l.starts_with(&prefix)).unwrap()
+    };
+    let cell1 = record(1).as_bytes();
+    let dash = cell1
+        .windows(3)
+        .position(|w| w == "—".as_bytes())
+        .expect("a trace fragment names its processes with `—`");
+    let older = record(1).replacen(",\"preempted\":0}", "}", 1);
+    assert_ne!(older, record(1), "the record carries `preempted`");
+    let bad_lines: [(&str, &[u8]); 3] = [
+        ("torn write", b"{\"cell\":1,\"status\":\"ok\",\"att"),
+        ("torn inside a UTF-8 character", &cell1[..dash + 1]),
+        ("record without `preempted`", older.as_bytes()),
+    ];
     let mut cfg = CampaignConfig::new(ckpt.clone());
     cfg.resume = true;
-    let resumed = run(&spec, &cfg);
-    assert_eq!(resumed.restored, 1, "the surviving cell is reused");
-    assert_eq!(resumed.executed, 2, "only the lost cells re-run");
-    assert_eq!(resumed.run.tables, full.run.tables);
-    assert_eq!(resumed.run.report_json, full.run.report_json);
-    assert_eq!(resumed.metrics_jsonl, full.metrics_jsonl);
-    assert_eq!(resumed.chrome_trace, full.chrome_trace);
+    for (what, bad) in bad_lines {
+        let mut damaged = format!("{}\n{}\n", lines[0], record(0)).into_bytes();
+        damaged.extend_from_slice(bad);
+        std::fs::write(&ckpt, damaged).unwrap();
+        let resumed = run(&spec, &cfg);
+        assert_eq!(resumed.restored, 1, "{what}: the surviving cell is reused");
+        assert_eq!(resumed.executed, 2, "{what}: only the lost cells re-run");
+        assert_eq!(resumed.run.tables, full.run.tables, "{what}");
+        assert_eq!(resumed.run.report_json, full.run.report_json, "{what}");
+        assert_eq!(resumed.metrics_jsonl, full.metrics_jsonl, "{what}");
+        assert_eq!(resumed.chrome_trace, full.chrome_trace, "{what}");
+    }
 
     // Resuming a complete checkpoint runs nothing and still stitches
     // identical artifacts.
@@ -210,10 +228,19 @@ fn panicking_cell_is_contained_and_bit_identical_to_serial() {
     assert!(flat[2].outcome != Outcome::Crashed);
     assert!(outcome.run.tables.contains("DNF"), "{}", outcome.run.tables);
 
-    // The DLQ file round-trips the entry.
-    let dlq = load_dlq(&dlq_path_for(&ckpt)).unwrap();
-    assert_eq!(dlq.len(), 1);
-    assert_eq!(dlq[0], *entry);
+    // `dlq list` reads the same row back from the checkpoint, the only
+    // file the campaign wrote.
+    assert_eq!(list_failed(&spec, &ckpt).unwrap(), outcome.failed);
+    let files: Vec<PathBuf> = tree(&dir).into_iter().map(|(f, _)| f).collect();
+    assert_eq!(files, vec![ckpt.clone()]);
+    // A missing checkpoint lists nothing; one of another grid is refused.
+    assert!(list_failed(&spec, &dir.join("none.ckpt.jsonl"))
+        .unwrap()
+        .is_empty());
+    let mut other = spec.clone();
+    other.axis = scenarios::Axis::Rates(vec![0.1, 0.3]);
+    let err = list_failed(&other, &ckpt).expect_err("a grid mismatch must refuse");
+    assert!(format!("{err}").contains("which has 2 points"), "{err}");
 
     // Bit-identical serial vs 4-thread: rebuild the whole grid in a
     // plain loop, with the panicked cell's documented placeholder
@@ -285,9 +312,7 @@ fn sweep_without_checkpoint_is_contained_and_writes_nothing() {
     assert_eq!(outcome.failed[0].reason, "panic");
     assert_eq!(outcome.executed, 3);
     assert_eq!(outcome.restored, 0);
-    assert!(outcome.dlq_path.is_none());
     assert!(!default_ckpt.exists());
-    assert!(!dlq_path_for(&default_ckpt).exists());
     assert_eq!(
         tree(&results_dir),
         before,
@@ -327,6 +352,7 @@ fn livelocked_cells_land_in_dlq_and_retry_is_bounded() {
     // renders them DNF (the render-layer rule), visible here as a
     // fully-DNF sweep.
     assert!(starved.run.tables.contains("DNF"));
+    assert_eq!(list_failed(&spec, &ckpt).unwrap(), starved.failed);
 
     // Retry with the same starvation budget: attempts increment.
     cfg.retry_failed = true;
@@ -347,9 +373,7 @@ fn livelocked_cells_land_in_dlq_and_retry_is_bounded() {
     cfg.max_attempts = 3;
     let healed = run(&spec, &cfg);
     assert!(healed.failed.is_empty());
-    assert!(load_dlq(healed.dlq_path.as_deref().unwrap())
-        .unwrap()
-        .is_empty());
+    assert!(list_failed(&spec, &ckpt).unwrap().is_empty());
     let fresh = run(
         &spec,
         &CampaignConfig::new(dir.join("reference.ckpt.jsonl")),
@@ -379,14 +403,9 @@ fn wall_deadline_classifies_cells_as_deadline() {
 }
 
 #[test]
-fn default_checkpoint_and_dlq_paths_are_conventional() {
-    let ckpt = campaign::default_checkpoint_path("fleet-1k");
+fn default_checkpoint_path_is_conventional() {
     assert_eq!(
-        ckpt,
+        campaign::default_checkpoint_path("fleet-1k"),
         PathBuf::from("bench_results/campaigns/fleet-1k.ckpt.jsonl")
-    );
-    assert_eq!(
-        dlq_path_for(&ckpt),
-        PathBuf::from("bench_results/campaigns/fleet-1k.dlq.jsonl")
     );
 }

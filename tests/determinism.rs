@@ -5,6 +5,7 @@
 //! introduces iteration-order or RNG-stream dependence, this fails.
 
 use moon::{ClusterConfig, Experiment, PolicyConfig, RunResult};
+use rayon::prelude::*;
 
 fn quickstart_run(seed: u64, rate: f64) -> RunResult {
     Experiment {
@@ -89,8 +90,9 @@ fn quickstart_workload_is_deterministic_per_seed() {
     }
 }
 
-/// Thread-count independence: an N-thread `bench::run_grid_with_seeds`
-/// sweep must produce per-seed results bit-identical to the same sweep
+/// Thread-count independence: the grid's (point, seed) cells fanned out
+/// over an N-thread pool, as the campaign's cell loop fans them out,
+/// must produce per-seed results bit-identical to the same sweep
 /// executed serially on one thread, in grid order. Each task is an independent
 /// fully-seeded experiment, so the pool may only affect *where* a run
 /// executes, never *what* it computes — this pins that invariant
@@ -251,7 +253,18 @@ fn parallel_sweep_matches_single_thread_sweep() {
         })
         .collect();
 
-    let parallel = bench::run_grid_with_seeds(points, &seeds);
+    let cells: Vec<(usize, u64)> = (0..points.len())
+        .flat_map(|p| seeds.iter().map(move |&seed| (p, seed)))
+        .collect();
+    let mut flat = cells
+        .into_par_iter()
+        .map(|(p, seed)| points[p].run(seed, moon::RunLimits::default()))
+        .collect::<Vec<RunResult>>()
+        .into_iter();
+    let parallel: Vec<Vec<RunResult>> = points
+        .iter()
+        .map(|_| seeds.iter().map(|_| flat.next().unwrap()).collect())
+        .collect();
 
     assert_eq!(parallel.len(), serial.len(), "grid shape diverged");
     for (pi, (par_point, ser_point)) in parallel.iter().zip(&serial).enumerate() {
@@ -323,7 +336,9 @@ fn fleet_scale_parallel_sweep_matches_serial() {
         })
         .collect();
 
-    let parallel = bench::run_grid_with_seeds(plan.points.clone(), &seeds);
+    let parallel = bench::run_spec(&spec, Some(seeds.clone()))
+        .expect("fleet spec runs")
+        .results;
     assert_eq!(parallel.len(), serial.len(), "grid shape diverged");
     for (pi, (par_point, ser_point)) in parallel.iter().zip(&serial).enumerate() {
         for (p, s) in par_point.iter().zip(ser_point) {
