@@ -146,11 +146,14 @@ impl Changes {
 /// (exposed for benches: `perfbench --trace 1` reports them per workload).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NetStats {
-    /// Solves of a non-empty dirty set: one each time a read or a time
-    /// advance finds a batch pending. A batch of mutations that touch
-    /// only stalled flows (starting, cancelling or completing a flow over
-    /// a dead resource, killing a resource with no running flows) seeds
-    /// nothing and costs no solve.
+    /// Solves of a dirty set that holds a running flow: one each time a
+    /// read or a time advance finds such a batch pending. A batch of
+    /// mutations that touch only stalled flows (starting, cancelling or
+    /// completing a flow over a dead resource, killing a resource with
+    /// no running flows) seeds nothing, and one whose dirty components
+    /// hold no running flow (the last flow on a resource completing or
+    /// cancelled, a capacity change on a resource no flow crosses) finds
+    /// nothing to solve; neither costs a solve.
     pub reshares: u64,
     /// Total running flows solved across all solves (stalled flows are
     /// outside the sharing graph and never visited). Divide by
@@ -540,8 +543,9 @@ impl FlowNet {
 
     /// Expand the dirty set to its full connected component(s) in the
     /// sharing graph (running flows ↔ live resources), solve max-min on
-    /// that subproblem, apply the rates, and open the next batch. An
-    /// empty dirty set is no reshare at all.
+    /// that subproblem, apply the rates, and open the next batch. A
+    /// dirty set that is empty, or whose components hold no running
+    /// flow, is no reshare at all.
     fn reshare(&mut self) {
         if self.comp_res.is_empty() {
             return;
@@ -592,6 +596,12 @@ impl FlowNet {
                     }
                 }
             }
+        }
+
+        if comp_flows.is_empty() {
+            // No running flow to re-rate: skip the solver.
+            self.begin_batch();
+            return;
         }
 
         // Solve in flow creation order: the freeze-round arithmetic below
@@ -888,6 +898,26 @@ mod tests {
         assert_eq!(net.poll(t(3)), vec![z]);
         net.next_completion();
         assert_eq!(net.stats().reshares, before, "poll of a stalled flow");
+        // The last flow on a resource completes, or is cancelled: its
+        // path is dirty, but no running flow is left to re-rate.
+        let disk = net.add_resource(50.0);
+        let (d, _) = net.start_flow(t(4), &[disk], 50.0);
+        assert_eq!(net.next_completion(), Some(t(5)));
+        let before = net.stats().reshares;
+        assert_eq!(net.poll(t(5)), vec![d]);
+        net.next_completion();
+        assert_eq!(net.stats().reshares, before, "last flow completes");
+        let (c, _) = net.start_flow(t(6), &[disk], 50.0);
+        net.next_completion();
+        let before = net.stats().reshares;
+        assert!(net.cancel_flow(t(6), c));
+        net.next_completion();
+        assert_eq!(net.stats().reshares, before, "last flow cancelled");
+        // A capacity change on a resource no flow crosses.
+        net.set_capacity(t(7), disk, 25.0);
+        assert!(net.set_capacity(t(7), dead, 10.0).is_empty());
+        net.next_completion();
+        assert_eq!(net.stats().reshares, before, "capacity of an idle resource");
     }
 
     #[test]
