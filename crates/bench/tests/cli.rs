@@ -1,5 +1,5 @@
 //! End-to-end checks of the `moon-cli` binary: exit status and
-//! artifacts of a run with a failed cell, `dlq list` of that cell, the
+//! artifacts of a run with a failed cell and `dlq list` of it, the
 //! removed `--strict` flag, rejected `--seeds 0` and deep-nested
 //! scenario files, and `fig1`.
 
@@ -29,19 +29,22 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// A run with a failed cell still prints its tables and writes its
-/// report and telemetry artifacts, then exits 1.
+/// report and telemetry artifacts, then exits 1; `dlq list` then reads
+/// the cell back from the checkpoint.
 #[test]
 fn failed_cell_writes_artifacts_then_exits_1() {
     let dir = scratch("failed-cell");
     let spec = repo_file("data/scenarios/campaign-demo.toml");
     let (report, metrics) = (dir.join("demo.json"), dir.join("demo.metrics.jsonl"));
+    let ckpt = dir.join("demo.ckpt.jsonl");
+    let (spec, ckpt) = (spec.to_str().unwrap(), ckpt.to_str().unwrap());
     let out = moon_cli(&[
         "run",
-        spec.to_str().unwrap(),
+        spec,
         "--inject-panic",
         "1",
         "--checkpoint",
-        dir.join("demo.ckpt.jsonl").to_str().unwrap(),
+        ckpt,
         "--out",
         report.to_str().unwrap(),
         "--metrics-out",
@@ -54,27 +57,9 @@ fn failed_cell_writes_artifacts_then_exits_1() {
     let json = std::fs::read_to_string(&report).expect("report written");
     assert!(json.contains("\"outcome\": \"crashed\""), "{json}");
     assert!(!std::fs::read_to_string(&metrics).unwrap().is_empty());
-}
 
-/// `dlq list` reads a panicked cell back from the checkpoint: one row
-/// with its grid coordinates, reason and attempt count.
-#[test]
-fn dlq_list_shows_the_panicked_cell_from_the_checkpoint() {
-    let dir = scratch("dlq-list");
-    let spec = repo_file("data/scenarios/campaign-demo.toml");
-    let ckpt = dir.join("demo.ckpt.jsonl");
-    let (spec, ckpt) = (spec.to_str().unwrap(), ckpt.to_str().unwrap());
-    let out = moon_cli(&[
-        "run",
-        spec,
-        "--checkpoint",
-        ckpt,
-        "--inject-panic",
-        "1",
-        "--out",
-        dir.join("demo.json").to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(1));
+    // One row: cell, point, panel, policy, column, seed, reason,
+    // attempts, detail.
     let out = moon_cli(&["dlq", "list", spec, "--checkpoint", ckpt]);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
@@ -84,7 +69,6 @@ fn dlq_list_shows_the_panicked_cell_from_the_checkpoint() {
         .map(|l| l.split('\t').collect())
         .collect();
     assert_eq!(rows.len(), 1, "{stdout}");
-    // cell, point, panel, policy, column, seed, reason, attempts.
     assert_eq!(
         rows[0][..8],
         ["1", "1", "", "MOON-Hybrid", "p=0.3", "42", "panic", "1"],
