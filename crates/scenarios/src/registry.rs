@@ -662,6 +662,17 @@ mod tests {
     }
 
     #[test]
+    fn builtin_files_equal_the_builders() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/builtin");
+        assert_eq!(std::fs::read_dir(dir).unwrap().count(), all().len());
+        for spec in all() {
+            let path = format!("{dir}/{}.toml", spec.name);
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(crate::codec::from_str(&text).unwrap(), spec, "{path}");
+        }
+    }
+
+    #[test]
     fn fig7_rows_carry_dedicated_overrides() {
         let f7 = find("fig7").unwrap();
         assert_eq!(f7.policies[0].label.as_deref(), Some("Hadoop-VO"));
