@@ -1,7 +1,6 @@
 //! Unit tests for the composed world, carried over intact from the
 //! pre-split `world.rs` so the refactor is verifiably behavior-neutral.
 
-use super::attempts::Phase;
 use super::*;
 use crate::config::{ClusterConfig, PolicyConfig};
 use crate::experiment::Experiment;
@@ -116,51 +115,6 @@ fn volatile_cluster_moon_completes_job() {
     }
     .run();
     assert!(r.job_time.is_some(), "MOON should survive p=0.3: {r:?}");
-}
-
-#[test]
-#[ignore]
-fn probe_stable_run() {
-    let world = World::new(
-        ClusterConfig::small(0.0),
-        PolicyConfig::moon_hybrid(),
-        crate::quick_workload(),
-    );
-    let mut sim = simkit::Simulation::new(world, 1).with_event_limit(10_000_000);
-    World::init(&mut sim);
-    let outcome = sim.run_until(SimTime::from_secs(1200));
-    let w = sim.model();
-    eprintln!("outcome={outcome:?} events={}", sim.events_handled());
-    eprintln!("job_status={:?}", w.job_status());
-    eprintln!("metrics={:?}", w.job_metrics());
-    eprintln!(
-        "tasks_done={} finished={:?}",
-        w.jobs.iter().all(|s| w.tasks_done(s)),
-        w.metrics.job_finished
-    );
-    eprintln!("live attempts={}", w.attempts.len());
-    eprintln!("flows in flight={}", w.net.n_flows());
-    for (id, rt) in &w.attempts {
-        let ph = match &rt.phase {
-            Phase::MapRead { .. } => "read",
-            Phase::Compute { .. } => "compute",
-            Phase::Write { .. } => "write",
-            Phase::Shuffle(s) => {
-                eprintln!(
-                    "  {id}: shuffle fetched={} waiting={} inflight={}",
-                    s.fetched.len(),
-                    s.waiting.len(),
-                    s.inflight.len()
-                );
-                continue;
-            }
-        };
-        eprintln!("  {id}: {ph}");
-    }
-    if let Some(out) = w.jobs[0].output_file {
-        eprintln!("output fully replicated: {}", w.nn.is_fully_replicated(out));
-        eprintln!("replication queue: {}", w.nn.replication_queue_len());
-    }
 }
 
 mod failure_path_tests {

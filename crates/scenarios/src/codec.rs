@@ -775,6 +775,10 @@ pub fn content_key(spec: &ScenarioSpec, seeds: &[u64], quick: bool) -> String {
 mod tests {
     use super::*;
     use crate::registry;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::fs;
+    use std::path::Path;
 
     #[test]
     fn content_key_is_stable_and_input_sensitive() {
@@ -1034,5 +1038,102 @@ mod tests {
         let e = from_str(&format!("name = \"x\"\npoints = {}\n", "[".repeat(100_000))).unwrap_err();
         assert_eq!(e.line, Some(2), "{e}");
         assert!(e.message.contains("nest deeper than 64"), "{e}");
+    }
+
+    /// One random edit of `bytes`: flip a bit, insert or delete a byte,
+    /// or duplicate or drop a line.
+    fn mutate(bytes: &mut Vec<u8>, rng: &mut StdRng) {
+        // Bytes that steer the TOML parser into its less common paths.
+        const SYNTAX: &[u8] = b"[]{}=,.#\"\\\n\r\t -+_0123456789einaufNU";
+        let at = rng.gen_range(0..=bytes.len());
+        match rng.gen_range(0u8..5) {
+            0 if at < bytes.len() => bytes[at] ^= 1 << rng.gen_range(0u32..8),
+            1 => {
+                let b = if rng.gen_bool(0.5) {
+                    SYNTAX[rng.gen_range(0..SYNTAX.len())]
+                } else {
+                    rng.gen()
+                };
+                bytes.insert(at, b);
+            }
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            kind => {
+                let mut lines: Vec<Vec<u8>> =
+                    bytes.split(|&b| b == b'\n').map(<[u8]>::to_vec).collect();
+                let i = rng.gen_range(0..lines.len());
+                if kind == 3 {
+                    lines.insert(i, lines[i].clone());
+                } else {
+                    lines.remove(i);
+                }
+                *bytes = lines.join(&b'\n');
+            }
+        }
+    }
+
+    /// Seeded byte mutations of every scenario file the workspace ships:
+    /// the parsers never panic, syntax errors point at a line of the
+    /// input, and whatever parses serializes to a fixed point. Text, not
+    /// specs, is compared, because `nan` parses and never equals itself.
+    #[test]
+    fn parsers_survive_seeded_byte_mutations() {
+        let mut corpus: Vec<(String, String)> = registry::BUILTIN
+            .iter()
+            .map(|&(name, text)| (name.to_string(), text.to_string()))
+            .collect();
+        let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data");
+        for dir in ["scenarios", "fuzz"] {
+            let mut paths: Vec<_> = fs::read_dir(data.join(dir))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|x| x == "toml"))
+                .collect();
+            paths.sort();
+            for path in paths {
+                let name = path.display().to_string();
+                let text = fs::read_to_string(&path).unwrap();
+                // No other test reads these files; the built-ins expand
+                // in the registry's catalog test.
+                let spec = from_str(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+                crate::expand(&spec).unwrap_or_else(|e| panic!("{name}: {e}"));
+                corpus.push((name, text));
+            }
+        }
+        assert!(corpus.len() > registry::BUILTIN.len());
+
+        let mut rng = StdRng::seed_from_u64(0x7031_5eed);
+        for (name, text) in &corpus {
+            from_str(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            for _ in 0..300 {
+                let mut bytes = text.clone().into_bytes();
+                for _ in 0..rng.gen_range(1..=3) {
+                    mutate(&mut bytes, &mut rng);
+                }
+                // `from_str` takes `&str`; invalid UTF-8 never reaches it.
+                let Ok(mutant) = String::from_utf8(bytes) else {
+                    continue;
+                };
+                let ctx = || format!("mutant of {name}:\n---\n{mutant}\n---");
+                let parsed = std::panic::catch_unwind(|| from_str(&mutant))
+                    .unwrap_or_else(|_| panic!("from_str panicked on the {}", ctx()));
+                if let Err(e) = toml::parse(&mutant) {
+                    let lines = mutant.lines().count();
+                    assert!(
+                        (1..=lines + 1).contains(&e.line),
+                        "error line {} outside 1..={}: {e}\n{}",
+                        e.line,
+                        lines + 1,
+                        ctx()
+                    );
+                }
+                let Ok(spec) = parsed else { continue };
+                let once = to_string(&spec);
+                let back = from_str(&once)
+                    .unwrap_or_else(|e| panic!("serialized spec does not parse ({e}): {}", ctx()));
+                assert_eq!(to_string(&back), once, "no fixed point for the {}", ctx());
+            }
+        }
     }
 }

@@ -5,9 +5,6 @@
 use moon::ClusterConfig;
 use workloads::WorkloadSpec;
 
-/// The unavailability rates every paper figure sweeps.
-pub const PAPER_RATES: [f64; 3] = [0.1, 0.3, 0.5];
-
 /// Seeds to run per grid point (env `MOON_SEEDS`, default 1). Parsed
 /// via [`simkit::env::env_u64`] — the workspace's one set of
 /// environment-knob parsing rules.

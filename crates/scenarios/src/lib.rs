@@ -7,14 +7,11 @@
 //! fully-configured experiments ([`expand()`](expand::expand)) and folds the results
 //! back into paper-style tables plus a JSON report ([`render`]).
 //!
-//! Specs come from two places:
-//!
-//! - the built-in [`registry`] — the paper reproductions (`fig4` …
-//!   `fig7`, `table1`, `table2`, `ablations`) and stress scenarios
-//!   (`diurnal-lab`, `blackout`, `trace-replay`, `high-churn`);
-//! - TOML files parsed by the self-contained subset parser in
-//!   [`toml`] (no registry access; line-numbered errors) via
-//!   [`codec`].
+//! Every spec is a TOML file, parsed by the self-contained subset
+//! parser in [`toml`] (no crate registry; line-numbered errors) and
+//! mapped by [`codec`]. The built-in [`registry`] embeds the paper
+//! reproductions and stress scenarios as such files, read through the
+//! same path as a user's own.
 //!
 //! The `bench` crate layers the parallel sweep harness and the
 //! `moon-cli` binary on top; `moon-cli run <name>` regenerates each
@@ -36,7 +33,7 @@ pub mod workload;
 
 pub use expand::{expand, Plan, Point};
 pub use fuzz::{run_fuzz, Fault, FuzzConfig, FuzzReport};
-pub use knobs::{cluster, maybe_shrink, quick_mode, seed_list, seeds, PAPER_RATES};
+pub use knobs::{cluster, maybe_shrink, quick_mode, seed_list, seeds};
 pub use render::{mean_duplicates, mean_slowdown, mean_time, render_tables, report_json};
 pub use spec::{
     ArrivalSpec, Axis, CorrelatedAxis, CorrelatedKnob, JobStreamSpec, LoadAxis, PolicyRef,

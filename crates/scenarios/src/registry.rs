@@ -1,568 +1,83 @@
-//! The built-in scenario registry: every paper reproduction the fig/
-//! table binaries used to hard-code, plus stress scenarios exercising
-//! knobs the paper's evaluation never swept. `moon-cli list` prints
-//! this catalog; each entry is an ordinary [`ScenarioSpec`] that could
-//! equally have been loaded from a TOML file (`codec::to_string` of a
-//! registry entry is a valid scenario file).
+//! The built-in scenario catalog: the paper reproductions plus stress
+//! scenarios exercising knobs the paper's evaluation never swept.
+//! `moon-cli list` prints this catalog. Each entry is a scenario file
+//! under `crates/scenarios/builtin/`, embedded at compile time and read
+//! by the same [`codec`] as a user's file, so any of them is a ready
+//! template to copy.
 
-use crate::knobs::PAPER_RATES;
-use crate::spec::{
-    ArrivalSpec, Axis, CorrelatedAxis, CorrelatedKnob, JobStreamSpec, LoadAxis, PolicyRef,
-    ScenarioSpec, TableKind, TableSpec,
-};
+use crate::codec;
+use crate::spec::ScenarioSpec;
 
-fn table(kind: TableKind, title: &str) -> TableSpec {
-    TableSpec {
-        kind,
-        title: title.into(),
-    }
-}
-
-fn refs(ids: &[&str]) -> Vec<PolicyRef> {
-    ids.iter().map(|id| PolicyRef::new(*id)).collect()
-}
-
-fn paper_panels() -> (Vec<String>, Vec<String>) {
+/// Every built-in scenario as `(name, TOML text)`, in catalog order
+/// (paper reproductions first, then the stress scenarios, then the
+/// multi-job streams).
+pub const BUILTIN: [(&str, &str); 18] = [
+    ("fig4", include_str!("../builtin/fig4.toml")),
+    ("fig5", include_str!("../builtin/fig5.toml")),
+    ("fig6", include_str!("../builtin/fig6.toml")),
+    ("fig7", include_str!("../builtin/fig7.toml")),
+    ("table1", include_str!("../builtin/table1.toml")),
+    ("table2", include_str!("../builtin/table2.toml")),
+    ("ablations", include_str!("../builtin/ablations.toml")),
+    ("diurnal-lab", include_str!("../builtin/diurnal-lab.toml")),
+    ("blackout", include_str!("../builtin/blackout.toml")),
+    ("trace-replay", include_str!("../builtin/trace-replay.toml")),
+    ("high-churn", include_str!("../builtin/high-churn.toml")),
     (
-        vec!["sort".into(), "word count".into()],
-        vec!["(a) sort".into(), "(b) word count".into()],
-    )
+        "job-stream-light",
+        include_str!("../builtin/job-stream-light.toml"),
+    ),
+    (
+        "job-stream-heavy",
+        include_str!("../builtin/job-stream-heavy.toml"),
+    ),
+    (
+        "mixed-apps-contention",
+        include_str!("../builtin/mixed-apps-contention.toml"),
+    ),
+    (
+        "mixed-apps-contention+edf",
+        include_str!("../builtin/mixed-apps-contention+edf.toml"),
+    ),
+    (
+        "mixed-apps-contention+preempt",
+        include_str!("../builtin/mixed-apps-contention+preempt.toml"),
+    ),
+    ("fleet-1k", include_str!("../builtin/fleet-1k.toml")),
+    ("fleet-10k", include_str!("../builtin/fleet-10k.toml")),
+];
+
+fn parse(name: &str, text: &str) -> ScenarioSpec {
+    codec::from_str(text).unwrap_or_else(|e| panic!("built-in scenario `{name}`: {e}"))
 }
 
-fn fig45_base(name: &str, title: &str, tables: Vec<TableSpec>) -> ScenarioSpec {
-    ScenarioSpec {
-        name: name.into(),
-        title: title.into(),
-        workloads: vec!["sleep(sort)".into(), "sleep(word count)".into()],
-        panels: vec!["(a) sort".into(), "(b) word count".into()],
-        policies: refs(&[
-            "hadoop-10min+reliable",
-            "hadoop-5min+reliable",
-            "hadoop-1min+reliable",
-            "moon+reliable",
-            "moon-hybrid+reliable",
-        ]),
-        axis: Axis::Rates(PAPER_RATES.to_vec()),
-        dedicated: 6,
-        n_volatile: None,
-        seeds: None,
-        horizon_secs: None,
-        jobs: None,
-        telemetry: None,
-        tables,
-    }
-}
-
-fn fig4() -> ScenarioSpec {
-    fig45_base(
-        "fig4",
-        "Figure 4 — execution time under scheduling policies (sleep replay; same sweep as fig5)",
-        vec![
-            table(
-                TableKind::Time,
-                "Figure 4{panel}: execution time, {workload}",
-            ),
-            table(
-                TableKind::Duplicates,
-                "Figure 5{panel}: duplicated tasks, {workload}",
-            ),
-        ],
-    )
-}
-
-fn fig5() -> ScenarioSpec {
-    fig45_base(
-        "fig5",
-        "Figure 5 — duplicated tasks under scheduling policies (same sweep as fig4)",
-        vec![table(
-            TableKind::Duplicates,
-            "Figure 5{panel}: duplicated tasks, {workload}",
-        )],
-    )
-}
-
-fn fig6() -> ScenarioSpec {
-    let (workloads, panels) = paper_panels();
-    ScenarioSpec {
-        name: "fig6".into(),
-        title: "Figure 6 — intermediate-data replication policies (VO-Vk vs HA-Vk)".into(),
-        workloads,
-        panels,
-        policies: refs(&[
-            "vo-v1", "vo-v2", "vo-v3", "vo-v4", "vo-v5", "ha-v1", "ha-v2", "ha-v3",
-        ]),
-        axis: Axis::Rates(PAPER_RATES.to_vec()),
-        dedicated: 6,
-        n_volatile: None,
-        seeds: None,
-        horizon_secs: None,
-        jobs: None,
-        telemetry: None,
-        tables: vec![table(
-            TableKind::Time,
-            "Figure 6{panel}: execution time by intermediate replication policy",
-        )],
-    }
-}
-
-fn fig7() -> ScenarioSpec {
-    let (workloads, panels) = paper_panels();
-    let mut policies = vec![PolicyRef {
-        id: "hadoop-vo-v3".into(),
-        label: Some("Hadoop-VO".into()),
-        dedicated: Some(6),
-    }];
-    for d in [3u32, 4, 6] {
-        policies.push(PolicyRef {
-            id: "ha-v1".into(),
-            label: Some(format!("MOON-HybridD{d}")),
-            dedicated: Some(d),
-        });
-    }
-    ScenarioSpec {
-        name: "fig7".into(),
-        title: "Figure 7 — MOON vs augmented Hadoop-VO across dedicated-node counts".into(),
-        workloads,
-        panels,
-        policies,
-        axis: Axis::Rates(PAPER_RATES.to_vec()),
-        dedicated: 6,
-        n_volatile: None,
-        seeds: None,
-        horizon_secs: None,
-        jobs: None,
-        telemetry: None,
-        tables: vec![table(TableKind::Time, "Figure 7{panel}: MOON vs Hadoop-VO")],
-    }
-}
-
-fn table1() -> ScenarioSpec {
-    let (workloads, _) = paper_panels();
-    ScenarioSpec {
-        name: "table1".into(),
-        title: "Table I — application configurations (static, no simulation)".into(),
-        panels: vec![String::new(); workloads.len()],
-        workloads,
-        policies: Vec::new(),
-        axis: Axis::Rates(Vec::new()),
-        dedicated: 6,
-        n_volatile: None,
-        seeds: None,
-        horizon_secs: None,
-        jobs: None,
-        telemetry: None,
-        tables: vec![table(
-            TableKind::Catalog,
-            "# Table I — application configurations",
-        )],
-    }
-}
-
-fn table2() -> ScenarioSpec {
-    let (workloads, _) = paper_panels();
-    ScenarioSpec {
-        name: "table2".into(),
-        title: "Table II — execution profile of intermediate replication policies at p=0.5".into(),
-        panels: vec!["sort".into(), "word count".into()],
-        workloads,
-        policies: refs(&["vo-v1", "vo-v3", "vo-v5", "ha-v1"]),
-        axis: Axis::Rates(vec![0.5]),
-        dedicated: 6,
-        n_volatile: None,
-        seeds: None,
-        horizon_secs: None,
-        jobs: None,
-        telemetry: None,
-        tables: vec![table(
-            TableKind::Profile,
-            "Table II ({panel}) — execution profile at p=0.5",
-        )],
-    }
-}
-
-fn ablations() -> ScenarioSpec {
-    let mut policies = vec![PolicyRef::labeled("ha-v1", "MOON-Hybrid (full)")];
-    policies.extend(refs(&[
-        "no-hibernate",
-        "no-adaptive-v",
-        "no-homestretch",
-        "spec-cap-10",
-        "spec-cap-40",
-        "hadoop-fetch-rule",
-        "homestretch-r1",
-        "homestretch-r3",
-    ]));
-    ScenarioSpec {
-        name: "ablations".into(),
-        title: "Single-mechanism ablations of MOON-Hybrid (sort, p=0.5)".into(),
-        workloads: vec!["sort".into()],
-        panels: vec![String::new()],
-        policies,
-        axis: Axis::Rates(vec![0.5]),
-        dedicated: 6,
-        n_volatile: None,
-        seeds: None,
-        horizon_secs: None,
-        jobs: None,
-        telemetry: None,
-        tables: vec![table(
-            TableKind::Detail,
-            "# Ablations — sort, p=0.5 (job time / duplicated tasks / killed maps)",
-        )],
-    }
-}
-
-fn diurnal_lab() -> ScenarioSpec {
-    ScenarioSpec {
-        name: "diurnal-lab".into(),
-        title: "Correlated diurnal lab-session fleets at rising session intensity".into(),
-        workloads: vec!["sort".into()],
-        panels: vec![String::new()],
-        policies: refs(&["moon-hybrid", "hadoop-1min"]),
-        axis: Axis::Correlated(CorrelatedAxis {
-            points: vec![0.5, 1.0, 2.0],
-            knob: CorrelatedKnob::SessionsPerHour,
-            sessions_per_hour: 1.0,
-            session_fraction: 0.35,
-            background: 0.15,
-            diurnal: true,
-        }),
-        dedicated: 6,
-        n_volatile: None,
-        seeds: None,
-        horizon_secs: None,
-        jobs: None,
-        telemetry: None,
-        tables: vec![table(
-            TableKind::Time,
-            "Diurnal lab{panel}: execution time vs lab-session intensity (sessions/hour)",
-        )],
-    }
-}
-
-fn blackout() -> ScenarioSpec {
-    ScenarioSpec {
-        name: "blackout".into(),
-        title: "Correlated mass outages capturing half to nearly all of the fleet at once".into(),
-        workloads: vec!["sort".into()],
-        panels: vec![String::new()],
-        policies: refs(&["moon-hybrid", "ha-v3", "hadoop-vo-v3"]),
-        axis: Axis::Correlated(CorrelatedAxis {
-            points: vec![0.5, 0.75, 0.95],
-            knob: CorrelatedKnob::SessionFraction,
-            sessions_per_hour: 0.25,
-            session_fraction: 0.3,
-            background: 0.05,
-            diurnal: false,
-        }),
-        dedicated: 6,
-        n_volatile: None,
-        seeds: None,
-        horizon_secs: None,
-        jobs: None,
-        telemetry: None,
-        tables: vec![table(
-            TableKind::Time,
-            "Blackout{panel}: execution time vs mass-outage fleet fraction",
-        )],
-    }
-}
-
-fn trace_replay() -> ScenarioSpec {
-    ScenarioSpec {
-        name: "trace-replay".into(),
-        title: "Replay the committed lab-day availability trace file".into(),
-        workloads: vec!["sort".into()],
-        panels: vec![String::new()],
-        policies: refs(&["moon-hybrid", "hadoop-1min"]),
-        axis: Axis::TraceFile {
-            path: "data/traces/lab-day.trace".into(),
-        },
-        dedicated: 6,
-        n_volatile: None,
-        seeds: None,
-        horizon_secs: None,
-        jobs: None,
-        telemetry: None,
-        tables: vec![table(
-            TableKind::Time,
-            "Trace replay{panel}: execution time on the recorded lab trace",
-        )],
-    }
-}
-
-fn high_churn() -> ScenarioSpec {
-    ScenarioSpec {
-        name: "high-churn".into(),
-        title: "Scheduling policies under extreme churn, up to p=0.7".into(),
-        workloads: vec!["sort".into()],
-        panels: vec![String::new()],
-        policies: refs(&["moon-hybrid", "moon", "hadoop-1min", "hadoop-vo-v3"]),
-        axis: Axis::Rates(vec![0.3, 0.5, 0.7]),
-        dedicated: 6,
-        n_volatile: None,
-        seeds: None,
-        horizon_secs: None,
-        jobs: None,
-        telemetry: None,
-        tables: vec![
-            table(TableKind::Time, "High churn{panel}: execution time"),
-            table(TableKind::Duplicates, "High churn{panel}: duplicated tasks"),
-        ],
-    }
-}
-
-fn job_stream_light() -> ScenarioSpec {
-    ScenarioSpec {
-        name: "job-stream-light".into(),
-        title: "Light multi-job stream: 4 quick jobs arrive a minute apart".into(),
-        workloads: vec!["quick".into()],
-        panels: vec![String::new()],
-        policies: refs(&["moon-hybrid", "hadoop-1min"]),
-        axis: Axis::Rates(vec![0.1]),
-        dedicated: 6,
-        n_volatile: None,
-        seeds: None,
-        horizon_secs: Some(7200),
-        jobs: Some(JobStreamSpec::new(ArrivalSpec::Batch {
-            offsets_secs: vec![0.0, 60.0, 120.0, 180.0],
-        })),
-        telemetry: None,
-        tables: vec![
-            table(TableKind::Time, "Job stream light{panel}: stream makespan"),
-            table(TableKind::Jobs, "Job stream light{panel}: per-job SLOs"),
-        ],
-    }
-}
-
-fn job_stream_heavy() -> ScenarioSpec {
-    ScenarioSpec {
-        name: "job-stream-heavy".into(),
-        title: "Heavy open Poisson stream of quick jobs under churn (FIFO vs fair share)".into(),
-        workloads: vec!["quick".into()],
-        panels: vec![String::new()],
-        policies: refs(&["moon-hybrid", "moon-hybrid+fair", "hadoop-1min"]),
-        axis: Axis::Rates(vec![0.3]),
-        dedicated: 6,
-        n_volatile: None,
-        seeds: None,
-        horizon_secs: Some(14400),
-        jobs: Some(JobStreamSpec::new(ArrivalSpec::Poisson {
-            rate_per_hour: 720.0,
-            count: 24,
-        })),
-        telemetry: None,
-        tables: vec![
-            table(TableKind::Time, "Job stream heavy{panel}: stream makespan"),
-            table(TableKind::Jobs, "Job stream heavy{panel}: per-job SLOs"),
-        ],
-    }
-}
-
-fn mixed_apps_contention() -> ScenarioSpec {
-    ScenarioSpec {
-        name: "mixed-apps-contention".into(),
-        title: "Closed clients alternating sort and word count on one contended cluster".into(),
-        workloads: vec!["sort".into()],
-        panels: vec![String::new()],
-        policies: refs(&["moon-hybrid", "moon-hybrid+fair"]),
-        axis: Axis::Rates(vec![0.3]),
-        dedicated: 6,
-        n_volatile: None,
-        seeds: None,
-        horizon_secs: None,
-        jobs: Some(JobStreamSpec {
-            workloads: vec!["sort".into(), "word count".into()],
-            ..JobStreamSpec::new(ArrivalSpec::Closed {
-                clients: 2,
-                jobs_per_client: 2,
-                think_secs: 120.0,
-            })
-        }),
-        telemetry: None,
-        tables: vec![
-            table(
-                TableKind::Time,
-                "Mixed apps{panel}: stream makespan under contention",
-            ),
-            table(TableKind::Jobs, "Mixed apps{panel}: per-job SLOs"),
-        ],
-    }
-}
-
-/// Deadline-aware sibling of [`mixed_apps_contention`]: the same
-/// contended closed stream, but every job carries a relative deadline
-/// and the rows contrast FIFO against preemptive EDF. The jobs table
-/// gains the gated `miss_rate`/`preempted` columns, quantifying EDF's
-/// deadline wins against its kill-and-requeue makespan cost.
-fn mixed_apps_contention_edf() -> ScenarioSpec {
-    ScenarioSpec {
-        name: "mixed-apps-contention+edf".into(),
-        title: "Mixed apps under deadlines: preemptive EDF vs FIFO on a contended cluster".into(),
-        workloads: vec!["sort".into()],
-        panels: vec![String::new()],
-        policies: refs(&["moon-hybrid", "moon-hybrid+edf"]),
-        axis: Axis::Rates(vec![0.3]),
-        dedicated: 6,
-        n_volatile: None,
-        seeds: None,
-        horizon_secs: None,
-        jobs: Some(JobStreamSpec {
-            workloads: vec!["sort".into(), "word count".into()],
-            // Cycled with the workloads: sort gets the loose deadline,
-            // word count the tight one EDF must preempt to protect.
-            deadlines_secs: vec![5400.0, 1200.0],
-            ..JobStreamSpec::new(ArrivalSpec::Closed {
-                clients: 3,
-                jobs_per_client: 2,
-                think_secs: 30.0,
-            })
-        }),
-        telemetry: None,
-        tables: vec![
-            table(
-                TableKind::Time,
-                "Mixed apps EDF{panel}: stream makespan under contention",
-            ),
-            table(TableKind::Jobs, "Mixed apps EDF{panel}: per-job SLOs"),
-        ],
-    }
-}
-
-/// Preemption-cost sibling of [`mixed_apps_contention`]: fair share
-/// with and without kill-and-requeue preemption (plus weighted
-/// tenant-fair) on the same contended stream, measuring the p95
-/// queueing-delay win preemption buys against its makespan cost.
-fn mixed_apps_contention_preempt() -> ScenarioSpec {
-    ScenarioSpec {
-        name: "mixed-apps-contention+preempt".into(),
-        title: "Mixed apps: preemptive vs non-preemptive fair share under contention".into(),
-        workloads: vec!["sort".into()],
-        panels: vec![String::new()],
-        policies: refs(&[
-            "moon-hybrid+fair",
-            "moon-hybrid+fair+preempt",
-            "moon-hybrid+tenant-fair",
-        ]),
-        axis: Axis::Rates(vec![0.3]),
-        dedicated: 6,
-        n_volatile: None,
-        seeds: None,
-        horizon_secs: None,
-        jobs: Some(JobStreamSpec {
-            workloads: vec!["sort".into(), "word count".into()],
-            // Alternate jobs across two tenants; tenant 0 carries twice
-            // the weight and each tenant keeps one guaranteed slot.
-            tenants: vec![0, 1],
-            tenant_weights: vec![2, 1],
-            tenant_min_slots: vec![1, 1],
-            ..JobStreamSpec::new(ArrivalSpec::Closed {
-                clients: 3,
-                jobs_per_client: 2,
-                think_secs: 30.0,
-            })
-        }),
-        telemetry: None,
-        tables: vec![
-            table(
-                TableKind::Time,
-                "Mixed apps preemption{panel}: stream makespan under contention",
-            ),
-            table(
-                TableKind::Jobs,
-                "Mixed apps preemption{panel}: per-job SLOs",
-            ),
-        ],
-    }
-}
-
-/// A datacenter-scale saturation sweep: `n_volatile` volunteer nodes
-/// (plus 10% dedicated) under a Poisson stream of quick jobs whose
-/// arrival rate rises across columns — the load-vs-bounded-slowdown
-/// curve at fleet scale. The node counts are pinned even in quick
-/// mode (scale is the point; quick mode still shrinks per-job work).
-fn fleet(name: &str, scale: &str, n_volatile: u32, horizon_secs: u64) -> ScenarioSpec {
-    ScenarioSpec {
-        name: name.into(),
-        title: format!(
-            "Saturation sweep on a {scale}-node fleet: arrival rate vs bounded slowdown"
-        ),
-        workloads: vec!["quick".into()],
-        panels: vec![String::new()],
-        policies: refs(&["moon-hybrid", "hadoop-1min"]),
-        axis: Axis::Load(LoadAxis {
-            points: vec![30.0, 60.0, 120.0, 240.0],
-            rate: 0.3,
-            n_volatile: Some(n_volatile),
-        }),
-        dedicated: n_volatile / 10,
-        n_volatile: None,
-        seeds: None,
-        horizon_secs: Some(horizon_secs),
-        jobs: Some(JobStreamSpec::new(ArrivalSpec::Poisson {
-            rate_per_hour: 60.0,
-            count: 12,
-        })),
-        telemetry: None,
-        tables: vec![
-            table(
-                TableKind::Saturation,
-                &format!("Fleet {scale}{{panel}}: bounded slowdown vs arrival rate"),
-            ),
-            table(
-                TableKind::Jobs,
-                &format!("Fleet {scale}{{panel}}: per-job SLOs at the base rate"),
-            ),
-        ],
-    }
-}
-
-fn fleet_1k() -> ScenarioSpec {
-    fleet("fleet-1k", "1k", 1_000, 3600)
-}
-
-fn fleet_10k() -> ScenarioSpec {
-    fleet("fleet-10k", "10k", 10_000, 2700)
-}
-
-/// Every built-in scenario, in catalog order (paper reproductions
-/// first, then the stress scenarios, then the multi-job streams).
+/// Every built-in scenario, in catalog order.
 pub fn all() -> Vec<ScenarioSpec> {
-    vec![
-        fig4(),
-        fig5(),
-        fig6(),
-        fig7(),
-        table1(),
-        table2(),
-        ablations(),
-        diurnal_lab(),
-        blackout(),
-        trace_replay(),
-        high_churn(),
-        job_stream_light(),
-        job_stream_heavy(),
-        mixed_apps_contention(),
-        mixed_apps_contention_edf(),
-        mixed_apps_contention_preempt(),
-        fleet_1k(),
-        fleet_10k(),
-    ]
+    BUILTIN
+        .iter()
+        .map(|(name, text)| parse(name, text))
+        .collect()
 }
 
-/// Look up a built-in scenario by name.
+/// Look up a built-in scenario by name, parsing only its file.
 pub fn find(name: &str) -> Option<ScenarioSpec> {
-    all().into_iter().find(|s| s.name == name)
+    BUILTIN
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(n, text)| parse(n, text))
 }
 
 /// The catalog's names, for error messages and `moon-cli list`.
 pub fn names() -> Vec<String> {
-    all().into_iter().map(|s| s.name).collect()
+    BUILTIN.iter().map(|(name, _)| name.to_string()).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{Axis, TableKind};
+    use std::fs;
+    use std::path::Path;
 
     #[test]
     fn catalog_has_paper_and_stress_scenarios() {
@@ -653,23 +168,52 @@ mod tests {
     }
 
     #[test]
-    fn every_policy_id_in_the_catalog_resolves() {
-        for spec in all() {
-            for p in &spec.policies {
-                crate::policy::resolve(&p.id).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+    fn every_builtin_file_is_canonical_and_expands() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("builtin");
+        for (name, text) in BUILTIN {
+            let on_disk = fs::read_to_string(dir.join(format!("{name}.toml")));
+            assert_eq!(
+                on_disk.ok().as_deref(),
+                Some(text),
+                "`{name}` is not its file's stem"
+            );
+            let spec = codec::from_str(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(spec.name, name, "`{name}` names itself `{}`", spec.name);
+            // A `sleep(…)` workload calibrates by running its base job at
+            // full size, seconds each in a debug build; expanding with the
+            // base checks everything else (`workload`'s tests cover the
+            // calibration).
+            let mut cheap = spec.clone();
+            for w in &mut cheap.workloads {
+                if let Some(base) = w.strip_prefix("sleep(").and_then(|r| r.strip_suffix(')')) {
+                    *w = base.to_string();
+                }
             }
+            crate::expand(&cheap).unwrap_or_else(|e| panic!("{name}: {e}"));
+            for p in &spec.policies {
+                crate::policy::resolve(&p.id).unwrap_or_else(|e| panic!("{name}: {e}"));
+            }
+            // With its comments removed, a file is exactly what
+            // `moon-cli describe` prints for it.
+            let bare: String = text
+                .lines()
+                .filter(|l| !l.trim_start().starts_with('#'))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert_eq!(bare, codec::to_string(&spec), "`{name}` is not canonical");
         }
-    }
-
-    #[test]
-    fn builtin_files_equal_the_builders() {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/builtin");
-        assert_eq!(std::fs::read_dir(dir).unwrap().count(), all().len());
-        for spec in all() {
-            let path = format!("{dir}/{}.toml", spec.name);
-            let text = std::fs::read_to_string(&path).unwrap();
-            assert_eq!(crate::codec::from_str(&text).unwrap(), spec, "{path}");
-        }
+        let mut files: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|f| f.ends_with(".toml"))
+            .collect();
+        files.sort();
+        let mut listed: Vec<String> = BUILTIN.iter().map(|(n, _)| format!("{n}.toml")).collect();
+        listed.sort();
+        assert_eq!(
+            files, listed,
+            "every file in builtin/ is listed exactly once"
+        );
     }
 
     #[test]
