@@ -86,7 +86,7 @@ impl JobTracker {
                 // "More than 50% of the running Reduce tasks report
                 // fetching failures for the Map task" — distinct reduces.
                 let running_reduces = job
-                    .reduces
+                    .tasks(TaskKind::Reduce)
                     .iter()
                     .filter(|t| !t.completed && t.n_live() > 0)
                     .count();

@@ -8,8 +8,10 @@
 //! Hadoop, MOON and MOON-Hybrid live here and in [`crate::policy`].
 
 mod fetch;
+mod jobs;
 mod order;
 mod pickers;
+mod summary;
 #[cfg(test)]
 mod tests;
 mod trackers;
@@ -20,73 +22,12 @@ use crate::types::{
     AttemptId, AttemptState, JobId, LaunchReason, TaskAssignment, TaskId, TaskKind,
 };
 use dfs::NodeId;
-use fetch::FetchReports;
+use jobs::Job;
 use simkit::SimTime;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use trackers::Tracker;
 pub use trackers::TrackerState;
-
-#[derive(Debug)]
-struct Job {
-    spec: JobSpec,
-    /// Map and reduce tasks, each indexed by `TaskId::index`.
-    maps: Vec<TaskState>,
-    reduces: Vec<TaskState>,
-    status: JobStatus,
-    submitted: SimTime,
-    /// When the job's first attempt launched (queueing-delay endpoint).
-    first_launch: Option<SimTime>,
-    /// The next task's `first_launch_seq` (launch order).
-    next_launch_seq: u32,
-    /// map task → fetch-failure reports as (reporting reduce, time).
-    /// Reports expire so that disjoint outage episodes do not accumulate
-    /// into a spurious re-execution.
-    fetch_failures: BTreeMap<TaskId, FetchReports>,
-    /// Live (Running or Inactive) attempts across the job's tasks,
-    /// maintained incrementally at launch / kill / success / failure —
-    /// the job's cluster share, ranked by fair-share ordering without
-    /// an O(tasks) scan per slot grant.
-    live_attempts: u32,
-    /// The job's counters, returned by [`JobTracker::job_metrics`].
-    metrics: JobMetrics,
-}
-
-impl Job {
-    /// The job's tasks of `kind`, indexed by `TaskId::index`.
-    fn tasks(&self, kind: TaskKind) -> &[TaskState] {
-        match kind {
-            TaskKind::Map => &self.maps,
-            TaskKind::Reduce => &self.reduces,
-        }
-    }
-
-    fn task(&self, id: TaskId) -> &TaskState {
-        &self.tasks(id.kind)[id.index as usize]
-    }
-
-    fn task_mut(&mut self, id: TaskId) -> &mut TaskState {
-        let tasks = match id.kind {
-            TaskKind::Map => &mut self.maps,
-            TaskKind::Reduce => &mut self.reduces,
-        };
-        &mut tasks[id.index as usize]
-    }
-
-    fn all_tasks(&self) -> impl Iterator<Item = &TaskState> {
-        self.maps.iter().chain(&self.reduces)
-    }
-
-    /// Is `task` a map whose input split has a replica on `node`?
-    fn input_local(&self, task: TaskId, node: NodeId) -> bool {
-        task.kind == TaskKind::Map
-            && self
-                .spec
-                .map_input_locations
-                .get(task.index as usize)
-                .is_some_and(|locs| locs.contains(&node))
-    }
-}
 
 /// Per-job counters used by the paper's figures and Table II.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -225,9 +166,10 @@ impl JobTracker {
     }
 
     /// Recount every maintained index from scratch — `running_jobs`,
-    /// the alive-slot counters, each job's `live_attempts` and each
-    /// tracker's `running` set — and report each discrepancy as one
-    /// line (empty = no drift). Debug builds assert
+    /// the alive-slot counters, each job's `live_attempts`, each
+    /// tracker's `running` set and each job's still-valid picker
+    /// summaries — and report each discrepancy as one line (empty = no
+    /// drift). Debug builds assert
     /// it is empty at each liveness sweep; release-mode fuzzing runs it
     /// after every experiment (`World::debug_final_audit`), where a
     /// panic would abort the whole campaign instead of becoming a
@@ -290,6 +232,7 @@ impl JobTracker {
                 ));
             }
         }
+        self.audit_summaries(&mut issues);
         issues
     }
 
@@ -364,29 +307,7 @@ impl JobTracker {
     /// Submit a job; its tasks become schedulable immediately.
     pub fn submit_job(&mut self, now: SimTime, spec: JobSpec) -> JobId {
         let id = JobId(self.jobs.len() as u32);
-        let tasks = |kind, n| {
-            (0..n)
-                .map(|index| {
-                    TaskState::new(TaskId {
-                        job: id,
-                        kind,
-                        index,
-                    })
-                })
-                .collect()
-        };
-        self.jobs.push(Job {
-            maps: tasks(TaskKind::Map, spec.n_maps),
-            reduces: tasks(TaskKind::Reduce, spec.n_reduces),
-            spec,
-            status: JobStatus::Running,
-            submitted: now,
-            first_launch: None,
-            next_launch_seq: 0,
-            fetch_failures: BTreeMap::new(),
-            live_attempts: 0,
-            metrics: JobMetrics::default(),
-        });
+        self.jobs.push(Job::new(id, now, spec));
         self.running_jobs.insert(id);
         id
     }

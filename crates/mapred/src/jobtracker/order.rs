@@ -9,16 +9,22 @@ use dfs::NodeId;
 use std::collections::BTreeMap;
 
 impl JobTracker {
-    /// Drive `f` over running jobs in cross-job policy order, ascending
-    /// `(rank_key, JobId)`, stopping at the first `Some`. The ranking
-    /// Vec is owned by the tracker and refilled per pick (clear, don't
-    /// drop), so steady-state picks allocate nothing; it is taken out
-    /// of the cell for the duration so `f` never observes a held
-    /// borrow.
+    /// Drive `f` over the running jobs that `may_pick`, in cross-job
+    /// policy order, ascending `(rank_key, JobId)`, stopping at the
+    /// first `Some`. When no running job `may_pick`, as on almost every
+    /// heartbeat of a large fleet, it returns before ranking anything.
+    /// The ranking Vec is owned by the tracker and refilled per pick
+    /// (clear, don't drop), so steady-state picks allocate nothing; it
+    /// is taken out of the cell for the duration so `f` never observes
+    /// a held borrow.
     pub(super) fn pick_across_jobs<T>(
         &self,
+        may_pick: impl Fn(&Job) -> bool,
         mut f: impl FnMut(JobId, &Job) -> Option<T>,
     ) -> Option<T> {
+        if !self.running_jobs.iter().any(|&jid| may_pick(self.job(jid))) {
+            return None;
+        }
         let tenant_live = self.tenant_live_counts();
         let mut order = self.rank_scratch.take();
         order.clear();
@@ -28,7 +34,10 @@ impl JobTracker {
                 .map(|&jid| (self.rank_key(jid, self.job(jid), &tenant_live), jid)),
         );
         order.sort_unstable();
-        let found = order.iter().find_map(|&(_, jid)| f(jid, self.job(jid)));
+        let found = order.iter().find_map(|&(_, jid)| {
+            let job = self.job(jid);
+            may_pick(job).then(|| f(jid, job)).flatten()
+        });
         self.rank_scratch.replace(order);
         found
     }
@@ -189,9 +198,10 @@ impl JobTracker {
         // Challenger: the first job in policy order with a pending
         // launchable task of this kind — exactly the pick the freed
         // slot will serve, so a successful preemption always re-grants.
-        let Some(challenger) =
-            self.pick_across_jobs(|jid, job| self.pick_pending_in(job, node, kind).map(|_| jid))
-        else {
+        let Some(challenger) = self.pick_across_jobs(
+            |job| self.has_pending(job, kind),
+            |jid, job| self.pick_pending_in(job, node, kind).map(|_| jid),
+        ) else {
             return false;
         };
         // Victim: among this tracker's running attempts of `kind`, the

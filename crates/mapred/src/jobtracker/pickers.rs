@@ -1,37 +1,13 @@
 //! Task pickers: pending launches and retries, then speculation under
 //! Hadoop's straggler rule or MOON's frozen, slow and homestretch lists.
+//! Each reads the job's picker summary (see [`super::summary`]) and
+//! applies only the filters that depend on the asking node.
 
 use super::{Job, JobTracker};
-use crate::job::TaskState;
 use crate::policy::SchedulerPolicy;
 use crate::types::{AttemptState, LaunchReason, TaskId, TaskKind};
 use dfs::NodeId;
-use simkit::{SimDuration, SimTime};
-
-/// Hadoop's straggler ("slow task") rule, shared by every policy: a task
-/// must have run at least this long before it can be a straggler.
-const STRAGGLER_MIN_RUNTIME: SimDuration = SimDuration::from_secs(60);
-/// The straggler rule's progress gap: a straggler's best progress is at
-/// least this far below the average of its job's tasks of the same kind.
-const STRAGGLER_GAP: f64 = 0.2;
-/// Speculative copies of a *slow* task beyond the original (Hadoop's
-/// default; MOON's frozen tasks are exempt — §V-A).
-const MAX_SPECULATIVE_PER_TASK: u32 = 1;
-/// Fraction of a job's maps that must finish before its reduces are
-/// scheduled (Hadoop's "slowstart").
-const REDUCE_SLOWSTART: f64 = 0.05;
-
-/// Hadoop's straggler ("slow task") test, the one rule both speculative
-/// pickers apply to a live, incomplete task: it is under the per-task
-/// speculative cap, its oldest live attempt has run at least
-/// [`STRAGGLER_MIN_RUNTIME`], and its best progress is more than
-/// [`STRAGGLER_GAP`] below `avg`, its job's average for the task kind.
-fn is_straggler(task: &TaskState, now: SimTime, avg: f64) -> bool {
-    let oldest_start = || task.live_attempts().map(|a| a.started).min().unwrap_or(now);
-    (task.n_live_speculative() as u32) < MAX_SPECULATIVE_PER_TASK
-        && now.since(oldest_start()) >= STRAGGLER_MIN_RUNTIME
-        && task.best_progress() < avg - STRAGGLER_GAP
-}
+use simkit::SimTime;
 
 impl JobTracker {
     /// Choose the next task of `kind` for `node`, with the launch reason.
@@ -62,24 +38,26 @@ impl JobTracker {
     /// failed tasks), then unscheduled tasks — maps preferring input
     /// locality to the requesting node. Jobs are visited in cross-job
     /// policy order; the first job with any candidate wins.
-    fn pick_pending(&self, node: NodeId, kind: TaskKind) -> Option<(TaskId, LaunchReason)> {
-        self.pick_across_jobs(|_, job| self.pick_pending_in(job, node, kind))
+    pub(super) fn pick_pending(
+        &self,
+        node: NodeId,
+        kind: TaskKind,
+    ) -> Option<(TaskId, LaunchReason)> {
+        self.pick_across_jobs(
+            |job| self.has_pending(job, kind),
+            |_, job| self.pick_pending_in(job, node, kind),
+        )
     }
 
     /// The per-job half of [`Self::pick_pending`]: best pending task of
-    /// `kind` in one job, by (class, index).
+    /// `kind` in one job, by (class, index). Called only for a job that
+    /// [`Self::has_pending`], so it always finds one.
     pub(super) fn pick_pending_in(
         &self,
         job: &Job,
         node: NodeId,
         kind: TaskKind,
     ) -> Option<(TaskId, LaunchReason)> {
-        if kind == TaskKind::Reduce {
-            let gate = (REDUCE_SLOWSTART * job.spec.n_maps as f64).ceil() as u32;
-            if job.metrics.completed_maps < gate.min(job.spec.n_maps) {
-                return None;
-            }
-        }
         let mut best: Option<(u8, u32, TaskId)> = None; // (class, order, task)
         for task in job.tasks(kind) {
             if !task.needs_launch() {
@@ -122,142 +100,31 @@ impl JobTracker {
         })
     }
 
-    /// Slots of `kind` across Alive trackers (the paper's "currently
-    /// available execution slots"). O(1): the counters are maintained
-    /// on liveness transitions and recounted by [`Self::audit_indexes`].
-    fn available_slots(&self, kind: Option<TaskKind>) -> u32 {
-        match kind {
-            Some(TaskKind::Map) => self.alive_map_slots,
-            Some(TaskKind::Reduce) => self.alive_reduce_slots,
-            None => self.alive_map_slots + self.alive_reduce_slots,
-        }
-    }
-
-    fn live_speculative(&self, job: &Job) -> u32 {
-        job.all_tasks().map(|t| t.n_live_speculative() as u32).sum()
-    }
-
-    /// Mean best-progress over scheduled tasks of `kind` (completed
-    /// count as 1.0) — the baseline for the Hadoop straggler rule.
-    fn avg_progress(&self, job: &Job, kind: TaskKind) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0u32;
-        for t in job.tasks(kind) {
-            if t.completed {
-                sum += 1.0;
-                n += 1;
-            } else if t.n_live() > 0 {
-                sum += t.best_progress();
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
-    fn pick_speculative(
+    /// Speculation: the first candidate of the job's summary, in pick
+    /// order, with no live attempt on `node`. Hadoop takes a candidate
+    /// whose input is local to `node` first; MOON ignores locality.
+    pub(super) fn pick_speculative(
         &self,
         now: SimTime,
         node: NodeId,
         kind: TaskKind,
     ) -> Option<(TaskId, LaunchReason)> {
-        match &self.policy {
-            SchedulerPolicy::Hadoop(_) => self.pick_speculative_hadoop(now, node, kind),
-            SchedulerPolicy::Moon(p) => self.pick_speculative_moon(now, node, kind, p),
-        }
-    }
-
-    fn pick_speculative_hadoop(
-        &self,
-        now: SimTime,
-        node: NodeId,
-        kind: TaskKind,
-    ) -> Option<(TaskId, LaunchReason)> {
-        self.pick_across_jobs(|_, job| {
-            let avg = self.avg_progress(job, kind);
-            // Least (non_local, first launch, id); ids are unique.
-            let mut best: Option<(bool, u32, TaskId)> = None;
-            for task in job.tasks(kind) {
-                if task.completed
-                    || task.n_live() == 0
-                    || task.has_live_attempt_on(|n| n == node)
-                    || !is_straggler(task, now, avg)
-                {
-                    continue;
-                }
-                let non_local = !job.input_local(task.id, node);
-                let cand = (non_local, task.first_launch_seq, task.id);
-                best = Some(best.map_or(cand, |b| b.min(cand)));
-            }
-            best.map(|(_, _, tid)| (tid, LaunchReason::Speculative))
-        })
-    }
-
-    fn pick_speculative_moon(
-        &self,
-        now: SimTime,
-        node: NodeId,
-        kind: TaskKind,
-        p: &crate::policy::MoonPolicy,
-    ) -> Option<(TaskId, LaunchReason)> {
-        self.pick_across_jobs(|_, job| {
-            // Global cap on concurrent speculative instances (§V-A).
-            let cap =
-                (p.speculative_slot_fraction * self.available_slots(None) as f64).floor() as u32;
-            if self.live_speculative(job) >= cap.max(1) {
-                return None;
-            }
-            let avg = self.avg_progress(job, kind);
-            let tasks = job.tasks(kind);
-            let remaining = tasks.iter().filter(|t| !t.completed).count() as u32;
-            let homestretch_on = (remaining as f64)
-                < (p.homestretch_h_percent / 100.0) * self.available_slots(Some(kind)) as f64;
-
-            // Each list keeps only its least entry; ids are unique.
-            // 1. Frozen list: all copies inactive; exempt from the
-            //    per-task cap; lowest progress first (§V-A).
-            let mut frozen: Option<(u64, TaskId)> = None;
-            // 2. Slow list: Hadoop straggler criteria.
-            let mut slow: Option<(u64, TaskId)> = None;
-            // 3. Homestretch: remaining tasks short of R active copies.
-            let mut homestretch: Option<(u32, u64, TaskId)> = None;
-
-            for task in tasks {
-                if task.completed || task.n_live() == 0 {
-                    continue;
-                }
-                if task.has_live_attempt_on(|n| n == node) {
-                    continue;
-                }
-                // Tasks already backed by a dedicated copy have reliable
-                // backup; skip them for further replication (§V-C).
-                if p.hybrid && task.has_live_attempt_on(|n| self.tracker(n).dedicated) {
-                    continue;
-                }
-                let progress_key = (task.best_progress() * 1e9) as u64;
-                if task.is_frozen() {
-                    let cand = (progress_key, task.id);
-                    frozen = Some(frozen.map_or(cand, |b| b.min(cand)));
-                    continue;
-                }
-                if is_straggler(task, now, avg) {
-                    let cand = (progress_key, task.id);
-                    slow = Some(slow.map_or(cand, |b| b.min(cand)));
-                }
-                if homestretch_on && (task.n_running() as u32) < p.homestretch_r {
-                    let cand = (task.n_running() as u32, progress_key, task.id);
-                    homestretch = Some(homestretch.map_or(cand, |b| b.min(cand)));
-                }
-            }
-            // Dedicated nodes also take homestretch copies; volatile nodes
-            // do too — the phase just guarantees R active copies.
-            frozen
-                .or(slow)
-                .map(|(_, tid)| (tid, LaunchReason::Speculative))
-                .or(homestretch.map(|(_, _, tid)| (tid, LaunchReason::Homestretch)))
-        })
+        let prefer_local = matches!(self.policy, SchedulerPolicy::Hadoop(_));
+        self.pick_across_jobs(
+            |job| !self.speculative(job, kind, now).is_empty(),
+            |_, job| {
+                let candidates = self.speculative(job, kind, now);
+                let mut open = candidates
+                    .iter()
+                    .filter(|c| !job.task(c.task).has_live_attempt_on(|n| n == node));
+                let pick = if prefer_local {
+                    let local = open.clone().find(|c| job.input_local(c.task, node));
+                    local.or_else(|| open.next())
+                } else {
+                    open.next()
+                };
+                pick.map(|c| (c.task, c.reason))
+            },
+        )
     }
 }

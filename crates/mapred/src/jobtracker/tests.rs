@@ -1,6 +1,7 @@
 use super::*;
 use crate::policy::{HadoopPolicy, MoonPolicy};
 use simkit::SimDuration;
+use std::collections::BTreeMap;
 
 fn t(s: u64) -> SimTime {
     SimTime::from_secs(s)
@@ -872,10 +873,13 @@ fn derived_guard_and_unified_order_match_the_per_policy_rules() {
                 }
             }
             let mut order = Vec::new();
-            jt.pick_across_jobs(|jid, _| {
-                order.push(jid);
-                None::<()>
-            });
+            jt.pick_across_jobs(
+                |_| true,
+                |jid, _| {
+                    order.push(jid);
+                    None::<()>
+                },
+            );
             assert_eq!(order, reference_order(&jt), "{policy:?} pick order");
             let tenant_live = jt.tenant_live_counts();
             for &c in &jt.running_jobs {
@@ -972,4 +976,355 @@ fn dead_tracker_reregisters_on_heartbeat() {
     // way the tracker is usable (no panic) and slots report sanely.
     let _ = r;
     assert!(jt.live_attempt_count() >= 1);
+}
+
+// The per-beat scans that the picker summaries replaced, kept as the
+// reference the cached pickers must reproduce.
+
+fn reference_is_straggler(task: &TaskState, now: SimTime, avg: f64) -> bool {
+    let oldest_start = || task.live_attempts().map(|a| a.started).min().unwrap_or(now);
+    (task.n_live_speculative() as u32) < 1
+        && now.since(oldest_start()) >= SimDuration::from_secs(60)
+        && task.best_progress() < avg - 0.2
+}
+
+fn reference_avg_progress(job: &Job, kind: TaskKind) -> f64 {
+    let mut sum = 0.0;
+    let mut n = 0u32;
+    for t in job.tasks(kind) {
+        if t.completed {
+            sum += 1.0;
+            n += 1;
+        } else if t.n_live() > 0 {
+            sum += t.best_progress();
+            n += 1;
+        }
+    }
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
+
+fn reference_pick_pending(
+    jt: &JobTracker,
+    node: NodeId,
+    kind: TaskKind,
+) -> Option<(TaskId, LaunchReason)> {
+    jt.pick_across_jobs(
+        |_| true,
+        |_, job| {
+            if kind == TaskKind::Reduce {
+                let gate = (0.05 * job.spec.n_maps as f64).ceil() as u32;
+                if job.metrics.completed_maps < gate.min(job.spec.n_maps) {
+                    return None;
+                }
+            }
+            jt.pick_pending_in(job, node, kind)
+        },
+    )
+}
+
+fn reference_pick_speculative(
+    jt: &JobTracker,
+    now: SimTime,
+    node: NodeId,
+    kind: TaskKind,
+) -> Option<(TaskId, LaunchReason)> {
+    match &jt.policy {
+        SchedulerPolicy::Hadoop(_) => jt.pick_across_jobs(
+            |_| true,
+            |_, job| {
+                let avg = reference_avg_progress(job, kind);
+                let mut best: Option<(bool, u32, TaskId)> = None;
+                for task in job.tasks(kind) {
+                    if task.completed
+                        || task.n_live() == 0
+                        || task.has_live_attempt_on(|n| n == node)
+                        || !reference_is_straggler(task, now, avg)
+                    {
+                        continue;
+                    }
+                    let non_local = !job.input_local(task.id, node);
+                    let cand = (non_local, task.first_launch_seq, task.id);
+                    best = Some(best.map_or(cand, |b| b.min(cand)));
+                }
+                best.map(|(_, _, tid)| (tid, LaunchReason::Speculative))
+            },
+        ),
+        SchedulerPolicy::Moon(p) => jt.pick_across_jobs(
+            |_| true,
+            |_, job| {
+                let slots = jt.alive_map_slots + jt.alive_reduce_slots;
+                let cap = (p.speculative_slot_fraction * slots as f64).floor() as u32;
+                let live_speculative: u32 =
+                    job.all_tasks().map(|t| t.n_live_speculative() as u32).sum();
+                if live_speculative >= cap.max(1) {
+                    return None;
+                }
+                let avg = reference_avg_progress(job, kind);
+                let tasks = job.tasks(kind);
+                let kind_slots = match kind {
+                    TaskKind::Map => jt.alive_map_slots,
+                    TaskKind::Reduce => jt.alive_reduce_slots,
+                };
+                let remaining = tasks.iter().filter(|t| !t.completed).count() as u32;
+                let homestretch_on =
+                    (remaining as f64) < (p.homestretch_h_percent / 100.0) * kind_slots as f64;
+                let mut frozen: Option<(u64, TaskId)> = None;
+                let mut slow: Option<(u64, TaskId)> = None;
+                let mut homestretch: Option<(u32, u64, TaskId)> = None;
+                for task in tasks {
+                    if task.completed || task.n_live() == 0 {
+                        continue;
+                    }
+                    if task.has_live_attempt_on(|n| n == node) {
+                        continue;
+                    }
+                    if p.hybrid && task.has_live_attempt_on(|n| jt.tracker(n).dedicated) {
+                        continue;
+                    }
+                    let progress_key = (task.best_progress() * 1e9) as u64;
+                    if task.is_frozen() {
+                        let cand = (progress_key, task.id);
+                        frozen = Some(frozen.map_or(cand, |b| b.min(cand)));
+                        continue;
+                    }
+                    if reference_is_straggler(task, now, avg) {
+                        let cand = (progress_key, task.id);
+                        slow = Some(slow.map_or(cand, |b| b.min(cand)));
+                    }
+                    if homestretch_on && (task.n_running() as u32) < p.homestretch_r {
+                        let cand = (task.n_running() as u32, progress_key, task.id);
+                        homestretch = Some(homestretch.map_or(cand, |b| b.min(cand)));
+                    }
+                }
+                frozen
+                    .or(slow)
+                    .map(|(_, tid)| (tid, LaunchReason::Speculative))
+                    .or(homestretch.map(|(_, _, tid)| (tid, LaunchReason::Homestretch)))
+            },
+        ),
+    }
+}
+
+/// Compare every cached picker with its reference scan, for every
+/// registered node and both kinds; returns how many picks were `Some`
+/// as `[pending, speculative]`.
+fn assert_pickers_match(jt: &JobTracker, now: SimTime, ctx: &str) -> [u32; 2] {
+    let mut found = [0u32; 2];
+    for i in 0..jt.trackers.len() as u32 {
+        let node = NodeId(i);
+        for kind in [TaskKind::Map, TaskKind::Reduce] {
+            let pending = jt.pick_pending(node, kind);
+            assert_eq!(
+                pending,
+                reference_pick_pending(jt, node, kind),
+                "{ctx}: pending pick for {node:?}, {kind}"
+            );
+            let speculative = jt.pick_speculative(now, node, kind);
+            assert_eq!(
+                speculative,
+                reference_pick_speculative(jt, now, node, kind),
+                "{ctx}: speculative pick for {node:?}, {kind}"
+            );
+            found[0] += u32::from(pending.is_some());
+            found[1] += u32::from(speculative.is_some());
+        }
+    }
+    assert_eq!(jt.audit_indexes(), Vec::<String>::new(), "{ctx}");
+    found
+}
+
+/// Seeded churn under Hadoop, MOON and MOON-Hybrid with fair-share
+/// preemption: submissions, launching heartbeats, progress reports,
+/// successes, failures, fetch-failure re-opens, silences that suspend
+/// or expire trackers, revivals and clock advances. After every step
+/// each cached picker must equal the per-beat scan it replaced. The
+/// coverage counts make sure every transition and both non-empty
+/// picks happened.
+#[test]
+fn cached_pickers_match_reference_scans_under_churn() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let expiry = SimDuration::from_secs(150);
+    let policies = [
+        (
+            "Hadoop",
+            SchedulerPolicy::Hadoop(HadoopPolicy::with_expiry(expiry)),
+            FetchFailurePolicy::HadoopMajority,
+        ),
+        (
+            "MOON",
+            SchedulerPolicy::Moon(MoonPolicy {
+                tracker_expiry: expiry,
+                ..MoonPolicy::without_hybrid()
+            }),
+            FetchFailurePolicy::MoonQuery,
+        ),
+        (
+            "MOON-Hybrid",
+            SchedulerPolicy::Moon(MoonPolicy {
+                tracker_expiry: expiry,
+                ..MoonPolicy::default()
+            }),
+            FetchFailurePolicy::MoonQuery,
+        ),
+    ];
+    for (name, policy, fetch) in policies {
+        let moon = matches!(policy, SchedulerPolicy::Moon(_));
+        let mut jt = JobTracker::new(policy, fetch)
+            .with_cross_job(CrossJobPolicy::FairShare)
+            .with_preemption(true);
+        cluster(&mut jt, 8, 2); // n0..n7 volatile, n8..n9 dedicated
+        let nodes = 10u32;
+        let mut rng = StdRng::seed_from_u64(0x5EED_CAC4E);
+        let mut now = t(0);
+        // [launched, succeeded, failed, re-opened, suspended, expired,
+        //  revived, killed by preemption or sibling]
+        let mut seen = [0u32; 8];
+        let mut picked = [0u32; 2];
+        for step in 0..1500 {
+            let live: Vec<AttemptId> = (0..nodes)
+                .flat_map(|i| jt.attempts_on(NodeId(i)).collect::<Vec<_>>())
+                .collect();
+            match rng.gen_range(0..12u32) {
+                0 if jt.active_job_count() < 4 => {
+                    let (maps, reduces) = (rng.gen_range(2..8u32), rng.gen_range(1..3u32));
+                    let locations = (0..maps)
+                        .map(|_| vec![NodeId(rng.gen_range(0..nodes))])
+                        .collect();
+                    jt.submit_job(now, JobSpec::new(maps, reduces).with_locations(locations));
+                }
+                1..=3 => {
+                    let node = NodeId(rng.gen_range(0..nodes));
+                    let revived = jt.tracker_state(node) != TrackerState::Alive;
+                    let resp = jt.heartbeat(now, node);
+                    seen[0] += resp.assignments.len() as u32;
+                    seen[6] += u32::from(revived);
+                    seen[7] += resp.kill.len() as u32;
+                }
+                4 | 5 if !live.is_empty() => {
+                    let a = live[rng.gen_range(0..live.len())];
+                    jt.report_progress(a, rng.gen_range(0.0..1.0));
+                }
+                6 if !live.is_empty() => {
+                    let a = live[rng.gen_range(0..live.len())];
+                    let resp = jt.attempt_succeeded(a);
+                    seen[1] += 1;
+                    seen[7] += resp.kill.len() as u32;
+                }
+                7 if !live.is_empty() => {
+                    jt.attempt_failed(live[rng.gen_range(0..live.len())]);
+                    seen[2] += 1;
+                }
+                8 => {
+                    let running: Vec<JobId> = jt.running_jobs.iter().copied().collect();
+                    if let Some(&jid) = running.get(rng.gen_range(0..running.len().max(1))) {
+                        let job = jt.job(jid);
+                        let map = rng.gen_range(0..job.spec.n_maps);
+                        let reduce = rng.gen_range(0..job.spec.n_reduces);
+                        // MOON re-opens after three reports in a window.
+                        for _ in 0..rng.gen_range(1..=3) {
+                            let reopened = jt.report_fetch_failure(
+                                now,
+                                map_task(jid, map),
+                                reduce_task(jid, reduce),
+                                rng.gen_bool(0.2),
+                            );
+                            seen[3] += u32::from(reopened);
+                        }
+                    }
+                }
+                _ => {
+                    // Sub-second steps land between straggler crossings.
+                    now += SimDuration::from_micros(rng.gen_range(1..20_000_000));
+                    let sweep = jt.check_trackers(now);
+                    seen[4] += sweep.suspended.len() as u32;
+                    seen[5] += sweep.expired.len() as u32;
+                }
+            }
+            let found = assert_pickers_match(&jt, now, &format!("{name} step {step}"));
+            picked[0] += found[0];
+            picked[1] += found[1];
+        }
+        let want_suspended = u32::from(moon);
+        assert!(
+            seen.iter()
+                .enumerate()
+                .all(|(i, &n)| i == 4 && n >= want_suspended || n > 0),
+            "{name}: churn must exercise every transition \
+             [launched, succeeded, failed, re-opened, suspended, expired, revived, killed] \
+             = {seen:?}"
+        );
+        assert!(
+            picked.iter().all(|&n| n > 0),
+            "{name}: [pending, speculative] picks found {picked:?}"
+        );
+    }
+}
+
+/// A task turns into a straggler exactly when its attempt has run
+/// `STRAGGLER_MIN_RUNTIME`, with no task write in between: the summary
+/// built earlier must go stale at that microsecond, not later.
+#[test]
+fn cached_picker_sees_a_straggler_at_the_exact_microsecond() {
+    for mut jt in [hadoop_jt(), moon_jt(false)] {
+        cluster(&mut jt, 4, 0);
+        let job = jt.submit_job(t(0), JobSpec::new(4, 0));
+        jt.heartbeat(t(0), NodeId(0));
+        jt.heartbeat(t(0), NodeId(1));
+        for (i, p) in [0.9, 0.9, 0.9, 0.05].into_iter().enumerate() {
+            let a = AttemptId {
+                task: map_task(job, i as u32),
+                attempt: 0,
+            };
+            jt.report_progress(a, p);
+        }
+        // Built at 30 s; valid until the laggard's 60 s mark.
+        assert!(jt.heartbeat(t(30), NodeId(2)).assignments.is_empty());
+        let just_before = SimTime::from_micros(t(60).as_micros() - 1);
+        assert!(jt.heartbeat(just_before, NodeId(2)).assignments.is_empty());
+        let r = jt.heartbeat(t(60), NodeId(2)).assignments;
+        assert_eq!(r.len(), 1, "the laggard is speculated at exactly 60 s");
+        assert_eq!(r[0].attempt.task, map_task(job, 3));
+        assert_eq!(r[0].reason, LaunchReason::Speculative);
+    }
+}
+
+/// `audit_indexes` reports a summary that is valid by its key but no
+/// longer matches a fresh scan, and stops once a task write makes it
+/// stale.
+#[test]
+fn audit_reports_a_summary_that_differs_from_a_fresh_scan() {
+    let mut jt = hadoop_jt();
+    cluster(&mut jt, 4, 0);
+    let job = jt.submit_job(t(0), JobSpec::new(4, 0));
+    let a0 = jt.heartbeat(t(0), NodeId(0)).assignments;
+    let a1 = jt.heartbeat(t(0), NodeId(1)).assignments;
+    for (a, p) in a0.iter().chain(&a1).zip([0.9, 0.9, 0.9, 0.05]) {
+        jt.report_progress(a.attempt, p);
+    }
+    // Both halves cached: nothing pending, one straggler.
+    assert!(jt.pick_pending(NodeId(2), TaskKind::Map).is_none());
+    assert!(jt
+        .pick_speculative(t(61), NodeId(2), TaskKind::Map)
+        .is_some());
+    assert_eq!(jt.audit_indexes(), Vec::<String>::new());
+    let summary = jt.job(job).summary(TaskKind::Map);
+    summary.pending.set(Some((jt.job(job).epoch(), true)));
+    summary.speculative.borrow_mut().candidates.clear();
+    let issues = jt.audit_indexes();
+    assert_eq!(issues.len(), 2, "{issues:?}");
+    assert!(
+        issues[0].contains("Map pending summary drifted"),
+        "{issues:?}"
+    );
+    assert!(
+        issues[1].contains("Map speculative summary drifted"),
+        "{issues:?}"
+    );
+    // Any task write bumps the epoch: the summary is stale, not drifted.
+    jt.job_mut(job).task_mut(map_task(job, 0));
+    assert_eq!(jt.audit_indexes(), Vec::<String>::new());
 }
