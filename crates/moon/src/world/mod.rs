@@ -245,6 +245,9 @@ pub struct World {
     resched_net_poll: bool,
     /// Next `NodeRt::hb_key` handed out by a `NodeUp`.
     next_hb_key: i64,
+    /// A beat's local attempts, listed so that their progress reports
+    /// can write the JobTracker; reused so beats allocate nothing.
+    beat_attempts: Vec<AttemptId>,
     /// Peak concurrently-active (submitted, not yet committed) jobs —
     /// perf-log gauge.
     peak_active_jobs: u32,
@@ -337,6 +340,7 @@ impl World {
             net_poll_ev: EventId::NONE,
             resched_net_poll: false,
             next_hb_key: 1,
+            beat_attempts: Vec::new(),
             peak_active_jobs: 0,
             telemetry: None,
             metrics: RunMetrics::default(),

@@ -20,7 +20,6 @@
 //! never been parked. DESIGN.md §7 gives the argument.
 
 use super::{Ev, World, HEARTBEAT_INTERVAL};
-use mapred::AttemptId;
 use simkit::{Ctx, EventId, SimDuration, SimTime, StreamId};
 
 use super::attempts::Phase;
@@ -117,11 +116,14 @@ impl World {
         self.nn.heartbeat(ctx.now(), n, bw);
 
         // Progress reports for local attempts.
-        let local: Vec<AttemptId> = self.jt.attempts_on(n).collect();
-        for id in local {
+        let mut local = std::mem::take(&mut self.beat_attempts);
+        local.clear();
+        local.extend(self.jt.attempts_on(n));
+        for &id in &local {
             let p = self.attempt_progress(id, ctx.now());
             self.jt.report_progress(id, p);
         }
+        self.beat_attempts = local;
 
         // TaskTracker heartbeat: receive kills and assignments.
         if self.control_plane_active() {
