@@ -53,6 +53,11 @@ fn want_u64(v: &Value, key: &str) -> Result<u64, ScenarioError> {
     }
 }
 
+fn want_u32(v: &Value, key: &str) -> Result<u32, ScenarioError> {
+    let n = want_u64(v, key)?;
+    u32::try_from(n).map_err(|_| err(format!("`{key}` must be at most {}, got {n}", u32::MAX)))
+}
+
 fn want_bool(v: &Value, key: &str) -> Result<bool, ScenarioError> {
     match *v {
         Value::Bool(b) => Ok(b),
@@ -103,7 +108,7 @@ fn parse_policy(v: &Value) -> Result<PolicyRef, ScenarioError> {
                 p.label = Some(want_str(l, "policies[].label")?);
             }
             if let Some(d) = t.get("dedicated") {
-                p.dedicated = Some(want_u64(d, "policies[].dedicated")? as u32);
+                p.dedicated = Some(want_u32(d, "policies[].dedicated")?);
             }
             for (k, _) in t.iter() {
                 if !matches!(k, "id" | "label" | "dedicated") {
@@ -216,7 +221,7 @@ fn parse_axis(t: &Table) -> Result<Axis, ScenarioError> {
             };
             let n_volatile = t
                 .get("n_volatile")
-                .map(|v| want_u64(v, "axis.n_volatile").map(|n| n as u32))
+                .map(|v| want_u32(v, "axis.n_volatile"))
                 .transpose()?;
             let points = f64_array(points, "axis.points")?;
             for &p in &points {
@@ -252,7 +257,7 @@ fn parse_jobs(t: &Table) -> Result<JobStreamSpec, ScenarioError> {
     let want_key_u32 = |key: &str| -> Result<u32, ScenarioError> {
         t.get(key)
             .ok_or_else(|| err(format!("{kind} jobs stream is missing `{key}`")))
-            .and_then(|v| want_u64(v, key).map(|x| x as u32))
+            .and_then(|v| want_u32(v, key))
     };
     // Durations and rates must be finite and non-negative here, with
     // the key named — downstream they become `SimDuration`s, where a
@@ -308,7 +313,7 @@ fn parse_jobs(t: &Table) -> Result<JobStreamSpec, ScenarioError> {
             None => Ok(Vec::new()),
             Some(v) => want_array(v, key)?
                 .iter()
-                .map(|x| want_u64(x, &format!("jobs.{key}")).map(|n| n as u32))
+                .map(|x| want_u32(x, &format!("jobs.{key}")))
                 .collect(),
         }
     };
@@ -396,7 +401,7 @@ fn parse_telemetry(t: &Table) -> Result<TelemetrySpec, ScenarioError> {
     };
     let span_capacity = match t.get("span_capacity") {
         None => defaults.span_capacity,
-        Some(v) => want_u64(v, "telemetry.span_capacity")? as u32,
+        Some(v) => want_u32(v, "telemetry.span_capacity")?,
     };
     for (k, _) in t.iter() {
         if !matches!(k, "sample_every_secs" | "span_capacity") {
@@ -456,10 +461,10 @@ pub fn from_toml(root: &Table) -> Result<ScenarioSpec, ScenarioError> {
     };
     let dedicated = root
         .get("dedicated")
-        .map_or(Ok(6), |v| want_u64(v, "dedicated"))? as u32;
+        .map_or(Ok(6), |v| want_u32(v, "dedicated"))?;
     let n_volatile = root
         .get("n_volatile")
-        .map(|v| want_u64(v, "n_volatile").map(|n| n as u32))
+        .map(|v| want_u32(v, "n_volatile"))
         .transpose()?;
     let seeds = match root.get("seeds") {
         None => None,
@@ -809,6 +814,66 @@ mod tests {
                 from_str(&text).unwrap_or_else(|e| panic!("{}: {e}\n---\n{text}", spec.name));
             assert_eq!(back, spec, "round-trip drift for `{}`", spec.name);
         }
+    }
+
+    /// Every `u32` key rejects a value above `u32::MAX`, naming the key,
+    /// instead of wrapping it (`4294967302` once read as `dedicated = 6`).
+    #[test]
+    fn u32_keys_reject_values_that_do_not_fit() {
+        let head = "name = \"x\"\ntitle = \"t\"\nworkloads = [\"quick\"]\n";
+        let rates = "[axis]\nkind = \"rates\"\npoints = [0.3]\n";
+        let poisson = "[jobs]\nkind = \"poisson\"\nrate_per_hour = 60.0\n";
+        let closed = "[jobs]\nkind = \"closed\"\nthink_secs = 1.0\n";
+        let load = "[axis]\nkind = \"load\"\npoints = [30.0]\nrate = 0.3\n";
+        let cases = [
+            (
+                format!("{head}dedicated = 4294967302\n{rates}"),
+                "`dedicated`",
+            ),
+            (
+                format!(
+                    "{head}policies = [{{ id = \"moon-hybrid\", dedicated = 4294967297 }}]\n{rates}"
+                ),
+                "`policies[].dedicated`",
+            ),
+            (
+                format!("{head}n_volatile = 4294967298\n{rates}"),
+                "`n_volatile`",
+            ),
+            (
+                format!("{head}{poisson}count = 4294967297\n{rates}"),
+                "`count`",
+            ),
+            (
+                format!("{head}{closed}clients = 4294967296\njobs_per_client = 1\n{rates}"),
+                "`clients`",
+            ),
+            (
+                format!("{head}{closed}clients = 1\njobs_per_client = 4294967296\n{rates}"),
+                "`jobs_per_client`",
+            ),
+            (
+                format!("{head}{poisson}count = 2\ntenants = [0, 4294967296]\n{rates}"),
+                "`jobs.tenants`",
+            ),
+            (
+                format!("{head}[telemetry]\nspan_capacity = 4294967296\n{rates}"),
+                "`telemetry.span_capacity`",
+            ),
+            (
+                format!("{head}{load}n_volatile = 4294967296\n"),
+                "`axis.n_volatile`",
+            ),
+        ];
+        for (text, key) in cases {
+            let e = from_str(&text).expect_err(&text).to_string();
+            assert!(
+                e.contains(key) && e.contains("at most 4294967295"),
+                "{key}: {e}"
+            );
+        }
+        let max = format!("{head}dedicated = 4294967295\n{rates}");
+        assert_eq!(from_str(&max).unwrap().dedicated, u32::MAX);
     }
 
     #[test]
