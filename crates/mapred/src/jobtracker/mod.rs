@@ -494,11 +494,13 @@ impl JobTracker {
     // Attempt outcomes
     // ------------------------------------------------------------------
 
-    /// Record a progress report for an attempt.
+    /// Record a progress report for an attempt. A report that changes
+    /// nothing writes nothing, so the job's picker summaries stay valid.
     pub fn report_progress(&mut self, attempt: AttemptId, progress: f64) {
-        let info = self.attempt_mut(attempt);
-        if info.state.is_live() {
-            info.progress = progress.clamp(0.0, 1.0);
+        let progress = progress.clamp(0.0, 1.0);
+        let info = self.attempt(attempt);
+        if info.state.is_live() && info.progress.to_bits() != progress.to_bits() {
+            self.attempt_mut(attempt).progress = progress;
         }
     }
 

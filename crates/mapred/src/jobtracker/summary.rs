@@ -7,7 +7,7 @@
 //! that does not depend on the asking node, in pick order. A heartbeat
 //! then applies only the node-specific filters: a live attempt on the
 //! node, and Hadoop's locality preference. Nearly every beat of a large
-//! fleet grants nothing, and now learns so in O(1) per running job.
+//! fleet grants nothing, and learns so in O(1) per running job.
 //!
 //! A summary is keyed on what its scan read:
 //! - the job's mutation epoch, bumped by [`Job::task_mut`], the only
@@ -157,7 +157,8 @@ impl JobTracker {
     }
 
     /// `job`'s speculative candidates of `kind` at `now`, in pick order,
-    /// rescanned first if stale.
+    /// rescanned first if stale. Like the event loop, callers never
+    /// move `now` backwards.
     pub(super) fn speculative<'j>(
         &self,
         job: &'j Job,
@@ -167,7 +168,7 @@ impl JobTracker {
         let cell = &job.summary(kind).speculative;
         let fresh = {
             let s = cell.borrow();
-            s.key == Some(self.speculative_key(job)) && s.built_at <= now && now < s.stale_at
+            s.key == Some(self.speculative_key(job)) && now < s.stale_at
         };
         if !fresh {
             self.scan_speculative(job, kind, now, &mut cell.borrow_mut());
