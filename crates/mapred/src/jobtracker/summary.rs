@@ -267,9 +267,10 @@ impl JobTracker {
         for (jid, job) in self.job_ids().zip(&self.jobs) {
             for kind in [TaskKind::Map, TaskKind::Reduce] {
                 let summary = job.summary(kind);
-                if let Some((epoch, pending)) = summary.pending.get() {
+                let valid = summary.pending.get().filter(|&(e, _)| e == job.epoch());
+                if let Some((_, pending)) = valid {
                     let fresh = scan_pending(job, kind);
-                    if epoch == job.epoch() && pending != fresh {
+                    if pending != fresh {
                         issues.push(format!(
                             "job {jid:?} {kind:?} pending summary drifted: cached {pending}, \
                              fresh scan {fresh}"
