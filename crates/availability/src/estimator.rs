@@ -3,20 +3,12 @@
 //! MOON's NameNode "estimate[s] p by simply having the NameNode monitor
 //! the fraction of unavailable DataNodes during the past interval I"
 //! (§IV-A). The adaptive replication policy then sizes volatile
-//! replication `v′` from the estimate. The estimator is pluggable in the
-//! paper ("MOON allows for user-defined models"); this module provides the
-//! default time-weighted sliding-window implementation behind a trait.
+//! replication `v′` from the estimate. The paper lets users plug in
+//! their own model; this module provides its default, a time-weighted
+//! sliding window.
 
 use simkit::{SimDuration, SimTime};
 use std::collections::VecDeque;
-
-/// A model that predicts the current node-unavailability rate `p`.
-pub trait UnavailabilityModel {
-    /// Record that `down` of `total` nodes are unavailable as of `now`.
-    fn observe(&mut self, now: SimTime, down: usize, total: usize);
-    /// Current estimate of `p` at `now` (in [0, 1]).
-    fn estimate(&self, now: SimTime) -> f64;
-}
 
 /// Time-weighted mean of the down-fraction over a sliding window `I`.
 #[derive(Debug, Clone)]
@@ -50,10 +42,9 @@ impl SlidingWindowEstimator {
             self.samples.pop_front();
         }
     }
-}
 
-impl UnavailabilityModel for SlidingWindowEstimator {
-    fn observe(&mut self, now: SimTime, down: usize, total: usize) {
+    /// Record that `down` of `total` nodes are unavailable as of `now`.
+    pub fn observe(&mut self, now: SimTime, down: usize, total: usize) {
         let frac = if total == 0 {
             0.0
         } else {
@@ -69,7 +60,9 @@ impl UnavailabilityModel for SlidingWindowEstimator {
         self.evict(now);
     }
 
-    fn estimate(&self, now: SimTime) -> f64 {
+    /// Current estimate of the unavailability rate `p` at `now` (in
+    /// [0, 1]).
+    pub fn estimate(&self, now: SimTime) -> f64 {
         if self.samples.is_empty() {
             return self.prior;
         }
@@ -97,18 +90,6 @@ impl UnavailabilityModel for SlidingWindowEstimator {
             return self.samples.back().map(|&(_, f)| f).unwrap_or(self.prior);
         }
         weighted / covered
-    }
-}
-
-/// A constant-`p` model, useful for tests and for configuring experiments
-/// where the true rate is known (the paper's controlled sweeps).
-#[derive(Debug, Clone, Copy)]
-pub struct FixedRate(pub f64);
-
-impl UnavailabilityModel for FixedRate {
-    fn observe(&mut self, _now: SimTime, _down: usize, _total: usize) {}
-    fn estimate(&self, _now: SimTime) -> f64 {
-        self.0
     }
 }
 
@@ -167,12 +148,5 @@ mod tests {
         let mut e = SlidingWindowEstimator::new(SimDuration::from_secs(100), 0.9);
         e.observe(t(0), 0, 0);
         assert!((e.estimate(t(10)) - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fixed_rate_is_constant() {
-        let mut m = FixedRate(0.35);
-        m.observe(t(0), 9, 10);
-        assert_eq!(m.estimate(t(100)), 0.35);
     }
 }

@@ -20,7 +20,7 @@ mod trace;
 pub mod tracefile;
 
 pub use correlated::{generate_fleet, CorrelatedConfig};
-pub use estimator::{FixedRate, SlidingWindowEstimator, UnavailabilityModel};
+pub use estimator::SlidingWindowEstimator;
 pub use gen::{TraceGenConfig, TraceGenerator};
 pub use trace::{AvailabilityTrace, Outage, Transition};
 pub use tracefile::{load_fleet, read_fleet, save_fleet, write_fleet, TraceFileError};

@@ -9,7 +9,7 @@
 //! ([`scenarios::codec::content_key`]: hash of the canonical spec +
 //! seed list + quick-mode flag), and every cell that finishes on a
 //! worker is appended to a checkpoint file as one self-contained
-//! JSONL record — status, attempt count, the full
+//! JSONL record — attempt count, the full
 //! [`RunResult`] round-trip plus the cell's pre-rendered telemetry
 //! fragments. Killing the process loses at most the in-flight cells;
 //! `moon-cli run --resume` verifies the key, restores completed cells,
@@ -173,43 +173,13 @@ pub struct CampaignOutcome {
     pub chrome_trace: String,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CellStatus {
-    Ok,
-    Panic,
-    Livelock,
-    Deadline,
-}
-
-impl CellStatus {
-    fn as_str(self) -> &'static str {
-        match self {
-            CellStatus::Ok => "ok",
-            CellStatus::Panic => "panic",
-            CellStatus::Livelock => "livelock",
-            CellStatus::Deadline => "deadline",
-        }
-    }
-
-    fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "ok" => CellStatus::Ok,
-            "panic" => CellStatus::Panic,
-            "livelock" => CellStatus::Livelock,
-            "deadline" => CellStatus::Deadline,
-            _ => return None,
-        })
-    }
-}
-
-/// One checkpointed cell: status, attempt count, the (possibly
-/// partial) result, and the cell's pre-rendered telemetry fragments.
-/// `result` is `None` only for panicked cells, whose placeholder is
-/// synthesized deterministically at assembly time.
+/// One checkpointed cell: attempt count, the (possibly partial)
+/// result, and the cell's pre-rendered telemetry fragments. `result`
+/// is `None` only for panicked cells, whose placeholder is synthesized
+/// deterministically at assembly time.
 #[derive(Debug, Clone)]
 struct CellRecord {
     cell: usize,
-    status: CellStatus,
     attempts: u32,
     detail: String,
     result: Option<RunResult>,
@@ -458,11 +428,10 @@ fn opt_str(s: &Option<String>) -> String {
 fn encode_record(rec: &CellRecord) -> String {
     format!(
         concat!(
-            "{{\"cell\":{},\"status\":\"{}\",\"attempts\":{},\"detail\":\"{}\",",
+            "{{\"cell\":{},\"attempts\":{},\"detail\":\"{}\",",
             "\"result\":{},\"metrics_frag\":{},\"trace_frag\":{}}}"
         ),
         rec.cell,
-        rec.status.as_str(),
         rec.attempts,
         escape(&rec.detail),
         rec.result
@@ -475,8 +444,9 @@ fn encode_record(rec: &CellRecord) -> String {
 }
 
 fn decode_record(line: &str) -> Result<CellRecord, String> {
+    // Records written before the fate was derived from the result carry
+    // a `"status"` key too; it is ignored.
     let v = json::parse(line)?;
-    let status_name = dec_str(&v, "status")?;
     let dec_opt_str = |key: &str| -> Result<Option<String>, String> {
         match field(&v, key)? {
             Value::Null => Ok(None),
@@ -488,8 +458,6 @@ fn decode_record(line: &str) -> Result<CellRecord, String> {
     };
     Ok(CellRecord {
         cell: usize::try_from(dec_u64(&v, "cell")?).map_err(|_| "cell overflows usize")?,
-        status: CellStatus::from_name(&status_name)
-            .ok_or_else(|| format!("unknown status {status_name:?}"))?,
         attempts: dec_u32(&v, "attempts")?,
         detail: dec_str(&v, "detail")?,
         result: match field(&v, "result")? {
@@ -676,24 +644,17 @@ fn execute_cell(
     }));
     match outcome {
         Ok(r) => {
-            let (status, detail) = match r.outcome {
-                Outcome::EventLimit => (
-                    CellStatus::Livelock,
-                    format!("event budget {} exhausted", limits.event_budget),
+            let detail = match r.outcome {
+                Outcome::EventLimit => format!("event budget {} exhausted", limits.event_budget),
+                Outcome::Deadline => format!(
+                    "wall deadline {:?} exceeded after {} events",
+                    limits.wall_deadline.unwrap_or_default(),
+                    r.events
                 ),
-                Outcome::Deadline => (
-                    CellStatus::Deadline,
-                    format!(
-                        "wall deadline {:?} exceeded after {} events",
-                        limits.wall_deadline.unwrap_or_default(),
-                        r.events
-                    ),
-                ),
-                _ => (CellStatus::Ok, String::new()),
+                _ => String::new(),
             };
             CellRecord {
                 cell,
-                status,
                 attempts,
                 detail,
                 result: Some(r),
@@ -703,7 +664,6 @@ fn execute_cell(
         }
         Err(payload) => CellRecord {
             cell,
-            status: CellStatus::Panic,
             attempts,
             detail: panic_message(payload),
             result: None,
@@ -714,6 +674,18 @@ fn execute_cell(
 }
 
 impl CellRecord {
+    /// How the cell failed, read off its result: `None` for a cell
+    /// that ran to a simulation outcome, else `panic` (no result),
+    /// `livelock` (event budget) or `deadline` (wall deadline).
+    fn fate(&self) -> Option<&'static str> {
+        match self.result.as_ref().map(|r| r.outcome) {
+            None => Some("panic"),
+            Some(Outcome::EventLimit) => Some("livelock"),
+            Some(Outcome::Deadline) => Some("deadline"),
+            Some(_) => None,
+        }
+    }
+
     /// Render the result's telemetry into fragments and drop the
     /// recorder: recorders don't round-trip through the checkpoint,
     /// fragments do.
@@ -857,8 +829,8 @@ fn failed_cells<'a>(
     let n_cols = plan.col_labels.len();
     records
         .into_iter()
-        .filter(|rec| rec.status != CellStatus::Ok)
-        .map(|rec| {
+        .filter_map(|rec| rec.fate().map(|fate| (rec, fate)))
+        .map(|(rec, fate)| {
             let point = rec.cell / n_seeds;
             let col = point % n_cols;
             let row = (point / n_cols) % n_rows;
@@ -871,7 +843,7 @@ fn failed_cells<'a>(
                 policy: plan.row_labels.get(row).cloned().unwrap_or_default(),
                 workload: plan.workload_names.get(panel).cloned().unwrap_or_default(),
                 column: plan.col_labels.get(col).cloned().unwrap_or_default(),
-                reason: rec.status.as_str().to_string(),
+                reason: fate.to_string(),
                 detail: rec.detail.clone(),
                 attempts: rec.attempts,
             }
@@ -940,7 +912,7 @@ pub fn run_campaign(
     for (cell, slot) in records.iter_mut().enumerate() {
         match slot {
             None => pending.push((cell, 0)),
-            Some(rec) if rec.status != CellStatus::Ok => {
+            Some(rec) if rec.fate().is_some() => {
                 if cfg.retry_failed && rec.attempts < cfg.max_attempts {
                     pending.push((cell, rec.attempts));
                     *slot = None;
@@ -1073,7 +1045,6 @@ mod tests {
     fn record_codec_round_trips_extreme_values() {
         let rec = CellRecord {
             cell: 3,
-            status: CellStatus::Ok,
             attempts: 2,
             detail: String::new(),
             result: Some(tricky_result()),
@@ -1082,7 +1053,7 @@ mod tests {
         };
         let back = decode_record(&encode_record(&rec)).unwrap();
         assert_eq!(back.cell, rec.cell);
-        assert_eq!(back.status, rec.status);
+        assert_eq!(back.fate(), None);
         assert_eq!(back.attempts, rec.attempts);
         assert_eq!(back.metrics_frag, rec.metrics_frag);
         assert_eq!(back.trace_frag, rec.trace_frag);
@@ -1117,7 +1088,6 @@ mod tests {
     fn failure_records_round_trip_without_result() {
         let rec = CellRecord {
             cell: 9,
-            status: CellStatus::Panic,
             attempts: 3,
             detail: "index out of bounds: the len is 4\nbut the index is 7".into(),
             result: None,
@@ -1125,11 +1095,21 @@ mod tests {
             trace_frag: None,
         };
         let back = decode_record(&encode_record(&rec)).unwrap();
-        assert_eq!(back.status, CellStatus::Panic);
+        assert_eq!(back.fate(), Some("panic"));
         assert_eq!(back.detail, rec.detail);
         assert!(back.result.is_none());
-        for s in [CellStatus::Livelock, CellStatus::Deadline] {
-            assert_eq!(CellStatus::from_name(s.as_str()), Some(s));
+        for (outcome, fate) in [
+            (Outcome::EventLimit, "livelock"),
+            (Outcome::Deadline, "deadline"),
+        ] {
+            let mut r = tricky_result();
+            r.outcome = outcome;
+            let rec = CellRecord {
+                result: Some(r),
+                ..rec.clone()
+            };
+            let back = decode_record(&encode_record(&rec)).unwrap();
+            assert_eq!(back.fate(), Some(fate));
         }
     }
 }

@@ -11,7 +11,7 @@
 use crate::replication::{adaptive_volatile_degree, ReplicationQueue, ReplicationRequest};
 use crate::throttle::IoThrottle;
 use crate::types::{BlockId, FileId, FileKind, NodeClass, NodeId, NodeLiveness, ReplicationFactor};
-use availability::{SlidingWindowEstimator, UnavailabilityModel};
+use availability::SlidingWindowEstimator;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use simkit::{SimDuration, SimTime};
@@ -186,8 +186,6 @@ pub struct NameNode {
     n_dedicated_total: usize,
     /// Active dedicated nodes whose throttle is currently open.
     unthrottled_active_dedicated: usize,
-    /// Reusable exclude-set scratch for the replication scanner.
-    scratch_exclude: BTreeSet<NodeId>,
     /// Total replication commands issued (metric).
     pub replication_commands: u64,
     /// Total bytes ordered re-replicated (metric).
@@ -211,7 +209,6 @@ impl NameNode {
             n_volatile_total: 0,
             n_dedicated_total: 0,
             unthrottled_active_dedicated: 0,
-            scratch_exclude: BTreeSet::new(),
             replication_commands: 0,
             replication_bytes: 0,
         }
@@ -674,17 +671,36 @@ impl NameNode {
     // Placement
     // ------------------------------------------------------------------
 
-    /// Every Active node in ascending id order, from the maintained
-    /// class indexes (the same sequence a full-table walk produced).
-    fn active_nodes_all(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
+    /// Stock-HDFS placement: one pool of every Active node outside
+    /// `exclude`, the writing client's own node first if it is in the
+    /// pool, the rest uniformly at random.
+    fn pick_any<R: Rng>(
+        &self,
+        want: usize,
+        client: Option<NodeId>,
+        exclude: &BTreeSet<NodeId>,
+        rng: &mut R,
+    ) -> Vec<NodeId> {
+        // Ascending id order, the sequence a full-table walk produced.
+        let mut cands: Vec<NodeId> = self
             .active_dedicated
             .iter()
             .chain(self.active_volatile.iter())
             .copied()
+            .filter(|id| !exclude.contains(id))
             .collect();
-        v.sort_unstable();
-        v
+        cands.sort_unstable();
+        let mut chosen = Vec::with_capacity(want);
+        if let Some(c) = client {
+            if let Some(pos) = cands.iter().position(|&x| x == c) {
+                chosen.push(cands.swap_remove(pos));
+            }
+        }
+        cands.shuffle(rng);
+        let rest = want.saturating_sub(chosen.len());
+        chosen.extend(cands.into_iter().take(rest));
+        chosen.truncate(want);
+        chosen
     }
 
     /// Choose dedicated targets at random, preferring unthrottled nodes
@@ -777,25 +793,9 @@ impl NameNode {
         let exclude: BTreeSet<NodeId> = meta.replicas.clone();
 
         if !self.cfg.hybrid {
-            // Stock HDFS: a single pool, uniform random placement.
-            let total = factor.total() as usize;
-            let mut cands: Vec<NodeId> = self
-                .active_nodes_all()
-                .into_iter()
-                .filter(|id| !exclude.contains(id))
-                .collect();
-            let mut chosen = Vec::with_capacity(total);
-            if let Some(c) = client {
-                if let Some(pos) = cands.iter().position(|&x| x == c) {
-                    chosen.push(cands.swap_remove(pos));
-                }
-            }
-            cands.shuffle(rng);
-            chosen.extend(cands.into_iter().take(total - chosen.len().min(total)));
-            chosen.truncate(total);
             return WritePlan {
                 dedicated: Vec::new(),
-                volatile: chosen,
+                volatile: self.pick_any(factor.total() as usize, client, &exclude, rng),
                 dedicated_declined: false,
                 effective_volatile: factor.total(),
             };
@@ -1052,9 +1052,6 @@ impl NameNode {
     ) -> Vec<ReplicationCommand> {
         let mut commands = Vec::new();
         let mut requeue = Vec::new();
-        // One exclude set for the whole scan (cleared per block), not a
-        // fresh BTreeSet allocation per under-replicated block.
-        let mut exclude = std::mem::take(&mut self.scratch_exclude);
         while commands.len() < max_commands {
             let Some(req) = self.queue.pop() else { break };
             let block = req.block;
@@ -1072,50 +1069,23 @@ impl NameNode {
                 continue;
             };
             let bm = self.block_ref(block).expect("checked above");
-            let size = bm.size;
-            exclude.clear();
-            exclude.extend(bm.replicas.iter().copied());
-            let mut placed_any = false;
-            if self.cfg.hybrid {
-                for target in self.pick_dedicated(d_deficit as usize, &exclude, rng) {
-                    commands.push(ReplicationCommand {
-                        block,
-                        source,
-                        target,
-                        size,
-                    });
-                    placed_any = true;
-                }
-                for target in self.pick_volatile(v_deficit as usize, None, &exclude, rng) {
-                    commands.push(ReplicationCommand {
-                        block,
-                        source,
-                        target,
-                        size,
-                    });
-                    placed_any = true;
-                }
+            let exclude = &bm.replicas;
+            let targets = if self.cfg.hybrid {
+                let mut t = self.pick_dedicated(d_deficit as usize, exclude, rng);
+                t.extend(self.pick_volatile(v_deficit as usize, None, exclude, rng));
+                t
             } else {
-                let want = v_deficit as usize;
-                let mut cands: Vec<NodeId> = self
-                    .active_nodes_all()
-                    .into_iter()
-                    .filter(|id| !exclude.contains(id))
-                    .collect();
-                cands.shuffle(rng);
-                for target in cands.into_iter().take(want) {
-                    commands.push(ReplicationCommand {
-                        block,
-                        source,
-                        target,
-                        size,
-                    });
-                    placed_any = true;
-                }
-            }
-            if !placed_any {
+                self.pick_any(v_deficit as usize, None, exclude, rng)
+            };
+            if targets.is_empty() {
                 requeue.push(block);
             }
+            commands.extend(targets.into_iter().map(|target| ReplicationCommand {
+                block,
+                source,
+                target,
+                size: bm.size,
+            }));
         }
         // Re-derive the request instead of re-enqueuing the popped copy:
         // the popped `live_replicas` snapshot may be stale, and queue
@@ -1146,26 +1116,18 @@ impl NameNode {
                 let Some(&source) = sources.first() else {
                     continue;
                 };
-                exclude.clear();
-                exclude.extend(
-                    self.block_ref(block)
-                        .expect("checked above")
-                        .replicas
-                        .iter()
-                        .copied(),
-                );
-                if let Some(&target) = self.pick_dedicated(1, &exclude, rng).first() {
+                let bm = self.block_ref(block).expect("checked above");
+                if let Some(&target) = self.pick_dedicated(1, &bm.replicas, rng).first() {
                     commands.push(ReplicationCommand {
                         block,
                         source,
                         target,
-                        size: self.block_ref(block).expect("checked above").size,
+                        size: bm.size,
                     });
                 }
             }
         }
 
-        self.scratch_exclude = exclude;
         self.replication_commands += commands.len() as u64;
         self.replication_bytes += commands.iter().map(|c| c.size).sum::<u64>();
         commands

@@ -100,13 +100,10 @@ impl World {
             Some(src) => {
                 let path = self.transfer_path(src, node);
                 let bytes = self.nn.block_size(block) as f64;
-                let (flow, ch) = self.net.start_flow(ctx.now(), &path, bytes);
-                self.flows.insert(flow, FlowPurpose::Attempt(id));
+                let flow = self.open_flow(ctx, &path, bytes, FlowPurpose::Attempt(id));
                 if let Some(rt) = self.attempts.get_mut(&id) {
                     rt.phase = Phase::MapRead { flow: Some(flow) };
                 }
-                self.apply_changes(ctx, ch);
-                self.resched_net_poll = true;
             }
             None => {
                 // Input temporarily unavailable: stall the task (§IV). If
@@ -199,8 +196,7 @@ impl World {
         }
         let bytes = self.nn.block_size(block) as f64;
         let path = self.pipeline_path(node, &targets);
-        let (flow, ch) = self.net.start_flow(ctx.now(), &path, bytes);
-        self.flows.insert(flow, FlowPurpose::Attempt(id));
+        let flow = self.open_flow(ctx, &path, bytes, FlowPurpose::Attempt(id));
         if let Some(rt) = self.attempts.get_mut(&id) {
             rt.phase = Phase::Write {
                 flow: Some(flow),
@@ -209,8 +205,6 @@ impl World {
                 targets,
             };
         }
-        self.apply_changes(ctx, ch);
-        self.resched_net_poll = true;
     }
 
     /// Abort an attempt's physical activity (flows, compute timers).
@@ -221,20 +215,14 @@ impl World {
         self.obs_attempt_end(id, ctx.now(), super::telemetry::ATTEMPT_KILLED);
         let mut flows_to_cancel: Vec<FlowId> = Vec::new();
         match rt.phase {
-            Phase::MapRead { flow } => {
-                if let Some(f) = flow {
-                    flows_to_cancel.push(f);
-                }
-            }
+            Phase::MapRead { flow } => flows_to_cancel.extend(flow),
             Phase::Compute { ev, .. } => {
                 ctx.cancel(ev);
             }
             Phase::Write {
                 flow, file, block, ..
             } => {
-                if let Some(f) = flow {
-                    flows_to_cancel.push(f);
-                }
+                flows_to_cancel.extend(flow);
                 // The aborted writer's allocation must not hold the file's
                 // replication hostage (a reduce writes into the shared
                 // output file; a map owns its intermediate file).
@@ -248,10 +236,8 @@ impl World {
             }
         }
         for f in flows_to_cancel {
-            self.drop_flow_records(ctx, f);
-            self.net.cancel_flow(ctx.now(), f);
+            self.close_flow(ctx, f);
         }
-        self.resched_net_poll = true;
     }
 
     /// Current progress score of an attempt (Hadoop-style phase weights).
@@ -318,24 +304,22 @@ impl World {
     // ------------------------------------------------------------------
 
     pub(super) fn on_net_poll(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        for flow in self.net.poll(ctx.now()) {
-            let Some(purpose) = self.flows.remove(&flow) else {
+        let done = self.net.poll(ctx.now());
+        self.net_changed(ctx);
+        for flow in done {
+            // An earlier completion of this poll may have closed the flow
+            // (a finished attempt kills its siblings).
+            let Some(purpose) = self.forget_flow(ctx, flow) else {
                 continue;
             };
-            if let Some(ev) = self.stall_timeouts.remove(&flow) {
-                ctx.cancel(ev);
-            }
             match purpose {
                 FlowPurpose::Attempt(id) => self.on_attempt_flow_done(ctx, id, flow),
-                FlowPurpose::Fetch { attempt, maps } => {
-                    self.on_fetch_done(ctx, attempt, flow, maps)
-                }
+                FlowPurpose::Fetch(id) => self.on_fetch_done(ctx, id, flow),
                 FlowPurpose::Replication { block, target } => {
                     self.nn.commit_replica(block, target);
                 }
             }
         }
-        self.resched_net_poll = true;
     }
 
     fn on_attempt_flow_done(&mut self, ctx: &mut Ctx<'_, Ev>, id: AttemptId, flow: FlowId) {
@@ -406,20 +390,15 @@ impl World {
     pub(super) fn on_flow_stall_timeout(&mut self, ctx: &mut Ctx<'_, Ev>, flow: FlowId) {
         self.stall_timeouts.remove(&flow);
         // Only act if the flow still exists and is still stalled.
-        match self.net.rate(flow) {
-            Some(r) if r <= 0.0 => {}
-            _ => return,
+        if !self.net.is_stalled(flow) {
+            return;
         }
-        let Some(purpose) = self.flows.remove(&flow) else {
+        let Some(purpose) = self.close_flow(ctx, flow) else {
             return;
         };
         match purpose {
-            FlowPurpose::Fetch { attempt, maps } => {
-                self.on_fetch_timeout(ctx, attempt, flow, maps);
-            }
+            FlowPurpose::Fetch(id) => self.on_fetch_timeout(ctx, id, flow),
             FlowPurpose::Attempt(id) => {
-                self.net.cancel_flow(ctx.now(), flow);
-                self.resched_net_poll = true;
                 // Restart the stalled phase with fresh placement.
                 if let Some(rt) = self.attempts.get_mut(&id) {
                     match &mut rt.phase {
@@ -442,8 +421,6 @@ impl World {
                 }
             }
             FlowPurpose::Replication { block, target } => {
-                self.net.cancel_flow(ctx.now(), flow);
-                self.resched_net_poll = true;
                 self.nn.replica_failed(block, target);
             }
         }

@@ -112,17 +112,12 @@ impl World {
         );
         for cmd in cmds {
             let path = self.transfer_path(cmd.source, cmd.target);
-            let (flow, ch) = self.net.start_flow(ctx.now(), &path, cmd.size as f64);
-            self.flows.insert(
-                flow,
-                FlowPurpose::Replication {
-                    block: cmd.block,
-                    target: cmd.target,
-                },
-            );
-            self.apply_changes(ctx, ch);
+            let purpose = FlowPurpose::Replication {
+                block: cmd.block,
+                target: cmd.target,
+            };
+            self.open_flow(ctx, &path, cmd.size as f64, purpose);
         }
-        self.resched_net_poll = true;
 
         // Output-commit check: a job is done once every output block
         // reached its replication factor (§IV-A). The run ends when the

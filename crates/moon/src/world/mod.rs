@@ -34,7 +34,11 @@
 //! [`Model::handle`] below is a dispatcher: it routes each event to its
 //! subsystem, then, if the handler touched the flow network, moves the
 //! single `NetPoll` event once (its `next_completion` is the one
-//! re-share of everything the handler changed). Cross-subsystem
+//! re-share of everything the handler changed). Handlers touch the
+//! network only through one door in this module — [`World::open_flow`],
+//! [`World::close_flow`], [`World::set_node_capacity`] and the poll in
+//! `NetPoll` — which keeps each flow's purpose and stall timer and
+//! marks the queued `NetPoll` stale. Cross-subsystem
 //! interactions (a finished map waking shuffling reduces, a heartbeat
 //! starting attempts) go through `pub(super)` methods on [`World`], so
 //! the seams are explicit and a future PR can shard or parallelize a
@@ -127,19 +131,15 @@ struct NodeRt {
 }
 
 /// What a flow in the network is doing, keyed by [`FlowId`] in
-/// [`World::flows`]. Subsystems attach a purpose when they start a flow;
+/// [`World::flows`]. Subsystems give a purpose to [`World::open_flow`];
 /// the `NetPoll` driver dispatches completions back by purpose.
 #[derive(Debug)]
 pub(super) enum FlowPurpose {
     /// Map-input read or intermediate/output write for an attempt.
     Attempt(AttemptId),
-    /// A shuffle batch: reduce attempt fetching these map indexes.
-    Fetch {
-        /// The fetching reduce attempt.
-        attempt: AttemptId,
-        /// Map indexes bundled in this batch.
-        maps: Vec<u32>,
-    },
+    /// A shuffle batch of this reduce attempt (the batch's map indexes
+    /// are in its `ShuffleState::inflight`).
+    Fetch(AttemptId),
     /// NameNode-ordered re-replication.
     Replication {
         /// Block being re-replicated.
@@ -239,10 +239,10 @@ pub struct World {
     /// Stall timer of every flow in `flows` that the flow network
     /// reports stalled, and of no other (`debug_final_audit` checks).
     stall_timeouts: HashMap<FlowId, EventId>,
-    net_poll_ev: EventId,
-    /// A handler changed the flow network's next completion: move the
-    /// `NetPoll` once, after the handler.
-    resched_net_poll: bool,
+    /// The queued `NetPoll` (`EventId::NONE` while no flow can
+    /// complete), or `None` once the current handler changed the flow
+    /// network: [`Model::handle`] then queues a fresh one.
+    net_poll_ev: Option<EventId>,
     /// Next `NodeRt::hb_key` handed out by a `NodeUp`.
     next_hb_key: i64,
     /// A beat's local attempts, listed so that their progress reports
@@ -337,8 +337,7 @@ impl World {
             attempts: BTreeMap::new(),
             flows: HashMap::new(),
             stall_timeouts: HashMap::new(),
-            net_poll_ev: EventId::NONE,
-            resched_net_poll: false,
+            net_poll_ev: Some(EventId::NONE),
             next_hb_key: 1,
             beat_attempts: Vec::new(),
             peak_active_jobs: 0,
@@ -547,6 +546,63 @@ impl World {
         path
     }
 
+    // ------------------------------------------------------------------
+    // The door to the flow network: every world-side mutation of `net`
+    // ------------------------------------------------------------------
+
+    /// Start a flow of `bytes` over `path` for `purpose`, with a stall
+    /// timer if it is born stalled.
+    fn open_flow(
+        &mut self,
+        ctx: &mut Ctx<'_, Ev>,
+        path: &[ResourceId],
+        bytes: f64,
+        purpose: FlowPurpose,
+    ) -> FlowId {
+        let (flow, changes) = self.net.start_flow(ctx.now(), path, bytes);
+        self.flows.insert(flow, purpose);
+        self.apply_changes(ctx, changes);
+        self.net_changed(ctx);
+        flow
+    }
+
+    /// Abort an open flow: forget it, then cancel it in the network.
+    fn close_flow(&mut self, ctx: &mut Ctx<'_, Ev>, flow: FlowId) -> Option<FlowPurpose> {
+        let purpose = self.forget_flow(ctx, flow);
+        self.net.cancel_flow(ctx.now(), flow);
+        self.net_changed(ctx);
+        purpose
+    }
+
+    /// Drop a flow's purpose, returned, and its stall timer.
+    fn forget_flow(&mut self, ctx: &mut Ctx<'_, Ev>, flow: FlowId) -> Option<FlowPurpose> {
+        if let Some(ev) = self.stall_timeouts.remove(&flow) {
+            ctx.cancel(ev);
+        }
+        self.flows.remove(&flow)
+    }
+
+    /// Take node `n`'s disk and NICs down to capacity 0, or back up to
+    /// their configured bandwidths.
+    fn set_node_capacity(&mut self, ctx: &mut Ctx<'_, Ev>, n: NodeId, up: bool) {
+        let (disk_bw, nic_bw) = if up {
+            (self.cluster.disk_bandwidth, self.cluster.nic_bandwidth)
+        } else {
+            (0.0, 0.0)
+        };
+        let rt = self.node(n);
+        let caps = [
+            (rt.disk, disk_bw),
+            (rt.nic_up, nic_bw),
+            (rt.nic_down, nic_bw),
+        ];
+        for (r, bw) in caps {
+            let changes = self.net.set_capacity(ctx.now(), r, bw);
+            self.apply_changes(ctx, changes);
+        }
+        self.net_changed(ctx);
+    }
+
     /// React to flows crossing zero rate, as one flow-network mutation
     /// reported them: stop/start stall timers.
     fn apply_changes(&mut self, ctx: &mut Ctx<'_, Ev>, changes: Changes) {
@@ -560,7 +616,7 @@ impl World {
                 continue;
             }
             let timeout = match self.flows.get(&f) {
-                Some(FlowPurpose::Fetch { .. }) => FETCH_TIMEOUT,
+                Some(FlowPurpose::Fetch(_)) => FETCH_TIMEOUT,
                 Some(_) => IO_TIMEOUT,
                 None => continue,
             };
@@ -569,9 +625,10 @@ impl World {
         }
     }
 
-    fn drop_flow_records(&mut self, ctx: &mut Ctx<'_, Ev>, flow: FlowId) {
-        self.flows.remove(&flow);
-        if let Some(ev) = self.stall_timeouts.remove(&flow) {
+    /// The flow network changed: cancel the queued `NetPoll`, whose
+    /// instant may now be wrong; [`Model::handle`] queues a fresh one.
+    fn net_changed(&mut self, ctx: &mut Ctx<'_, Ev>) {
+        if let Some(ev) = self.net_poll_ev.take() {
             ctx.cancel(ev);
         }
     }
@@ -674,10 +731,10 @@ impl World {
 impl Model for World {
     type Event = Ev;
 
-    /// Route each event to its subsystem module, then, if asked,
-    /// reschedule the single flow-completion poll event. Every handler
-    /// that mutates the flow network asks, so its mutations only seeded
-    /// the dirty set and `next_completion` re-shares it once.
+    /// Route each event to its subsystem module, then, if the handler
+    /// changed the flow network, queue the single flow-completion poll
+    /// event afresh. The handler's mutations only seeded the dirty set,
+    /// so `next_completion` re-shares it once.
     fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, ev: Ev) {
         match ev {
             // nodes: availability transitions and heartbeats
@@ -696,12 +753,11 @@ impl Model for World {
             Ev::TrackerCheck => self.on_tracker_check(ctx),
             Ev::ReplicationScan => self.on_replication_scan(ctx),
         }
-        if std::mem::take(&mut self.resched_net_poll) {
-            ctx.cancel(self.net_poll_ev);
-            self.net_poll_ev = match self.net.next_completion() {
+        if self.net_poll_ev.is_none() {
+            self.net_poll_ev = Some(match self.net.next_completion() {
                 Some(at) => ctx.schedule_at(at.max(ctx.now()), Ev::NetPoll),
                 None => EventId::NONE,
-            };
+            });
         }
     }
 

@@ -39,12 +39,8 @@ impl World {
         rt.up = false;
         ctx.cancel(rt.heartbeat_ev);
         rt.heartbeat_ev = EventId::NONE;
-        let (disk, up, down) = (rt.disk, rt.nic_up, rt.nic_down);
         self.obs_node_down(n.0, ctx.now());
-        for r in [disk, up, down] {
-            let ch = self.net.set_capacity(ctx.now(), r, 0.0);
-            self.apply_changes(ctx, ch);
-        }
+        self.set_node_capacity(ctx, n, false);
         // Pause compute phases running on this node.
         for id in self.jt.attempts_on(n) {
             if let Some(rt) = self.attempts.get_mut(&id) {
@@ -55,7 +51,6 @@ impl World {
                 }
             }
         }
-        self.resched_net_poll = true;
     }
 
     pub(super) fn on_node_up(&mut self, ctx: &mut Ctx<'_, Ev>, n: dfs::NodeId) {
@@ -64,13 +59,8 @@ impl World {
             return;
         }
         rt.up = true;
-        let (disk, up, down) = (rt.disk, rt.nic_up, rt.nic_down);
         self.obs_node_up(n.0, ctx.now());
-        let (disk_bw, nic_bw) = (self.cluster.disk_bandwidth, self.cluster.nic_bandwidth);
-        for (r, bw) in [(disk, disk_bw), (up, nic_bw), (down, nic_bw)] {
-            let ch = self.net.set_capacity(ctx.now(), r, bw);
-            self.apply_changes(ctx, ch);
-        }
+        self.set_node_capacity(ctx, n, true);
         // Resume compute phases.
         for id in self.jt.attempts_on(n) {
             if let Some(rt) = self.attempts.get_mut(&id) {
@@ -88,7 +78,6 @@ impl World {
         self.next_hb_key += 1;
         rt.next_beat = ctx.now() + SimDuration::from_millis(500);
         rt.heartbeat_ev = ctx.schedule_at(rt.next_beat, Ev::Heartbeat(n));
-        self.resched_net_poll = true;
     }
 
     pub(super) fn on_heartbeat(&mut self, ctx: &mut Ctx<'_, Ev>, n: dfs::NodeId) {

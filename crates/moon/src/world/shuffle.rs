@@ -29,7 +29,8 @@ const MAX_PARALLEL_FETCHES: usize = 2;
 pub(super) struct ShuffleState {
     /// Maps not yet fetched and not in flight (fetch when available).
     pub(super) waiting: BTreeSet<u32>,
-    /// In-flight batches: flow → map indexes.
+    /// In-flight batches: flow → map indexes. The one record of a
+    /// batch; its flow's purpose names only the attempt.
     pub(super) inflight: BTreeMap<FlowId, Vec<u32>>,
     /// Successfully fetched map indexes.
     pub(super) fetched: BTreeSet<u32>,
@@ -90,15 +91,8 @@ impl World {
             let bytes: f64 =
                 batch.len() as f64 * slot.workload.shuffle_bytes_per_pair(n_reduces) as f64;
             let path = self.transfer_path(src, node);
-            let (flow, ch) = self.net.start_flow(ctx.now(), &path, bytes.max(1.0));
+            let flow = self.open_flow(ctx, &path, bytes.max(1.0), FlowPurpose::Fetch(id));
             self.obs_fetch_started(flow, ctx.now());
-            self.flows.insert(
-                flow,
-                FlowPurpose::Fetch {
-                    attempt: id,
-                    maps: batch.clone(),
-                },
-            );
             if let Some(rt) = self.attempts.get_mut(&id) {
                 if let Phase::Shuffle(sh) = &mut rt.phase {
                     for m in &batch {
@@ -107,9 +101,17 @@ impl World {
                     sh.inflight.insert(flow, batch);
                 }
             }
-            self.apply_changes(ctx, ch);
-            self.resched_net_poll = true;
         }
+    }
+
+    /// Take a fetch flow's batch out of its shuffling attempt's
+    /// in-flight set.
+    fn take_batch(&mut self, id: AttemptId, flow: FlowId) -> Vec<u32> {
+        match self.attempts.get_mut(&id).map(|rt| &mut rt.phase) {
+            Some(Phase::Shuffle(sh)) => sh.inflight.remove(&flow),
+            _ => None,
+        }
+        .expect("a fetch flow is in flight for its shuffling attempt")
     }
 
     /// A fetch batch completed. Outputs invalidated *while the batch
@@ -118,13 +120,8 @@ impl World {
     /// attempt was killed or preempted) carry stale data: those maps go
     /// back to `waiting` to be re-fetched from the re-executed output
     /// instead of being silently counted as fetched.
-    pub(super) fn on_fetch_done(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        id: AttemptId,
-        flow: FlowId,
-        maps: Vec<u32>,
-    ) {
+    pub(super) fn on_fetch_done(&mut self, ctx: &mut Ctx<'_, Ev>, id: AttemptId, flow: FlowId) {
+        let maps = self.take_batch(id, flow);
         let n_maps = self.slot_for(id).workload.n_maps;
         self.obs_fetch_end(flow, id, maps.len(), ctx.now(), true);
         let slot = self.slot_for(id);
@@ -132,7 +129,6 @@ impl World {
         let mut shuffle_complete = false;
         if let Some(rt) = self.attempts.get_mut(&id) {
             if let Phase::Shuffle(sh) = &mut rt.phase {
-                sh.inflight.remove(&flow);
                 sh.fetched.extend(good.iter().copied());
                 sh.waiting.extend(stale.iter().copied());
                 shuffle_complete = sh.fetched.len() as u32 == n_maps;
@@ -148,18 +144,11 @@ impl World {
         }
     }
 
-    /// A stalled fetch batch timed out: report fetch failures and retry.
-    pub(super) fn on_fetch_timeout(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        id: AttemptId,
-        flow: FlowId,
-        maps: Vec<u32>,
-    ) {
+    /// A stalled fetch batch timed out (its flow is closed already):
+    /// report fetch failures and retry.
+    pub(super) fn on_fetch_timeout(&mut self, ctx: &mut Ctx<'_, Ev>, id: AttemptId, flow: FlowId) {
+        let maps = self.take_batch(id, flow);
         self.obs_fetch_end(flow, id, maps.len(), ctx.now(), false);
-        self.net.cancel_flow(ctx.now(), flow);
-        self.drop_flow_records(ctx, flow);
-        self.resched_net_poll = true;
         let job = id.task.job;
         let reduce_task = id.task;
         for &m in &maps {
@@ -179,12 +168,10 @@ impl World {
             }
             self.metrics.fetch_failures += 1;
         }
-        // Back to waiting (and free the in-flight slot); the shuffle tick
-        // retries them.
+        // Back to waiting; the shuffle tick retries them.
         if let Some(rt) = self.attempts.get_mut(&id) {
             if let Phase::Shuffle(sh) = &mut rt.phase {
-                sh.inflight.remove(&flow);
-                sh.waiting.extend(maps.iter().copied());
+                sh.waiting.extend(maps);
             }
         }
     }

@@ -440,3 +440,52 @@ fn audit_holds_at_every_mid_run_boundary() {
         }
     }
 }
+
+/// `NetPoll` moves only when the handler changed the flow network: a
+/// `ReplicationScan` that issues no command leaves the queued poll's
+/// `EventId` as it was, one that starts a pipeline moves it. Scans run
+/// at whole multiples of 3 s, off the heartbeat grid; instants where
+/// anything else also fires are skipped.
+#[test]
+fn replication_scan_moves_net_poll_only_when_it_starts_a_pipeline() {
+    let mut workload = quick();
+    workload.n_maps = 48;
+    workload.map_cpu = workloads::DurationModel::around(SimDuration::from_secs(120));
+    let policy = PolicyConfig::hadoop(SimDuration::from_mins(1), 3);
+    let world = World::new(ClusterConfig::small(0.5), policy, workload);
+    let mut sim = simkit::Simulation::new(world, 5);
+    World::init(&mut sim);
+    let (mut idle, mut started) = (0, 0);
+    for k in 1..1_000 {
+        let at = SimTime::from_secs(3 * k);
+        sim.run_until(SimTime::from_micros(at.as_micros() - 1));
+        let w = sim.model();
+        let before = w.net_poll_ev.expect("set after every event");
+        let open: BTreeSet<FlowId> = w.flows.keys().copied().collect();
+        let events = sim.events_handled();
+        sim.run_until(at);
+        if sim.events_handled() != events + 1 {
+            continue;
+        }
+        let w = sim.model();
+        let after = w.net_poll_ev.expect("set after every event");
+        let new: Vec<FlowId> = w
+            .flows
+            .keys()
+            .copied()
+            .filter(|f| !open.contains(f))
+            .collect();
+        for f in &new {
+            assert!(matches!(w.flows[f], FlowPurpose::Replication { .. }));
+        }
+        // A running pipeline completes some time, so a poll is queued.
+        if new.iter().any(|&f| !w.net.is_stalled(f)) {
+            assert_ne!(after, before, "scan at {at} started a pipeline");
+            started += 1;
+        } else if new.is_empty() && before != EventId::NONE {
+            assert_eq!(after, before, "scan at {at} issued nothing");
+            idle += 1;
+        }
+    }
+    assert!(idle > 0 && started > 0, "idle {idle}, started {started}");
+}

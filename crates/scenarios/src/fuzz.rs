@@ -570,22 +570,21 @@ fn mutant_of(case: &FuzzCase) -> Option<ScenarioSpec> {
     Some(m)
 }
 
-/// Evaluate one case end to end: round-trip checks, conservation
-/// checks on every run, and the mutation's metamorphic comparison.
-fn eval_case(case: &FuzzCase, runs: &mut u64) -> Result<Vec<Failure>, ScenarioError> {
-    let mut failures = Vec::new();
-    let horizon = case.spec.horizon_secs.expect("fuzz specs pin the horizon") as f64;
-
-    // Invariant 6 — the generated spec round-trips bit-exactly.
-    if let Some(detail) = invariants::check_roundtrip(&case.spec) {
+/// Check that `spec` round-trips bit-exactly (invariant 6), run it, and
+/// check conservation on every run (invariant 5), recording failures.
+fn run_checked(
+    spec: &ScenarioSpec,
+    runs: &mut u64,
+    failures: &mut Vec<Failure>,
+) -> Result<Vec<Vec<RunResult>>, ScenarioError> {
+    if let Some(detail) = invariants::check_roundtrip(spec) {
         failures.push(Failure {
             invariant: "inv6-roundtrip".into(),
             detail,
         });
     }
-
-    let base = run_spec(&case.spec, runs)?;
-    for point in &base {
+    let results = run_spec(spec, runs)?;
+    for point in &results {
         for detail in invariants::check_conservation(point) {
             failures.push(Failure {
                 invariant: "inv5-conservation".into(),
@@ -593,128 +592,98 @@ fn eval_case(case: &FuzzCase, runs: &mut u64) -> Result<Vec<Failure>, ScenarioEr
             });
         }
     }
+    Ok(results)
+}
 
-    match case.mutation {
+/// Evaluate one case end to end: round-trip checks, conservation
+/// checks on every run, and the mutation's metamorphic comparison.
+fn eval_case(case: &FuzzCase, runs: &mut u64) -> Result<Vec<Failure>, ScenarioError> {
+    let mut failures = Vec::new();
+    let horizon = case.spec.horizon_secs.expect("fuzz specs pin the horizon") as f64;
+    let base = run_checked(&case.spec, runs, &mut failures)?;
+    let check = match case.mutation {
         Mutation::FairVsFifo => {
             // Row 0 is FIFO, row 1 the fair(-inverted) twin; single
             // panel and column, so the rows are points 0 and 1.
             let fifo = invariants::pooled_p95_queue_delay(&base[0]);
             let fair = invariants::pooled_p95_queue_delay(&base[1]);
-            if let (Some(fifo), Some(fair)) = (fifo, fair) {
-                if let Some(detail) = invariants::check_fair_tail(fifo, fair) {
-                    failures.push(Failure {
-                        invariant: "inv4-fair-tail".into(),
-                        detail,
-                    });
+            match (fifo, fair) {
+                (Some(fifo), Some(fair)) => {
+                    invariants::check_fair_tail(fifo, fair).map(|d| ("inv4-fair-tail", d))
                 }
+                _ => None,
             }
         }
         Mutation::PreemptIdle => {
-            if let Some(detail) = invariants::check_preempt_idle(&base[0]) {
-                failures.push(Failure {
-                    invariant: "inv9-preempt-idle".into(),
-                    detail,
-                });
-            }
+            invariants::check_preempt_idle(&base[0]).map(|d| ("inv9-preempt-idle", d))
         }
-        Mutation::RaisePriority | Mutation::SlackDeadlines => {
-            if let Some(mutant) = mutant_of(case) {
-                if let Some(detail) = invariants::check_roundtrip(&mutant) {
-                    failures.push(Failure {
-                        invariant: "inv6-roundtrip".into(),
-                        detail,
-                    });
-                }
-                let mutated = run_spec(&mutant, runs)?;
-                for point in &mutated {
-                    for detail in invariants::check_conservation(point) {
-                        failures.push(Failure {
-                            invariant: "inv5-conservation".into(),
-                            detail,
-                        });
-                    }
-                }
-                let check = match case.mutation {
-                    Mutation::RaisePriority => {
-                        // Boosted rows carry their nonzero priority in
-                        // the SLO output; match base twins by job id.
-                        let ids: std::collections::BTreeSet<u32> = mutated[0]
-                            .iter()
-                            .filter_map(|r| r.jobs.as_ref())
-                            .flatten()
-                            .filter(|j| j.priority > 0)
-                            .map(|j| j.job)
-                            .collect();
-                        let before = invariants::pooled_p95_queue_delay_of(&base[0], |j| {
-                            ids.contains(&j.job)
-                        });
-                        let after =
-                            invariants::pooled_p95_queue_delay_of(&mutated[0], |j| j.priority > 0);
-                        match (before, after) {
-                            (Some(b), Some(a)) => invariants::check_priority_boost(b, a)
-                                .map(|d| ("inv7-priority-boost", d)),
-                            _ => None,
-                        }
-                    }
-                    Mutation::SlackDeadlines => {
-                        invariants::check_slack_deadlines(&base[0], &mutated[0])
-                            .map(|d| ("inv8-deadline-slack", d))
-                    }
-                    _ => unreachable!("outer arm is priority/deadline only"),
-                };
-                if let Some((invariant, detail)) = check {
-                    failures.push(Failure {
-                        invariant: invariant.into(),
-                        detail,
-                    });
-                }
+        mutation => match mutant_of(case) {
+            None => None,
+            Some(mutant) => {
+                let mutated = run_checked(&mutant, runs, &mut failures)?;
+                compare_mutant(mutation, &base, &mutated, horizon)
             }
-        }
-        _ => {
-            if let Some(mutant) = mutant_of(case) {
-                if let Some(detail) = invariants::check_roundtrip(&mutant) {
-                    failures.push(Failure {
-                        invariant: "inv6-roundtrip".into(),
-                        detail,
-                    });
-                }
-                let mutated = run_spec(&mutant, runs)?;
-                for point in &mutated {
-                    for detail in invariants::check_conservation(point) {
-                        failures.push(Failure {
-                            invariant: "inv5-conservation".into(),
-                            detail,
-                        });
-                    }
-                }
-                let base_score = invariants::score(&base[0], horizon);
-                let mut_score = invariants::score(&mutated[0], horizon);
-                let check = match case.mutation {
-                    Mutation::AddNodes => invariants::check_add_nodes(base_score, mut_score)
-                        .map(|d| ("inv1-add-nodes", d)),
-                    Mutation::RaiseUnavailability => {
-                        invariants::check_raise_unavailability(base_score, mut_score)
-                            .map(|d| ("inv2-raise-unavailability", d))
-                    }
-                    Mutation::RaiseReplication => invariants::check_raise_replication(
-                        invariants::completed_count(&base[0]),
-                        invariants::completed_count(&mutated[0]),
-                        base_score,
-                        horizon,
-                    )
-                    .map(|d| ("inv3-raise-replication", d)),
-                    _ => unreachable!("handled above"),
-                };
-                if let Some((invariant, detail)) = check {
-                    failures.push(Failure {
-                        invariant: invariant.into(),
-                        detail,
-                    });
-                }
-            }
-        }
+        },
+    };
+    if let Some((invariant, detail)) = check {
+        failures.push(Failure {
+            invariant: invariant.into(),
+            detail,
+        });
     }
     Ok(failures)
+}
+
+/// The metamorphic comparison of a base spec's runs with its mutant's:
+/// the violated invariant and its detail, if any.
+fn compare_mutant(
+    mutation: Mutation,
+    base: &[Vec<RunResult>],
+    mutated: &[Vec<RunResult>],
+    horizon: f64,
+) -> Option<(&'static str, String)> {
+    let base_score = invariants::score(&base[0], horizon);
+    let mut_score = invariants::score(&mutated[0], horizon);
+    match mutation {
+        Mutation::RaisePriority => {
+            // Boosted rows carry their nonzero priority in the SLO
+            // output; match base twins by job id.
+            let ids: std::collections::BTreeSet<u32> = mutated[0]
+                .iter()
+                .filter_map(|r| r.jobs.as_ref())
+                .flatten()
+                .filter(|j| j.priority > 0)
+                .map(|j| j.job)
+                .collect();
+            let before = invariants::pooled_p95_queue_delay_of(&base[0], |j| ids.contains(&j.job));
+            let after = invariants::pooled_p95_queue_delay_of(&mutated[0], |j| j.priority > 0);
+            match (before, after) {
+                (Some(b), Some(a)) => {
+                    invariants::check_priority_boost(b, a).map(|d| ("inv7-priority-boost", d))
+                }
+                _ => None,
+            }
+        }
+        Mutation::SlackDeadlines => invariants::check_slack_deadlines(&base[0], &mutated[0])
+            .map(|d| ("inv8-deadline-slack", d)),
+        Mutation::AddNodes => {
+            invariants::check_add_nodes(base_score, mut_score).map(|d| ("inv1-add-nodes", d))
+        }
+        Mutation::RaiseUnavailability => {
+            invariants::check_raise_unavailability(base_score, mut_score)
+                .map(|d| ("inv2-raise-unavailability", d))
+        }
+        Mutation::RaiseReplication => invariants::check_raise_replication(
+            invariants::completed_count(&base[0]),
+            invariants::completed_count(&mutated[0]),
+            base_score,
+            horizon,
+        )
+        .map(|d| ("inv3-raise-replication", d)),
+        Mutation::FairVsFifo | Mutation::PreemptIdle => {
+            unreachable!("single-spec checks have no mutant")
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -202,6 +202,46 @@ fn resume_skips_a_deep_nested_checkpoint_line() {
     assert_eq!(resumed.run.report_json, full.run.report_json);
 }
 
+/// A checkpoint whose records also carry the `"status"` key that older
+/// builds wrote resumes as one without it: every cell is restored, the
+/// failed cell keeps its `panic` fate, and the artifacts match.
+#[test]
+fn checkpoint_records_with_a_status_key_still_resume() {
+    pool4();
+    let dir = scratch("status-key");
+    let spec = small_spec(false);
+    let ckpt = dir.join("sweep.ckpt.jsonl");
+    let mut cfg = CampaignConfig::new(ckpt.clone());
+    cfg.inject_panic = Some(1);
+    let full = run(&spec, &cfg);
+    assert_eq!(full.failed.len(), 1);
+
+    let text = std::fs::read_to_string(&ckpt).unwrap();
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    assert_eq!(lines.len(), 4, "header + 3 cells");
+    for line in &mut lines[1..] {
+        assert!(!line.contains("\"status\""), "{line}");
+        let status = if line.starts_with("{\"cell\":1,") {
+            "panic"
+        } else {
+            "ok"
+        };
+        let (cell, rest) = line.split_once(',').unwrap();
+        *line = format!("{cell},\"status\":\"{status}\",{rest}");
+    }
+    std::fs::write(&ckpt, lines.join("\n") + "\n").unwrap();
+
+    cfg.inject_panic = None;
+    cfg.resume = true;
+    let resumed = run(&spec, &cfg);
+    assert_eq!(resumed.restored, 3);
+    assert_eq!(resumed.executed, 0);
+    assert_eq!(resumed.failed, full.failed);
+    assert_eq!(list_failed(&spec, &ckpt).unwrap(), full.failed);
+    assert_eq!(resumed.run.tables, full.run.tables);
+    assert_eq!(resumed.run.report_json, full.run.report_json);
+}
+
 #[test]
 fn panicking_cell_is_contained_and_bit_identical_to_serial() {
     pool4();

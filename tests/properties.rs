@@ -181,7 +181,7 @@ fn generated_traces_are_wellformed_and_on_target() {
 
 #[test]
 fn estimator_always_in_unit_interval() {
-    use availability::{SlidingWindowEstimator, UnavailabilityModel};
+    use availability::SlidingWindowEstimator;
     for case in 0..CASES {
         let mut rng = rng_for("estimator", case);
         let n_obs = rng.gen_range(1usize..50);
