@@ -406,6 +406,10 @@ struct Golden {
     name: &'static str,
     run: fn() -> RunResult,
     digest: u64,
+    /// The event count recorded with the digest, before beats were
+    /// parked while jobs run, for a run whose idle beats parking must
+    /// remove: the golden then shows that it exercises parking.
+    events_before: Option<u64>,
 }
 
 /// A single job under a catalog policy on the small 12 + 2 cluster.
@@ -459,11 +463,76 @@ fn idle_gap_stream() -> RunResult {
     r
 }
 
+/// A stream run on `n_volatile` + 6 nodes at unavailability 0.3.
+fn stream_run(
+    n_volatile: u32,
+    policy: PolicyConfig,
+    workload: workloads::WorkloadSpec,
+    stream: workloads::JobStream,
+) -> RunResult {
+    Experiment {
+        cluster: ClusterConfig {
+            n_volatile,
+            ..ClusterConfig::paper(0.3)
+        },
+        policy,
+        workload,
+        seed: 5,
+    }
+    .run_with_limits(Some(stream), None, moon::RunLimits::default())
+}
+
+/// Two Hadoop jobs of 150 s maps on 110 nodes, the second submitted
+/// while the first runs. Most nodes idle while a job runs, and the
+/// 60 s straggler rule makes tasks speculable at instants no task
+/// write marks.
+fn hadoop_long_maps_stream() -> RunResult {
+    let secs = simkit::SimDuration::from_secs;
+    stream_run(
+        104,
+        scenarios::policy::resolve("hadoop-1min").expect("catalog id"),
+        long_maps(),
+        workloads::JobStream::new(workloads::ArrivalModel::Batch(vec![secs(0), secs(40)])),
+    )
+}
+
+/// A Poisson stream under MOON-Hybrid, whose throttled dedicated
+/// nodes beat on while the volatile ones idle.
+fn hybrid_stream() -> RunResult {
+    stream_run(
+        60,
+        PolicyConfig::moon_hybrid(),
+        moon::quick_workload(),
+        workloads::JobStream::new(workloads::ArrivalModel::Poisson {
+            rate_per_hour: 60.0,
+            count: 3,
+        }),
+    )
+}
+
+/// A closed stream under fair share with preemption.
+fn fair_preempt_closed_stream() -> RunResult {
+    stream_run(
+        60,
+        PolicyConfig::moon().with_fair_share().with_preemption(),
+        moon::quick_workload(),
+        workloads::JobStream::new(workloads::ArrivalModel::Closed {
+            clients: 3,
+            jobs_per_client: 2,
+            think: workloads::DurationModel::Fixed(simkit::SimDuration::from_secs(20)),
+        }),
+    )
+}
+
 /// Golden digests of the policy families: the idle-gap stream (recorded
 /// before idle beats were parked), then one quick job per scheduler
 /// family — Hadoop's straggler rule, MOON with and without hybrid
-/// placement — the Figure 4 reliable-intermediate setup, and MOON's
-/// slow list on long maps. Every field but the event count must match.
+/// placement — the Figure 4 reliable-intermediate setup, MOON's slow
+/// list on long maps, and three streams recorded before beats were
+/// parked while jobs run: Hadoop's straggler instants on 110 nodes,
+/// MOON-Hybrid's throttled dedicated nodes, and fair share with
+/// preemption under a closed stream. Every field but the event count
+/// must match.
 #[test]
 fn runs_match_recorded_digests() {
     let goldens = [
@@ -471,38 +540,67 @@ fn runs_match_recorded_digests() {
             name: "idle-gap stream",
             run: idle_gap_stream,
             digest: 0x182a_c836_6c73_4441,
+            events_before: None,
         },
         Golden {
             name: "hadoop-1min p=0.5",
             run: || catalog_run("hadoop-1min", moon::quick_workload(), 0.5),
             digest: 0xd37b_2e02_2379_773d,
+            events_before: None,
         },
         Golden {
             name: "moon p=0.5",
             run: || catalog_run("moon", moon::quick_workload(), 0.5),
             digest: 0x8a91_6adf_95bf_a1a4,
+            events_before: None,
         },
         Golden {
             name: "moon-hybrid p=0.5",
             run: || catalog_run("moon-hybrid", moon::quick_workload(), 0.5),
             digest: 0x6b8d_dca8_b1cd_9b99,
+            events_before: None,
         },
         Golden {
             name: "ha-v1+reliable p=0.3",
             run: || catalog_run("ha-v1+reliable", moon::quick_workload(), 0.3),
             digest: 0x99f0_9d34_be9c_2e4a,
+            events_before: None,
         },
         Golden {
             name: "moon-hybrid long maps p=0.5",
             run: || catalog_run("moon-hybrid", long_maps(), 0.5),
             digest: 0xd8cb_7702_b78a_0fdd,
+            events_before: None,
+        },
+        Golden {
+            name: "hadoop long-map stream, 110 nodes",
+            run: hadoop_long_maps_stream,
+            digest: 0x5424_3954_c079_a991,
+            events_before: Some(31_399),
+        },
+        Golden {
+            name: "moon-hybrid poisson stream",
+            run: hybrid_stream,
+            digest: 0x8466_5211_db40_2fb6,
+            events_before: Some(2_189),
+        },
+        Golden {
+            name: "fair+preempt closed stream",
+            run: fair_preempt_closed_stream,
+            // 4,002 events before beats were parked while jobs run.
+            digest: 0xf291_5fd3_b160_2ca3,
+            events_before: None,
         },
     ];
     let mut wrong = Vec::new();
     for g in &goldens {
-        let digest = result_digest(&(g.run)());
+        let r = (g.run)();
+        let digest = result_digest(&r);
         if digest != g.digest {
             wrong.push(format!("{}: {digest:#018x}", g.name));
+        }
+        if let Some(before) = g.events_before {
+            assert!(r.events <= before, "{}: {} events", g.name, r.events);
         }
     }
     assert!(wrong.is_empty(), "digests moved: {wrong:?}");
