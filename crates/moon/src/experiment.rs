@@ -81,7 +81,7 @@ impl Experiment {
     ///   check and results are byte-identical to pre-telemetry builds.
     ///   `Some(cfg)` samples gauges on `cfg`'s sim-time cadence and
     ///   collects spans, returned in [`RunResult::telemetry`]. The
-    ///   recorder is fed from the engine's post-dispatch observer hook
+    ///   recorder is fed from the engine's pre-dispatch observer hook
     ///   and from value reads at existing transition points, with no
     ///   access to the event queue or RNG, so it never changes the
     ///   simulation.

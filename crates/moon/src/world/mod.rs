@@ -762,14 +762,16 @@ impl Model for World {
     }
 
     /// Telemetry gauge sampling. Disabled runs take the `None` branch
-    /// and return; enabled runs sample only when the sim-time cadence
-    /// is due. Runs outside the scheduling surface (no `Ctx`), so it
-    /// cannot perturb the event sequence or RNG draws.
+    /// and return; enabled runs sample only before the first event at
+    /// or after a cadence tick, so a row holds the state after every
+    /// event strictly before its tick. Runs outside the scheduling
+    /// surface (no `Ctx`), so it cannot perturb the event sequence or
+    /// RNG draws.
     fn observe(&mut self, stats: &simkit::DispatchStats) {
         match &self.telemetry {
             None => (),
-            Some(t) if !t.rec.due(stats.now) => (),
-            Some(_) => self.telemetry_sample(stats.now, stats.events_handled, stats.queue_depth),
+            Some(t) if !t.rec.due(stats.next) => (),
+            Some(_) => self.telemetry_sample(stats.next, stats.events_handled, stats.queue_depth),
         }
     }
 }

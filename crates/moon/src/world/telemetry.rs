@@ -91,11 +91,12 @@ impl World {
     }
 
     /// Gauge sampling body, called from the `Model::observe` hook once
-    /// the cadence check has passed. Reads only world state and the
-    /// dispatch counters — no RNG, no scheduling.
+    /// the cadence check has passed, before the event due at `next` is
+    /// dispatched. Reads only world state and the dispatch counters —
+    /// no RNG, no scheduling.
     pub(super) fn telemetry_sample(
         &mut self,
-        now: SimTime,
+        next: SimTime,
         events_handled: u64,
         queue_depth: usize,
     ) {
@@ -117,7 +118,7 @@ impl World {
             .as_mut()
             .expect("caller checked enabled")
             .rec
-            .record_sample(now, &row);
+            .record_sample(next, &row);
     }
 
     /// An attempt left the runtime table: emit its lifecycle span on

@@ -18,7 +18,11 @@ pub trait Model {
     /// Handle one event. `ctx` exposes the clock, scheduling, and RNG.
     fn handle(&mut self, ctx: &mut Ctx<'_, Self::Event>, event: Self::Event);
 
-    /// Observer hook, invoked by the engine after every handled event.
+    /// Observer hook, invoked by the engine before it dispatches each
+    /// event, while the model holds the state after every event handled
+    /// so far. A model that samples on a sim-time cadence thus sees, at
+    /// the first event at or after a tick, the state after every event
+    /// strictly before that tick.
     ///
     /// Unlike [`Model::handle`] this runs *outside* the event loop's
     /// scheduling surface: the observer receives only read-only
@@ -34,15 +38,17 @@ pub trait Model {
     fn observe(&mut self, _stats: &DispatchStats) {}
 }
 
-/// Read-only per-dispatch engine statistics handed to [`Model::observe`]
-/// after each event is handled.
+/// Read-only engine statistics handed to [`Model::observe`] before
+/// each event is dispatched.
 #[derive(Debug, Clone, Copy)]
 pub struct DispatchStats {
-    /// Simulated time of the event that was just handled.
-    pub now: SimTime,
-    /// Total events handled so far, including the one just dispatched.
+    /// Simulated time of the event about to be dispatched.
+    pub next: SimTime,
+    /// Total events handled so far, excluding the one about to be
+    /// dispatched.
     pub events_handled: u64,
-    /// Events still pending in the queue after this dispatch.
+    /// Events pending in the queue, including the one about to be
+    /// dispatched.
     pub queue_depth: usize,
 }
 
@@ -198,9 +204,22 @@ impl<M: Model> Simulation<M> {
 
     /// Process a single event. Returns false if the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some((at, _id, event)) = self.queue.pop() else {
+        let Some(next) = self.queue.peek_time() else {
             return false;
         };
+        self.dispatch(next);
+        true
+    }
+
+    /// Observe, then pop and handle the next event, due at `next`.
+    /// Returns whether the model asked to stop.
+    fn dispatch(&mut self, next: SimTime) -> bool {
+        self.model.observe(&DispatchStats {
+            next,
+            events_handled: self.events_handled,
+            queue_depth: self.queue.len(),
+        });
+        let (at, _id, event) = self.queue.pop().expect("peeked event vanished");
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
         self.events_handled += 1;
@@ -212,12 +231,7 @@ impl<M: Model> Simulation<M> {
             stop: &mut stop,
         };
         self.model.handle(&mut ctx, event);
-        self.model.observe(&DispatchStats {
-            now: self.now,
-            events_handled: self.events_handled,
-            queue_depth: self.queue.len(),
-        });
-        true
+        stop
     }
 
     /// Run until the queue drains, the model stops, or `horizon` passes.
@@ -238,23 +252,7 @@ impl<M: Model> Simulation<M> {
                 self.now = horizon;
                 return RunOutcome::HorizonReached;
             }
-            let (at, _id, event) = self.queue.pop().expect("peeked event vanished");
-            self.now = at;
-            self.events_handled += 1;
-            let mut stop = false;
-            let mut ctx = Ctx {
-                now: self.now,
-                queue: &mut self.queue,
-                rng: &mut self.rng,
-                stop: &mut stop,
-            };
-            self.model.handle(&mut ctx, event);
-            self.model.observe(&DispatchStats {
-                now: self.now,
-                events_handled: self.events_handled,
-                queue_depth: self.queue.len(),
-            });
-            if stop {
+            if self.dispatch(next) {
                 return RunOutcome::Stopped;
             }
         }
@@ -389,6 +387,76 @@ mod tests {
         sim.schedule(SimDuration::from_secs(5), Tick::Tick);
         assert_eq!(sim.run(), RunOutcome::Stopped);
         assert_eq!(sim.events_handled(), 4);
+    }
+
+    /// A counter bumped every 7 s, optionally beside a no-op event
+    /// every second, sampled on a 10 s cadence as `[count, events,
+    /// queue depth]`.
+    struct Sampled {
+        count: u32,
+        rec: crate::telemetry::Telemetry,
+    }
+
+    enum Toy {
+        Bump,
+        Noop,
+    }
+
+    impl Model for Sampled {
+        type Event = Toy;
+        fn handle(&mut self, ctx: &mut Ctx<'_, Toy>, ev: Toy) {
+            match ev {
+                Toy::Bump => {
+                    self.count += 1;
+                    ctx.schedule(SimDuration::from_secs(7), Toy::Bump);
+                }
+                Toy::Noop => {
+                    ctx.schedule(SimDuration::from_secs(1), Toy::Noop);
+                }
+            }
+        }
+        fn observe(&mut self, stats: &DispatchStats) {
+            if self.rec.due(stats.next) {
+                let row = [
+                    f64::from(self.count),
+                    stats.events_handled as f64,
+                    stats.queue_depth as f64,
+                ];
+                self.rec.record_sample(stats.next, &row);
+            }
+        }
+    }
+
+    fn sampled_rows(noops: bool) -> Vec<(SimTime, f64)> {
+        let cfg = crate::telemetry::TelemetryConfig {
+            sample_every: SimDuration::from_secs(10),
+            span_capacity: 1,
+        };
+        let model = Sampled {
+            count: 0,
+            rec: crate::telemetry::Telemetry::new(cfg, &["count", "events", "queue_depth"]),
+        };
+        let mut sim = Simulation::new(model, 0);
+        sim.schedule(SimDuration::from_secs(3), Toy::Bump);
+        if noops {
+            sim.schedule(SimDuration::from_millis(500), Toy::Noop);
+        }
+        sim.run_until(SimTime::from_secs(100));
+        let rec = &sim.model().rec;
+        (0..rec.n_samples())
+            .map(|i| (rec.sample(i).0, rec.sample(i).1[0]))
+            .collect()
+    }
+
+    #[test]
+    fn gauge_rows_ignore_events_between_ticks() {
+        let plain = sampled_rows(false);
+        // Rows sit on the ticks and hold the state strictly before
+        // them: bumps at 3, 10, 17, ... s, so the 10 s row counts one.
+        assert_eq!(plain[0], (SimTime::ZERO, 0.0));
+        assert_eq!(plain[1], (SimTime::from_secs(10), 1.0));
+        assert_eq!(plain.len(), 10);
+        assert_eq!(plain, sampled_rows(true));
     }
 
     #[test]

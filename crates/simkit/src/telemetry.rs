@@ -128,27 +128,30 @@ impl Telemetry {
         }
     }
 
-    /// True if the sampling cadence says a gauge row is due at `now`.
-    /// The model's observe hook checks this before computing gauges, so
-    /// off-cadence dispatches cost one comparison.
-    pub fn due(&self, now: SimTime) -> bool {
-        now >= self.next_due
+    /// True if a gauge row is due before the clock reaches `next`, the
+    /// time of the next event: `next` is at or past the next cadence
+    /// tick. The model's observe hook checks this before computing
+    /// gauges, so off-cadence dispatches cost one comparison.
+    pub fn due(&self, next: SimTime) -> bool {
+        next >= self.next_due
     }
 
-    /// Record one gauge row at `now` and advance the cadence clock past
-    /// `now`. `values` must match the columns given to
+    /// Record one gauge row, stamped with the due cadence tick, before
+    /// the clock reaches `next`: `values` hold the state after every
+    /// event strictly before the tick. Then advance the cadence past
+    /// `next`. `values` must match the columns given to
     /// [`Telemetry::new`] in length and order.
-    pub fn record_sample(&mut self, now: SimTime, values: &[f64]) {
+    pub fn record_sample(&mut self, next: SimTime, values: &[f64]) {
         assert_eq!(
             values.len(),
             self.columns.len(),
             "gauge row width must match registered columns"
         );
-        self.sample_times.push(now);
+        self.sample_times.push(self.next_due);
         self.samples.extend_from_slice(values);
-        // Advance to the first cadence tick strictly after `now`, so a
+        // Advance to the first cadence tick strictly after `next`, so a
         // long event gap yields one sample, not a burst of catch-ups.
-        while self.next_due <= now {
+        while self.next_due <= next {
             self.next_due = self.next_due.saturating_add(self.cfg.sample_every);
         }
     }
@@ -351,13 +354,13 @@ mod tests {
         t.record_sample(SimTime::ZERO, &[1.0, 2.0]);
         assert!(!t.due(SimTime::from_secs(9)));
         assert!(t.due(SimTime::from_secs(10)));
-        // A long gap yields one sample and re-anchors past `now` — no
-        // burst of catch-up rows.
+        // A long gap yields one sample, stamped with the first tick it
+        // spans, and re-anchors past `next`: no burst of catch-up rows.
         t.record_sample(SimTime::from_secs(55), &[3.0, 4.0]);
         assert!(!t.due(SimTime::from_secs(59)));
         assert!(t.due(SimTime::from_secs(60)));
         assert_eq!(t.n_samples(), 2);
-        assert_eq!(t.sample(1), (SimTime::from_secs(55), &[3.0, 4.0][..]));
+        assert_eq!(t.sample(1), (SimTime::from_secs(10), &[3.0, 4.0][..]));
     }
 
     #[test]
@@ -390,11 +393,11 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert_eq!(
             lines[0],
-            "{\"run\":0,\"label\":\"x\",\"t_secs\":1,\"a\":1,\"b\":null}"
+            "{\"run\":0,\"label\":\"x\",\"t_secs\":0,\"a\":1,\"b\":null}"
         );
         assert_eq!(
             lines[1],
-            "{\"run\":0,\"label\":\"x\",\"t_secs\":11,\"a\":2.5,\"b\":0}"
+            "{\"run\":0,\"label\":\"x\",\"t_secs\":10,\"a\":2.5,\"b\":0}"
         );
     }
 
