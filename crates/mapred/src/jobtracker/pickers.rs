@@ -17,21 +17,30 @@ impl JobTracker {
         node: NodeId,
         kind: TaskKind,
     ) -> Option<(TaskId, LaunchReason)> {
-        let dedicated = self.tracker(node).dedicated;
-        // MOON treats dedicated nodes as data servers; only the hybrid
-        // variant runs (speculative) tasks there (§V-C).
-        if dedicated && !self.policy.dedicated_runs_originals() {
-            if !self.policy.hybrid() {
-                return None;
-            }
-            return self.pick_speculative(now, node, kind);
-        }
+        let (originals, speculative) = self.serves(self.tracker(node).dedicated);
         // 1. Fresh launches and retries.
-        if let Some(pick) = self.pick_pending(node, kind) {
-            return Some(pick);
+        if originals {
+            if let Some(pick) = self.pick_pending(node, kind) {
+                return Some(pick);
+            }
         }
         // 2. Speculation.
-        self.pick_speculative(now, node, kind)
+        if speculative {
+            return self.pick_speculative(now, node, kind);
+        }
+        None
+    }
+
+    /// Which pickers serve a tracker of this class: `(originals,
+    /// speculative copies)`. MOON treats dedicated nodes as data
+    /// servers; only the hybrid variant runs (speculative) tasks there
+    /// (§V-C).
+    pub(super) fn serves(&self, dedicated: bool) -> (bool, bool) {
+        if dedicated && !self.policy.dedicated_runs_originals() {
+            (false, self.policy.hybrid())
+        } else {
+            (true, true)
+        }
     }
 
     /// Non-running tasks: retries first (Hadoop prioritises recently

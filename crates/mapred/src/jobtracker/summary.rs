@@ -165,6 +165,19 @@ impl JobTracker {
         kind: TaskKind,
         now: SimTime,
     ) -> Ref<'j, [Candidate]> {
+        Ref::map(self.fresh_speculative(job, kind, now), |s| {
+            s.candidates.as_slice()
+        })
+    }
+
+    /// `job`'s speculative summary of `kind`, rescanned at `now` first
+    /// if stale.
+    fn fresh_speculative<'j>(
+        &self,
+        job: &'j Job,
+        kind: TaskKind,
+        now: SimTime,
+    ) -> Ref<'j, Speculative> {
         let cell = &job.summary(kind).speculative;
         let fresh = {
             let s = cell.borrow();
@@ -173,7 +186,39 @@ impl JobTracker {
         if !fresh {
             self.scan_speculative(job, kind, now, &mut cell.borrow_mut());
         }
-        Ref::map(cell.borrow(), |s| s.candidates.as_slice())
+        cell.borrow()
+    }
+
+    /// When would [`Self::heartbeat`] first grant anything to an idle
+    /// tracker of this class — Alive, with no live attempt — if no task
+    /// is written and no tracker changes liveness meanwhile? `now` if
+    /// it would grant now; otherwise the earliest straggler-runtime
+    /// crossing in a running job's speculative summary, the one instant
+    /// the answer can turn with no such write ([`SimTime::MAX`] if
+    /// none). The answer is exact per class: with no live attempt on
+    /// the tracker, the only node-specific filter left is Hadoop's
+    /// locality preference, which reorders candidates without dropping
+    /// any. O(running jobs) on cached summaries.
+    pub fn idle_grant_at(&self, dedicated: bool, now: SimTime) -> SimTime {
+        let (originals, speculative) = self.serves(dedicated);
+        let mut at = SimTime::MAX;
+        if !speculative {
+            return at;
+        }
+        for &jid in &self.running_jobs {
+            let job = self.job(jid);
+            for kind in [TaskKind::Map, TaskKind::Reduce] {
+                if originals && self.has_pending(job, kind) {
+                    return now;
+                }
+                let s = self.fresh_speculative(job, kind, now);
+                if !s.candidates.is_empty() {
+                    return now;
+                }
+                at = at.min(s.stale_at);
+            }
+        }
+        at
     }
 
     /// Rescan `job`'s `kind` tasks at `now` into `s`, reusing its

@@ -1137,13 +1137,84 @@ fn assert_pickers_match(jt: &JobTracker, now: SimTime, ctx: &str) -> [u32; 2] {
     found
 }
 
+/// Running jobs with their epochs, and the alive map and reduce slots.
+type SummaryKeys = (Vec<(JobId, u64)>, u32, u32);
+
+/// What every summary key reads, for all running jobs: their ids and
+/// mutation epochs, and the alive-slot counters. While it holds still,
+/// no task was written and no tracker changed liveness.
+fn summary_keys(jt: &JobTracker) -> SummaryKeys {
+    let jobs = jt
+        .running_jobs
+        .iter()
+        .map(|&jid| (jid, jt.job(jid).epoch()))
+        .collect();
+    (jobs, jt.alive_map_slots, jt.alive_reduce_slots)
+}
+
+/// The idle-class query against the reference pickers: for every Alive
+/// tracker with no live attempt, [`JobTracker::idle_grant_at`] says
+/// "now" exactly when a reference pick of either kind finds a task for
+/// it. `last` holds, per class, the instant the query last named with
+/// the summary keys it saw then; while those keys hold still, the
+/// answer turns to "now" exactly at that instant, never before or
+/// after. Returns how many idle trackers were granted something.
+fn assert_idle_query_matches(
+    jt: &JobTracker,
+    now: SimTime,
+    last: &mut [Option<(SimTime, SummaryKeys)>; 2],
+    ctx: &str,
+) -> u32 {
+    let keys = summary_keys(jt);
+    let mut granted = 0;
+    for dedicated in [false, true] {
+        let at = jt.idle_grant_at(dedicated, now);
+        assert!(at >= now, "{ctx}: dedicated={dedicated} named {at:?}");
+        let grants = at == now;
+        for i in 0..jt.trackers.len() as u32 {
+            let node = NodeId(i);
+            let tr = jt.tracker(node);
+            if tr.dedicated != dedicated
+                || tr.state != TrackerState::Alive
+                || !tr.running.is_empty()
+            {
+                continue;
+            }
+            let originals = !dedicated || jt.policy.dedicated_runs_originals();
+            let speculative = originals || jt.policy.hybrid();
+            let reference = [TaskKind::Map, TaskKind::Reduce].into_iter().any(|kind| {
+                (originals && reference_pick_pending(jt, node, kind).is_some())
+                    || (speculative && reference_pick_speculative(jt, now, node, kind).is_some())
+            });
+            assert_eq!(
+                grants, reference,
+                "{ctx}: idle {node:?} (dedicated={dedicated})"
+            );
+            granted += u32::from(grants);
+        }
+        let slot = &mut last[usize::from(dedicated)];
+        if let Some((named, _)) = slot.as_ref().filter(|(_, then)| *then == keys) {
+            assert_eq!(
+                grants,
+                now >= *named,
+                "{ctx}: dedicated={dedicated} named {named:?} with no write since; now {now:?}"
+            );
+        }
+        *slot = (!grants).then(|| (at, keys.clone()));
+    }
+    granted
+}
+
 /// Seeded churn under Hadoop, MOON and MOON-Hybrid with fair-share
 /// preemption: submissions, launching heartbeats, progress reports,
 /// successes, failures, fetch-failure re-opens, silences that suspend
 /// or expire trackers, revivals and clock advances. After every step
-/// each cached picker must equal the per-beat scan it replaced. The
-/// coverage counts make sure every transition and both non-empty
-/// picks happened.
+/// each cached picker must equal the per-beat scan it replaced, and
+/// the idle-class query must match the reference pickers on every idle
+/// tracker (see [`assert_idle_query_matches`]); clock advances land on
+/// the instant the query named whenever they would pass it. The
+/// coverage counts make sure every transition, both non-empty picks,
+/// idle grants and stale instants reached with no write happened.
 #[test]
 fn cached_pickers_match_reference_scans_under_churn() {
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -1171,6 +1242,8 @@ fn cached_pickers_match_reference_scans_under_churn() {
             FetchFailurePolicy::MoonQuery,
         ),
     ];
+    // Clock steps stopped at a named instant with the keys unchanged.
+    let mut reached = 0;
     for (name, policy, fetch) in policies {
         let moon = matches!(policy, SchedulerPolicy::Moon(_));
         let mut jt = JobTracker::new(policy, fetch)
@@ -1184,6 +1257,8 @@ fn cached_pickers_match_reference_scans_under_churn() {
         //  revived, killed by preemption or sibling]
         let mut seen = [0u32; 8];
         let mut picked = [0u32; 2];
+        let mut last = [None, None];
+        let mut idle_granted = 0;
         for step in 0..1500 {
             let live: Vec<AttemptId> = (0..nodes)
                 .flat_map(|i| jt.attempts_on(NodeId(i)).collect::<Vec<_>>())
@@ -1237,16 +1312,28 @@ fn cached_pickers_match_reference_scans_under_churn() {
                     }
                 }
                 _ => {
-                    // Sub-second steps land between straggler crossings.
-                    now += SimDuration::from_micros(rng.gen_range(1..20_000_000));
+                    // Sub-second steps land between straggler crossings;
+                    // a step that would pass a named instant stops on it.
+                    let to = now + SimDuration::from_micros(rng.gen_range(1..20_000_000));
+                    let named = last.iter().flatten().map(|&(at, _)| at).min();
+                    now = match named {
+                        Some(at) if at <= to => {
+                            let keys = summary_keys(&jt);
+                            reached += u32::from(last.iter().flatten().any(|(_, k)| *k == keys));
+                            at
+                        }
+                        _ => to,
+                    };
                     let sweep = jt.check_trackers(now);
                     seen[4] += sweep.suspended.len() as u32;
                     seen[5] += sweep.expired.len() as u32;
                 }
             }
-            let found = assert_pickers_match(&jt, now, &format!("{name} step {step}"));
+            let ctx = format!("{name} step {step}");
+            let found = assert_pickers_match(&jt, now, &ctx);
             picked[0] += found[0];
             picked[1] += found[1];
+            idle_granted += assert_idle_query_matches(&jt, now, &mut last, &ctx);
         }
         let want_suspended = u32::from(moon);
         assert!(
@@ -1261,7 +1348,16 @@ fn cached_pickers_match_reference_scans_under_churn() {
             picked.iter().all(|&n| n > 0),
             "{name}: [pending, speculative] picks found {picked:?}"
         );
+        assert!(
+            idle_granted > 0,
+            "{name}: no idle tracker was granted anything"
+        );
     }
+    // Mostly Hadoop's: MOON's slow list rarely outlives a task write.
+    assert!(
+        reached > 0,
+        "no clock step reached a named instant unwritten"
+    );
 }
 
 /// A task turns into a straggler exactly when its attempt has run

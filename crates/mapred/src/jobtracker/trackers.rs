@@ -153,10 +153,12 @@ impl JobTracker {
         attempts
     }
 
-    /// Record a beat of an Alive tracker at `at` while no job runs —
-    /// all that [`heartbeat`](Self::heartbeat) does then. Lets the
-    /// embedding model skip beats that only stamp the time and stamp
-    /// the last one before the next tracker sweep reads it.
+    /// Record a beat at `at` of an Alive tracker that runs no attempt
+    /// and would be granted nothing — all that
+    /// [`heartbeat`](Self::heartbeat) does then (see
+    /// [`Self::idle_grant_at`]). Lets the embedding model skip beats
+    /// that only stamp the time and stamp the last one before the next
+    /// tracker sweep reads it.
     pub fn stamp_heartbeat(&mut self, node: NodeId, at: SimTime) {
         let tr = self.tracker_mut(node);
         debug_assert!(tr.state == TrackerState::Alive && at >= tr.last_heartbeat);

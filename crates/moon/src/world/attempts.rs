@@ -376,6 +376,11 @@ impl World {
         if resp.job_completed {
             let sidx = self.slot_of(id.task.job);
             let out = self.jobs[sidx].output_file;
+            if self.n_tasks_incomplete == 1 && !self.more_submissions_pending() {
+                // The control plane turns off: parked beats strictly
+                // before now were the last to reach the JobTracker.
+                self.stamp_all_parked(ctx.now());
+            }
             self.n_tasks_incomplete -= 1;
             self.commit_pending.insert(sidx);
             // Output commit: promote to reliable; the replication scanner

@@ -21,9 +21,6 @@ use workloads::{ArrivalModel, ReduceCount};
 
 impl World {
     pub(super) fn on_submit(&mut self, ctx: &mut Ctx<'_, Ev>, slot: u32) {
-        // Stamp the parked beats due before now while the control plane
-        // is still as they saw it; `unpark_all` below re-queues the rest.
-        self.stamp_all_parked(ctx.now());
         let slot = slot as usize;
         // Stage the input file (the paper stages input before measuring).
         let input = self
@@ -89,7 +86,6 @@ impl World {
             .nn
             .create_file(FileKind::Opportunistic, self.policy.output_factor);
         self.jobs[slot].output_file = Some(out);
-        self.unpark_all(ctx);
     }
 
     pub(super) fn on_tracker_check(&mut self, ctx: &mut Ctx<'_, Ev>) {

@@ -26,19 +26,21 @@
 //!
 //! | module       | events handled                                       |
 //! |--------------|------------------------------------------------------|
-//! | `nodes`    | `NodeDown`, `NodeUp`, `Heartbeat`                    |
+//! | `nodes`    | `NodeDown`, `NodeUp`, `Heartbeat`, `WakeParked`      |
 //! | `attempts` | `ComputeDone`, `PhaseRetry`, `NetPoll`, `FlowStallTimeout` |
 //! | `shuffle`  | `ShuffleTick` (plus fetch completion/timeout from `attempts`) |
 //! | `commit`   | `Submit`, `TrackerCheck`, `ReplicationScan`          |
 //!
 //! [`Model::handle`] below is a dispatcher: it routes each event to its
-//! subsystem, then, if the handler touched the flow network, moves the
-//! single `NetPoll` event once (its `next_completion` is the one
-//! re-share of everything the handler changed). Handlers touch the
-//! network only through one door in this module — [`World::open_flow`],
-//! [`World::close_flow`], [`World::set_node_capacity`] and the poll in
-//! `NetPoll` — which keeps each flow's purpose and stall timer and
-//! marks the queued `NetPoll` stale. Cross-subsystem
+//! subsystem, then, while beats are parked under a running job, runs
+//! the wake check of `nodes`, then, if the handler touched the flow
+//! network, moves the single `NetPoll` event once (its
+//! `next_completion` is the one re-share of everything the handler
+//! changed). Handlers touch the network only through one door in this
+//! module — [`World::open_flow`], [`World::close_flow`],
+//! [`World::set_node_capacity`] and the poll in `NetPoll` — which
+//! keeps each flow's purpose and stall timer and marks the queued
+//! `NetPoll` stale. Cross-subsystem
 //! interactions (a finished map waking shuffling reduces, a heartbeat
 //! starting attempts) go through `pub(super)` methods on [`World`], so
 //! the seams are explicit and a future PR can shard or parallelize a
@@ -107,6 +109,10 @@ pub enum Ev {
     /// Submit the job in this arrival slot of the world (slot indexes
     /// follow submission-schedule order).
     Submit(u32),
+    /// From the next microsecond on, a straggler can make the
+    /// JobTracker grant an idle node work with no task write: the check
+    /// after this event wakes the parked beats before any is due then.
+    WakeParked,
 }
 
 /// Per-node runtime state: liveness, the node's physical resources in
@@ -245,6 +251,10 @@ pub struct World {
     net_poll_ev: Option<EventId>,
     /// Next `NodeRt::hb_key` handed out by a `NodeUp`.
     next_hb_key: i64,
+    /// Parked beats of volatile and of dedicated nodes (see `nodes`).
+    n_parked: [usize; 2],
+    /// The queued `WakeParked` and its instant, or `(MAX, NONE)`.
+    wake_timer: (SimTime, EventId),
     /// A beat's local attempts, listed so that their progress reports
     /// can write the JobTracker; reused so beats allocate nothing.
     beat_attempts: Vec<AttemptId>,
@@ -339,6 +349,8 @@ impl World {
             stall_timeouts: HashMap::new(),
             net_poll_ev: Some(EventId::NONE),
             next_hb_key: 1,
+            n_parked: [0, 0],
+            wake_timer: (SimTime::MAX, EventId::NONE),
             beat_attempts: Vec::new(),
             peak_active_jobs: 0,
             telemetry: None,
@@ -731,16 +743,24 @@ impl World {
 impl Model for World {
     type Event = Ev;
 
-    /// Route each event to its subsystem module, then, if the handler
-    /// changed the flow network, queue the single flow-completion poll
-    /// event afresh. The handler's mutations only seeded the dirty set,
-    /// so `next_completion` re-shares it once.
+    /// Route each event to its subsystem module, then wake parked beats
+    /// the event made grantable, then, if the handler changed the flow
+    /// network, queue the single flow-completion poll event afresh. The
+    /// handler's mutations only seeded the dirty set, so
+    /// `next_completion` re-shares it once.
     fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, ev: Ev) {
+        // Same-instant beats ranked before this event have been served.
+        let served = match ev {
+            Ev::Heartbeat(n) => self.node(n).hb_key,
+            _ => i64::MIN,
+        };
         match ev {
             // nodes: availability transitions and heartbeats
             Ev::NodeDown(n) => self.on_node_down(ctx, n),
             Ev::NodeUp(n) => self.on_node_up(ctx, n),
             Ev::Heartbeat(n) => self.on_heartbeat(ctx, n),
+            // The wake check below does the work.
+            Ev::WakeParked => self.wake_timer = (SimTime::MAX, EventId::NONE),
             // attempts: phase I/O drivers
             Ev::NetPoll => self.on_net_poll(ctx),
             Ev::ComputeDone(id) => self.on_compute_done(ctx, id),
@@ -752,6 +772,11 @@ impl Model for World {
             Ev::Submit(slot) => self.on_submit(ctx, slot),
             Ev::TrackerCheck => self.on_tracker_check(ctx),
             Ev::ReplicationScan => self.on_replication_scan(ctx),
+        }
+        // Before the `NetPoll`: a woken beat due now was queued before
+        // any event this handler queued.
+        if self.n_parked != [0, 0] && self.jt.active_job_count() > 0 {
+            self.wake_idle(ctx, served);
         }
         if self.net_poll_ev.is_none() {
             self.net_poll_ev = Some(match self.net.next_completion() {

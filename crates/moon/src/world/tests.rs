@@ -282,20 +282,21 @@ fn grid_beat_before(i: u32, t: SimTime) -> SimTime {
     SimTime::from_micros(first + k * 3_000_000)
 }
 
-/// A 10 s sweep inside an idle gap longer than every liveness deadline
-/// must see each parked node's last grid beat, so nothing is suspended,
-/// hibernated or expired, and the job after the gap finds every stamp
-/// on the grid.
+/// A 10 s sweep, while the first job runs and inside the idle gap
+/// after it (longer than every liveness deadline), must see each node's
+/// last grid beat, parked or not, so nothing is suspended, hibernated
+/// or expired, and the job after the gap finds every stamp on the grid.
 #[test]
 fn parked_beats_keep_idle_nodes_alive() {
     let mut sim = idle_gap_sim(None);
     let submit = SimTime::from_secs(1) + IDLE_GAP;
-    let mut parked_seen = 0;
-    let mut sweep = SimTime::from_secs(300);
+    // Parked beats seen while the first job runs, and in the gap.
+    let mut parked_seen = [0, 0];
+    let mut sweep = SimTime::from_secs(10);
     while sweep < submit {
         sim.run_until(sweep);
         let w = sim.model();
-        assert!(w.jobs[0].finished_at.is_some(), "first job still running");
+        let gap = w.jobs[0].finished_at.is_some();
         for i in 0..w.nodes.len() as u32 {
             let n = NodeId(i);
             assert_eq!(
@@ -316,12 +317,15 @@ fn parked_beats_keep_idle_nodes_alive() {
             );
             assert_eq!(w.jt.last_heartbeat(n), beat, "{n} tracker stamp at {sweep}");
             if w.nodes[i as usize].heartbeat_ev == EventId::NONE {
-                parked_seen += 1;
+                parked_seen[usize::from(gap)] += 1;
             }
         }
         sweep += SimDuration::from_secs(10);
     }
-    assert!(parked_seen > 0, "no beat was parked during the gap");
+    assert!(
+        parked_seen.iter().all(|&n| n > 0),
+        "[while the job ran, in the gap]: {parked_seen:?}"
+    );
     sim.run_until(submit);
     let w = sim.model();
     assert!(w.jobs[1].job.is_some());
@@ -338,17 +342,17 @@ fn parked_beats_keep_idle_nodes_alive() {
     }
 }
 
-/// A node that goes down while its beat is parked falls silent from
-/// its last grid beat strictly before the NodeDown — the trace event
-/// leaves the queue before a beat due at the same microsecond — and is
-/// hibernated, suspended and expired at exactly the sweeps that beat
-/// implies.
+/// A node that goes down while its beat is parked under a running job
+/// falls silent from its last grid beat strictly before the NodeDown —
+/// the trace event leaves the queue before a beat due at the same
+/// microsecond — and is hibernated, suspended and expired at exactly
+/// the sweeps that beat implies.
 #[test]
 fn node_down_while_parked_is_silent_from_its_last_grid_beat() {
     const N: u32 = 5;
     let horizon = ClusterConfig::default().horizon;
     // On node 5's grid: the beat due at the NodeDown instant never fires.
-    let down = SimTime::from_micros(50_000 * N as u64 + 1 + 200 * 3_000_000);
+    let down = SimTime::from_micros(50_000 * N as u64 + 1 + 5 * 3_000_000);
     let mut traces = vec![AvailabilityTrace::always_available(horizon); 66];
     traces[N as usize] = AvailabilityTrace::new(
         vec![availability::Outage {
@@ -360,9 +364,13 @@ fn node_down_while_parked_is_silent_from_its_last_grid_beat() {
     let mut sim = idle_gap_sim(Some(traces));
     let n = NodeId(N);
     let last = grid_beat_before(N, down);
+    sim.run_until(SimTime::from_micros(down.as_micros() - 1));
+    let w = sim.model();
+    assert!(w.jobs[0].finished_at.is_none(), "first job already done");
+    assert_eq!(w.jt.active_job_count(), 1);
+    assert!(w.is_parked(N as usize), "{n} beats at {down}");
     sim.run_until(down);
     let w = sim.model();
-    assert!(w.jobs[0].finished_at.is_some(), "first job still running");
     assert_eq!(w.nn.last_heartbeat(n), last);
     assert_eq!(w.jt.last_heartbeat(n), last);
     let mut sweep = SimTime::from_secs(down.as_micros() / 10_000_000 * 10 + 10);
@@ -384,6 +392,237 @@ fn node_down_while_parked_is_silent_from_its_last_grid_beat() {
         assert_eq!(w.nn.node_liveness(n), liveness, "namenode at {sweep}");
         assert_eq!(w.jt.tracker_state(n), tracker, "tracker at {sweep}");
         sweep += SimDuration::from_secs(10);
+    }
+}
+
+/// `maps` maps of `map_cpu` each and one reduce under Hadoop (1 min
+/// expiry) on 8 stable volatile nodes with `map_slots` map slots, with
+/// optional per-node trace overrides. Nodes beat on a 50 ms stagger, so
+/// the first maps go to nodes 0, 1, ... on their first beats after the
+/// 1 s submit.
+fn hadoop_sim(
+    maps: u32,
+    map_slots: u32,
+    map_cpu: SimDuration,
+    traces: Option<Vec<AvailabilityTrace>>,
+) -> simkit::Simulation<World> {
+    let cluster = ClusterConfig {
+        n_volatile: 8,
+        n_dedicated: 0,
+        map_slots,
+        unavailability: 0.0,
+        trace_overrides: traces,
+        ..ClusterConfig::default()
+    };
+    let workload = WorkloadSpec {
+        input_bytes: 64 * workloads::MB * u64::from(maps),
+        n_maps: maps,
+        reduces: workloads::ReduceCount::Fixed(1),
+        map_cpu: workloads::DurationModel::Fixed(map_cpu),
+        ..quick()
+    };
+    let policy = PolicyConfig::hadoop(SimDuration::from_mins(1), 3);
+    let mut sim = simkit::Simulation::new(World::new(cluster, policy, workload), 3);
+    World::init(&mut sim);
+    sim
+}
+
+/// One 150 s map: while it runs, every other node is idle and parks.
+fn single_map_sim(traces: Option<Vec<AvailabilityTrace>>) -> simkit::Simulation<World> {
+    hadoop_sim(1, 2, SimDuration::from_secs(150), traces)
+}
+
+/// Node `n` of 8 is down from `at` for 40 minutes.
+fn outage(n: usize, at: SimTime) -> Vec<AvailabilityTrace> {
+    let horizon = ClusterConfig::default().horizon;
+    let mut traces = vec![AvailabilityTrace::always_available(horizon); 8];
+    traces[n] = AvailabilityTrace::new(
+        vec![availability::Outage {
+            start: at,
+            end: at + SimDuration::from_mins(40),
+        }],
+        horizon,
+    );
+    traces
+}
+
+/// The map's node goes down at 20 s; the 80 s sweep expires its
+/// tracker and re-opens the map. Every other node is parked then, and
+/// the first one due after the sweep — node 1 at 81.05 s — wakes and is
+/// granted the retry on that beat.
+#[test]
+fn node_down_releases_a_task_to_the_first_parked_beat_after_the_sweep() {
+    let map = mapred::TaskId {
+        job: JobId(0),
+        kind: mapred::TaskKind::Map,
+        index: 0,
+    };
+    let first = mapred::AttemptId {
+        task: map,
+        attempt: 0,
+    };
+    let mut sim = single_map_sim(Some(outage(0, SimTime::from_secs(20))));
+    let sweep = SimTime::from_secs(80);
+    sim.run_until(SimTime::from_micros(sweep.as_micros() - 1));
+    let w = sim.model();
+    let host = w.jt.attempt(first);
+    assert_eq!(
+        (host.node, host.state),
+        (NodeId(0), mapred::AttemptState::Running)
+    );
+    for i in 1..8 {
+        assert!(w.is_parked(i), "node {i} beats before the sweep");
+    }
+    sim.run_until(sweep);
+    let w = sim.model();
+    assert_eq!(w.jt.attempt(first).state, mapred::AttemptState::Killed);
+    assert!(w.jt.task(map).needs_launch());
+    let granted = SimTime::from_micros(81_050_001);
+    sim.run_until(SimTime::from_micros(granted.as_micros() - 1));
+    assert_eq!(sim.model().jt.task(map).attempts.len(), 1);
+    sim.run_until(granted);
+    let retry = &sim.model().jt.task(map).attempts[1];
+    assert_eq!(
+        (retry.node, retry.started, retry.reason),
+        (NodeId(1), granted, mapred::LaunchReason::Retry)
+    );
+}
+
+/// Two 40 s maps start on nodes 0 and 1 at 3.000001 and 3.050001 s
+/// (one map slot each). Node 1 goes down at 23 s, its map's progress
+/// stuck near half; node 0's map completes and node 0 takes the
+/// reduce. At 63.050001 s the stuck map has run 60 s and becomes a
+/// straggler: no task write marks that instant and no event falls
+/// between it and parked node 2's beat at 63.100001 s, so only the
+/// wake timer lets node 2 take the speculative copy there.
+#[test]
+fn a_straggler_instant_wakes_parked_beats_with_no_event_at_it() {
+    let stuck = mapred::TaskId {
+        job: JobId(0),
+        kind: mapred::TaskKind::Map,
+        index: 1,
+    };
+    let traces = outage(1, SimTime::from_secs(23));
+    let mut sim = hadoop_sim(2, 1, SimDuration::from_secs(40), Some(traces));
+    let straggler = SimTime::from_micros(63_050_001);
+    sim.run_until(SimTime::from_micros(straggler.as_micros() - 2));
+    let w = sim.model();
+    let original = &w.jt.task(stuck).attempts[0];
+    assert_eq!(
+        (original.node, original.started),
+        (NodeId(1), SimTime::from_micros(3_050_001))
+    );
+    assert_eq!(original.state, mapred::AttemptState::Running);
+    assert!(w.is_parked(2), "node 2 beats before the straggler instant");
+    let copy_at = SimTime::from_micros(63_100_001);
+    sim.run_until(copy_at);
+    let copy = sim.model().jt.task(stuck).attempts.get(1).cloned();
+    assert_eq!(
+        copy.map(|a| (a.node, a.started, a.reason)),
+        Some((NodeId(2), copy_at, mapred::LaunchReason::Speculative))
+    );
+}
+
+/// A straggler instant learned less than one period before it: the
+/// wake must still precede every beat due then. Under MOON-Hybrid with
+/// the homestretch off, 5 + 1 nodes with one map slot each: maps B and
+/// C start on nodes 0 and 1 at 3.000001 and 3.050001 s. Parked volatile
+/// node 2 and the throttled dedicated node 5 (which never parks) are
+/// moved onto node 0's grid by short outages, node 2 first, so at
+/// 63.000001 s node 2 ranks first. Node 0 goes down at 22 s, B's
+/// progress stuck at its 21 s report; C's report at 60.05 s lifts the
+/// average enough to make B a straggler at 63.000001 s, its 60 s mark.
+/// Without parking, node 2 beats first then and takes the copy; a wake
+/// at that instant would come after node 5's beat, queued at 60 s.
+#[test]
+fn a_straggler_instant_learned_late_is_woken_before_its_beats() {
+    let horizon = ClusterConfig::default().horizon;
+    let down = |from: f64, to_us: u64| {
+        AvailabilityTrace::new(
+            vec![availability::Outage {
+                start: SimTime::from_secs_f64(from),
+                end: SimTime::from_micros(to_us),
+            }],
+            horizon,
+        )
+    };
+    let mut traces = vec![AvailabilityTrace::always_available(horizon); 6];
+    traces[0] = down(22.0, horizon.as_micros() - 1);
+    traces[2] = down(5.0, 5_500_001);
+    traces[5] = down(10.0, 11_500_001);
+    let cluster = ClusterConfig {
+        n_volatile: 5,
+        n_dedicated: 1,
+        map_slots: 1,
+        unavailability: 0.0,
+        trace_overrides: Some(traces),
+        ..ClusterConfig::default()
+    };
+    let workload = WorkloadSpec {
+        input_bytes: 128 * workloads::MB,
+        n_maps: 2,
+        reduces: workloads::ReduceCount::Fixed(1),
+        map_cpu: workloads::DurationModel::Fixed(SimDuration::from_secs(70)),
+        ..quick()
+    };
+    let mut policy = PolicyConfig::moon_hybrid();
+    if let mapred::SchedulerPolicy::Moon(p) = &mut policy.scheduler {
+        p.homestretch_h_percent = 0.0;
+    }
+    let mut sim = simkit::Simulation::new(World::new(cluster, policy, workload), 3);
+    World::init(&mut sim);
+    let b = mapred::TaskId {
+        job: JobId(0),
+        kind: mapred::TaskKind::Map,
+        index: 0,
+    };
+    let straggler = SimTime::from_micros(63_000_001);
+    sim.run_until(SimTime::from_micros(straggler.as_micros() - 2));
+    let w = sim.model();
+    let original = &w.jt.task(b).attempts[0];
+    assert_eq!(
+        (original.node, original.started),
+        (NodeId(0), SimTime::from_micros(3_000_001))
+    );
+    assert_eq!(w.jt.task(b).attempts.len(), 1);
+    assert!(w.is_parked(2), "node 2 beats before the straggler instant");
+    assert!(!w.is_parked(5), "the throttled node parks");
+    sim.run_until(straggler);
+    let copy = sim.model().jt.task(b).attempts.get(1).cloned();
+    assert_eq!(
+        copy.map(|a| (a.node, a.started, a.reason)),
+        Some((NodeId(2), straggler, mapred::LaunchReason::Speculative))
+    );
+}
+
+/// When the last task completes, the control plane turns off with
+/// nodes parked: each parked node's NameNode and JobTracker stamps
+/// equal its last grid beat strictly before that instant, and the
+/// JobTracker's stay there to the end of the run.
+#[test]
+fn control_plane_off_stamps_parked_beats_in_both_trackers() {
+    let mut sim = single_map_sim(None);
+    while !sim.model().tasks_done(&sim.model().jobs[0]) {
+        assert!(sim.step(), "queue drained before the job completed");
+    }
+    let done = sim.now();
+    let w = sim.model();
+    assert!(!w.control_plane_active());
+    let parked: Vec<u32> = (0..8).filter(|&i| w.is_parked(i as usize)).collect();
+    assert!(parked.len() >= 6, "parked at {done}: {parked:?}");
+    for &i in &parked {
+        let n = NodeId(i);
+        let beat = grid_beat_before(i, done);
+        assert_eq!(w.nn.last_heartbeat(n), beat, "{n} namenode stamp");
+        assert_eq!(w.jt.last_heartbeat(n), beat, "{n} tracker stamp");
+    }
+    // The JobTracker hears no more beats; the run ends at the commit.
+    assert_eq!(sim.run(), simkit::RunOutcome::Stopped);
+    let w = sim.model();
+    for &i in &parked {
+        let n = NodeId(i);
+        assert!(w.is_parked(i as usize), "{n} beats after the job");
+        assert_eq!(w.jt.last_heartbeat(n), grid_beat_before(i, done));
     }
 }
 
