@@ -26,8 +26,8 @@ impl World {
     /// fuzzer can run it after every experiment and turn violations
     /// into shrinkable findings rather than campaign-aborting aborts.
     /// Debug builds also assert its recount parts mid-run: the job-slot
-    /// counters at each commit sweep, the subsystem indexes at each
-    /// liveness sweep.
+    /// and parked-beat counters at each commit sweep, the subsystem
+    /// indexes at each liveness sweep.
     pub fn debug_final_audit(&self) -> Vec<String> {
         let mut issues = self.audit_job_counters();
 
@@ -148,8 +148,9 @@ impl World {
     }
 
     /// Recount the world's job-slot counters and commit-pending set
-    /// from the slots and the JobTracker's job statuses, one line per
-    /// discrepancy (empty = no drift).
+    /// from the slots and the JobTracker's job statuses, and the
+    /// parked-beat counts from the nodes, one line per discrepancy
+    /// (empty = no drift); a parked node must hold no live attempt.
     /// Debug builds assert it is empty at each commit sweep; the
     /// end-of-run audit runs it in release builds too.
     pub(super) fn audit_job_counters(&self) -> Vec<String> {
@@ -201,6 +202,19 @@ impl World {
             issues.push(format!(
                 "commit-pending set drifted: tracked {:?}, recount {pending:?}",
                 self.commit_pending
+            ));
+        }
+        let mut parked = [0usize; 2];
+        for i in (0..self.nodes.len()).filter(|&i| self.is_parked(i)) {
+            parked[usize::from(self.cluster.is_dedicated(i as u32))] += 1;
+            if self.jt.attempts_on(NodeId(i as u32)).next().is_some() {
+                issues.push(format!("node {i} is parked with live attempts"));
+            }
+        }
+        if self.n_parked != parked {
+            issues.push(format!(
+                "parked-beat counters drifted: counters {:?}, recount {parked:?}",
+                self.n_parked
             ));
         }
 
