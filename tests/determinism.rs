@@ -524,15 +524,38 @@ fn fair_preempt_closed_stream() -> RunResult {
     )
 }
 
+/// Four jobs of 48 maps on 186 nodes, each submitted while the one
+/// before runs. About three parked nodes share each beat instant, so
+/// the tasks a `Submit` releases outlast one instant's beats and the
+/// wake reaches several instants in turn.
+fn wide_release_stream() -> RunResult {
+    let secs = simkit::SimDuration::from_secs;
+    stream_run(
+        180,
+        PolicyConfig::moon_hybrid(),
+        workloads::WorkloadSpec {
+            n_maps: 48,
+            ..moon::quick_workload()
+        },
+        workloads::JobStream::new(workloads::ArrivalModel::Batch(vec![
+            secs(0),
+            secs(25),
+            secs(50),
+            secs(75),
+        ])),
+    )
+}
+
 /// Golden digests of the policy families: the idle-gap stream (recorded
 /// before idle beats were parked), then one quick job per scheduler
 /// family — Hadoop's straggler rule, MOON with and without hybrid
 /// placement — the Figure 4 reliable-intermediate setup, MOON's slow
-/// list on long maps, and three streams recorded before beats were
+/// list on long maps, three streams recorded before beats were
 /// parked while jobs run: Hadoop's straggler instants on 110 nodes,
 /// MOON-Hybrid's throttled dedicated nodes, and fair share with
-/// preemption under a closed stream. Every field but the event count
-/// must match.
+/// preemption under a closed stream, and a stream whose submissions
+/// wake parked beats over several instants. Every field but the event
+/// count must match.
 #[test]
 fn runs_match_recorded_digests() {
     let goldens = [
@@ -589,6 +612,14 @@ fn runs_match_recorded_digests() {
             run: fair_preempt_closed_stream,
             // 4,002 events before beats were parked while jobs run.
             digest: 0xf291_5fd3_b160_2ca3,
+            events_before: None,
+        },
+        Golden {
+            name: "wide-release stream, 186 nodes",
+            run: wide_release_stream,
+            // 4,027 events before parked beats were woken one instant
+            // at a time.
+            digest: 0x2045_926c_0714_48fe,
             events_before: None,
         },
     ];
