@@ -6,6 +6,7 @@ use super::World;
 use dfs::NodeId;
 use mapred::{AttemptId, JobId, JobStatus};
 use netsim::FlowId;
+use simkit::EventId;
 use std::collections::BTreeSet;
 
 impl World {
@@ -204,18 +205,57 @@ impl World {
                 self.commit_pending
             ));
         }
-        let mut parked = [0usize; 2];
-        for i in (0..self.nodes.len()).filter(|&i| self.is_parked(i)) {
-            parked[usize::from(self.cluster.is_dedicated(i as u32))] += 1;
-            if self.jt.attempts_on(NodeId(i as u32)).next().is_some() {
-                issues.push(format!("node {i} is parked with live attempts"));
+        // The parked order indexes, the woken groups and the beat order
+        // of up nodes, from the node table.
+        let mut parked: [BTreeSet<(u64, i64, u32)>; 2] = Default::default();
+        let mut woken = [0usize; 2];
+        for (i, rt) in (0u32..).zip(&self.nodes) {
+            let class = self.class(i);
+            if self.is_parked(i as usize) {
+                parked[class].insert(self.beat_key(i));
+                if self.jt.attempts_on(NodeId(i)).next().is_some() {
+                    issues.push(format!("node {i} is parked with live attempts"));
+                }
+            }
+            if rt.woken {
+                woken[class] += 1;
+                if !rt.up || rt.heartbeat_ev == EventId::NONE || rt.next_beat != self.woken[class].0
+                {
+                    issues.push(format!(
+                        "node {i} is woken but has no queued beat at its group's instant {}",
+                        self.woken[class].0
+                    ));
+                }
             }
         }
-        if self.n_parked != parked {
-            issues.push(format!(
-                "parked-beat counters drifted: counters {:?}, recount {parked:?}",
-                self.n_parked
-            ));
+        for class in 0..2 {
+            if self.parked[class] != parked[class] {
+                issues.push(format!(
+                    "class {class} parked index drifted: {} indexed, {} parked",
+                    self.parked[class].len(),
+                    parked[class].len()
+                ));
+            }
+            if self.woken[class].1 != woken[class] {
+                issues.push(format!(
+                    "class {class} woken-group counter drifted: counter {}, recount {}",
+                    self.woken[class].1, woken[class]
+                ));
+            }
+        }
+        if !self.beat_order.is_empty() {
+            let up: BTreeSet<_> = (0u32..)
+                .zip(&self.nodes)
+                .filter(|(_, rt)| rt.up)
+                .map(|(i, _)| self.beat_key(i))
+                .collect();
+            if self.beat_order != up {
+                issues.push(format!(
+                    "beat order drifted: {} indexed, {} up",
+                    self.beat_order.len(),
+                    up.len()
+                ));
+            }
         }
 
         issues

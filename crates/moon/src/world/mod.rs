@@ -134,6 +134,9 @@ struct NodeRt {
     /// Sorting by it reproduces the queue's FIFO order of
     /// self-rescheduled beats when parked beats are re-pushed.
     hb_key: i64,
+    /// The queued beat belongs to its class's outstanding woken group
+    /// (see `nodes`).
+    woken: bool,
 }
 
 /// What a flow in the network is doing, keyed by [`FlowId`] in
@@ -251,8 +254,18 @@ pub struct World {
     net_poll_ev: Option<EventId>,
     /// Next `NodeRt::hb_key` handed out by a `NodeUp`.
     next_hb_key: i64,
-    /// Parked beats of volatile and of dedicated nodes (see `nodes`).
-    n_parked: [usize; 2],
+    /// Parked nodes of the volatile and of the dedicated class, keyed
+    /// by `nodes::beat_key`: beat phase, then `hb_key`.
+    parked: [BTreeSet<(u64, i64, u32)>; 2],
+    /// Every up node by `nodes::beat_key`, or empty until a wake first
+    /// needs it: it finds the queued beats at a woken instant.
+    beat_order: BTreeSet<(u64, i64, u32)>,
+    /// Each class's outstanding woken group: its instant, and how many
+    /// of its beats are still queued (nodes with `NodeRt::woken`).
+    woken: [(SimTime, usize); 2],
+    /// The beats a wake queues, with their `hb_key`s; reused so that
+    /// wakes allocate nothing.
+    wake_beats: Vec<(i64, u32)>,
     /// The queued `WakeParked` and its instant, or `(MAX, NONE)`.
     wake_timer: (SimTime, EventId),
     /// A beat's local attempts, listed so that their progress reports
@@ -349,7 +362,10 @@ impl World {
             stall_timeouts: HashMap::new(),
             net_poll_ev: Some(EventId::NONE),
             next_hb_key: 1,
-            n_parked: [0, 0],
+            parked: Default::default(),
+            beat_order: BTreeSet::new(),
+            woken: [(SimTime::MAX, 0); 2],
+            wake_beats: Vec::new(),
             wake_timer: (SimTime::MAX, EventId::NONE),
             beat_attempts: Vec::new(),
             peak_active_jobs: 0,
@@ -397,6 +413,7 @@ impl World {
                 heartbeat_ev: EventId::NONE,
                 next_beat: SimTime::ZERO,
                 hb_key: -(i as i64),
+                woken: false,
             });
             w.traces.push(trace);
         }
@@ -775,7 +792,7 @@ impl Model for World {
         }
         // Before the `NetPoll`: a woken beat due now was queued before
         // any event this handler queued.
-        if self.n_parked != [0, 0] && self.jt.active_job_count() > 0 {
+        if self.parked.iter().any(|p| !p.is_empty()) && self.jt.active_job_count() > 0 {
             self.wake_idle(ctx, served);
         }
         if self.net_poll_ev.is_none() {

@@ -16,17 +16,40 @@
 //! grid. The only readers of the stamp are the liveness sweeps, so the
 //! beats the grid implies strictly before `now` are stamped before each
 //! sweep (`on_tracker_check`), when the node goes down, and when the
-//! control plane turns off. After every event, [`World::wake_idle`]
-//! asks the JobTracker whether an idle node of a parked class could be
-//! granted work; if so, it stamps those nodes and re-queues their beats
-//! in `NodeRt::hb_key` order — the order in which same-instant beats
-//! leave the queue had they never been parked. DESIGN.md §7 gives the
-//! argument.
+//! control plane turns off.
+//!
+//! **Woken one instant at a time.** Each class's parked nodes sit in
+//! `World::parked` by [`beat_key`]: a node's grid phase changes only at
+//! `NodeUp`, so stamps never re-key it, and the order from `now`'s
+//! phase round the grid is the order of the nodes' next beats. After
+//! every event, [`World::wake_idle`] asks the JobTracker whether an
+//! idle node of a parked class could be granted work. While it could,
+//! the class's earliest parked instant has its beats queued, in
+//! `NodeRt::hb_key` order — the order in which same-instant beats leave
+//! the queue had they never been parked — and the next instant is
+//! queued only once those beats have run. A beat the JobTracker would
+//! not have granted anything stays parked instead of waking to park
+//! again. DESIGN.md §7 gives the argument.
 
 use super::{Ev, World, HEARTBEAT_INTERVAL};
 use simkit::{Ctx, EventId, SimDuration, SimTime, StreamId};
 
 use super::attempts::Phase;
+
+/// A node's place in the wake order: the phase of its beats on the 3 s
+/// grid, then its `hb_key`, then its id.
+pub(super) fn beat_key(n: u32, next_beat: SimTime, hb_key: i64) -> (u64, i64, u32) {
+    (
+        next_beat.as_micros() % HEARTBEAT_INTERVAL.as_micros(),
+        hb_key,
+        n,
+    )
+}
+
+/// The keys of every node whose beats have phase `phase`.
+fn phase_range(phase: u64) -> std::ops::Range<(u64, i64, u32)> {
+    (phase, i64::MIN, 0)..(phase + 1, i64::MIN, 0)
+}
 
 impl World {
     pub(super) fn on_node_down(&mut self, ctx: &mut Ctx<'_, Ev>, n: dfs::NodeId) {
@@ -36,11 +59,17 @@ impl World {
         // A trace NodeDown was queued at init, so it leaves the queue
         // before a beat due at the same instant: only the parked beats
         // strictly before now happened.
+        let class = self.class(n.0);
+        let key = self.beat_key(n.0);
         if self.is_parked(n.0 as usize) {
             self.stamp_parked(n, ctx.now());
-            self.n_parked[usize::from(self.cluster.is_dedicated(n.0))] -= 1;
+            self.parked[class].remove(&key);
         }
+        self.beat_order.remove(&key);
         let rt = &mut self.nodes[n.0 as usize];
+        if std::mem::take(&mut rt.woken) {
+            self.woken[class].1 -= 1;
+        }
         rt.up = false;
         ctx.cancel(rt.heartbeat_ev);
         rt.heartbeat_ev = EventId::NONE;
@@ -83,11 +112,18 @@ impl World {
         self.next_hb_key += 1;
         rt.next_beat = ctx.now() + SimDuration::from_millis(500);
         rt.heartbeat_ev = ctx.schedule_at(rt.next_beat, Ev::Heartbeat(n));
+        if !self.beat_order.is_empty() {
+            self.beat_order.insert(self.beat_key(n.0));
+        }
     }
 
     pub(super) fn on_heartbeat(&mut self, ctx: &mut Ctx<'_, Ev>, n: dfs::NodeId) {
         if !self.node(n).up {
             return; // went down before the event fired; NodeUp restarts it
+        }
+        let class = self.class(n.0);
+        if std::mem::take(&mut self.nodes[n.0 as usize].woken) {
+            self.woken[class].1 -= 1;
         }
         // DataNode heartbeat with measured I/O bandwidth (disk
         // throughput). Real bandwidth measurements jitter; Algorithm 1's
@@ -131,12 +167,10 @@ impl World {
         }
 
         let now = ctx.now();
-        let dedicated = self.cluster.is_dedicated(n.0);
         let park = !self.job_slots.is_empty()
             && self.jt.attempts_on(n).next().is_none()
             && !self.nn.needs_bandwidth(n)
-            && self.wake_at(dedicated, now) > now;
-        self.n_parked[usize::from(dedicated)] += usize::from(park);
+            && self.wake_at(class == 1, now) > now;
         let rt = &mut self.nodes[n.0 as usize];
         rt.next_beat = now + HEARTBEAT_INTERVAL;
         rt.heartbeat_ev = if park {
@@ -144,12 +178,27 @@ impl World {
         } else {
             ctx.schedule_at(rt.next_beat, Ev::Heartbeat(n))
         };
+        if park {
+            self.parked[class].insert(self.beat_key(n.0));
+        }
     }
 
     /// Is `n`'s beat parked (up, but no beat queued)?
     pub(super) fn is_parked(&self, n: usize) -> bool {
         let rt = &self.nodes[n];
         rt.up && rt.heartbeat_ev == EventId::NONE
+    }
+
+    /// Index of `n`'s class in `World::parked` and `World::woken`: 0
+    /// for volatile nodes, 1 for dedicated ones.
+    pub(super) fn class(&self, n: u32) -> usize {
+        usize::from(self.cluster.is_dedicated(n))
+    }
+
+    /// `n`'s [`beat_key`].
+    pub(super) fn beat_key(&self, n: u32) -> (u64, i64, u32) {
+        let rt = &self.nodes[n as usize];
+        beat_key(n, rt.next_beat, rt.hb_key)
     }
 
     /// The instant from which an idle node of this class must beat
@@ -192,40 +241,35 @@ impl World {
     /// before the liveness sweeps read `last_heartbeat`, and before the
     /// control plane turns off.
     pub(super) fn stamp_all_parked(&mut self, now: SimTime) {
-        if self.n_parked == [0, 0] {
-            return;
+        let parked = std::mem::take(&mut self.parked);
+        for &(_, _, i) in parked.iter().flatten() {
+            self.stamp_parked(dfs::NodeId(i), now);
         }
-        for i in 0..self.nodes.len() {
-            if self.is_parked(i) {
-                self.stamp_parked(dfs::NodeId(i as u32), now);
-            }
-        }
+        self.parked = parked;
     }
 
-    /// After each event while a job runs: wake every parked node whose
-    /// class the JobTracker could grant work from the next microsecond
-    /// on, and keep a timer queued at the earliest instant the answer
-    /// can turn with no task write. Reads each running job's cached
-    /// picker summaries, so an event that changed nothing costs
-    /// O(running jobs). `served` is the `hb_key` of the beat just
-    /// handled (`i64::MIN` for any other event).
+    /// After each event while a job runs: for each class the JobTracker
+    /// could grant work from the next microsecond on, make sure its
+    /// earliest parked instant has its beats queued, unless a group it
+    /// woke earlier is still queued; and keep a timer queued at the
+    /// earliest instant the answer can turn with no task write. Reads
+    /// each running job's cached picker summaries, so an event that
+    /// changed nothing costs O(running jobs). `served` is the `hb_key`
+    /// of the beat just handled (`i64::MIN` for any other event).
     pub(super) fn wake_idle(&mut self, ctx: &mut Ctx<'_, Ev>, served: i64) {
         let now = ctx.now();
-        // An idle node's answer depends only on its class.
-        let mut wake = [false; 2];
         let mut next = SimTime::MAX;
-        for dedicated in [false, true] {
-            if self.n_parked[usize::from(dedicated)] == 0 {
+        for class in 0..2 {
+            if self.parked[class].is_empty() {
                 continue;
             }
-            let at = self.wake_at(dedicated, now);
-            wake[usize::from(dedicated)] = at <= now;
+            // An idle node's answer depends only on its class.
+            let at = self.wake_at(class == 1, now);
             if at > now {
                 next = next.min(at);
+            } else if self.woken[class].1 == 0 {
+                self.wake_group(ctx, class, served);
             }
-        }
-        if wake.contains(&true) {
-            self.requeue_beats(ctx, wake, served);
         }
         let (queued, ev) = self.wake_timer;
         if next != queued {
@@ -238,69 +282,84 @@ impl World {
         }
     }
 
-    /// Wake the parked nodes of each class `wake` marks (indexed by
-    /// "is dedicated"): stamp the beats they sent before the event just
-    /// handled — those strictly before now, and one due now if it ranks
-    /// before `served` — and queue their next grid beats. Queued beats
-    /// due at the same instant as a woken beat that rank after it are
-    /// queued afresh with them, all in `hb_key` order, so same-instant
+    /// Queue the beats of `class`'s earliest parked instant and make
+    /// them its outstanding woken group. Parked beats due now that rank
+    /// before `served` were sent before the event just handled: they
+    /// are stamped, and their nodes wait for the next period. Queued
+    /// beats due at the woken instant that rank after the group's first
+    /// are queued afresh with it, all in `hb_key` order, so same-instant
     /// beats leave the queue in the order they would have had if none
-    /// had been parked.
-    fn requeue_beats(&mut self, ctx: &mut Ctx<'_, Ev>, wake: [bool; 2], served: i64) {
+    /// had been parked. Costs O(nodes at the woken instant's and now's
+    /// phases) plus the index lookups.
+    fn wake_group(&mut self, ctx: &mut Ctx<'_, Ev>, class: usize, served: i64) {
         let now = ctx.now();
-        let mut woken = Vec::new();
-        for i in 0..self.nodes.len() as u32 {
-            if self.is_parked(i as usize) && wake[usize::from(self.cluster.is_dedicated(i))] {
-                let n = dfs::NodeId(i);
-                let rt = &self.nodes[i as usize];
-                let upto = if rt.hb_key < served {
-                    SimTime::from_micros(now.as_micros() + 1)
-                } else {
-                    now
-                };
-                self.stamp_parked(n, upto);
-                woken.push(i);
+        let interval = HEARTBEAT_INTERVAL.as_micros();
+        let now_phase = now.as_micros() % interval;
+        let mut beats = std::mem::take(&mut self.wake_beats);
+        beats.clear();
+        // The parked beats due now, in `hb_key` order; those ranking
+        // before `served` have been sent.
+        for &(_, key, i) in self.parked[class].range(phase_range(now_phase)) {
+            if self.nodes[i as usize].next_beat <= now {
+                beats.push((key, i));
             }
         }
-        for (parked, woke) in self.n_parked.iter_mut().zip(wake) {
-            if woke {
-                *parked = 0;
-            }
+        let sent = beats.partition_point(|&(key, _)| key < served);
+        for (_, i) in beats.drain(..sent) {
+            self.stamp_parked(dfs::NodeId(i), SimTime::from_micros(now.as_micros() + 1));
         }
-        // Each woken beat's instant, with the least `hb_key` woken there:
-        // a queued beat at that instant that ranks after it must be
-        // queued again behind it; one that ranks before keeps its place.
-        let mut first: Vec<(SimTime, i64)> = woken
-            .iter()
-            .map(|&i| {
-                (
-                    self.nodes[i as usize].next_beat,
-                    self.nodes[i as usize].hb_key,
-                )
-            })
-            .collect();
-        first.sort_unstable();
-        first.dedup_by_key(|&mut (at, _)| at);
-        let mut beats: Vec<(i64, u32)> = woken
-            .iter()
-            .map(|&i| (self.nodes[i as usize].hb_key, i))
-            .collect();
-        for (i, rt) in (0u32..).zip(&self.nodes) {
-            if !rt.up || rt.heartbeat_ev == EventId::NONE {
-                continue;
-            }
-            let Ok(k) = first.binary_search_by_key(&rt.next_beat, |&(at, _)| at) else {
-                continue;
-            };
-            if rt.hb_key > first[k].1 {
+        let at = if beats.is_empty() {
+            // The first phase after now's round the grid; now's own
+            // phase comes last, one period on.
+            let &(phase, _, _) = self.parked[class]
+                .range((now_phase + 1, i64::MIN, 0)..)
+                .next()
+                .or_else(|| self.parked[class].first())
+                .expect("a class with parked nodes");
+            let ahead = (phase + interval - now_phase - 1) % interval + 1;
+            let at = SimTime::from_micros(now.as_micros() + ahead);
+            beats.extend(
+                self.parked[class]
+                    .range(phase_range(phase))
+                    .map(|&(_, key, i)| (key, i)),
+            );
+            at
+        } else {
+            now
+        };
+        for &(_, i) in &beats {
+            let key = self.beat_key(i);
+            self.parked[class].remove(&key);
+            self.stamp_parked(dfs::NodeId(i), at);
+            self.nodes[i as usize].woken = true;
+        }
+        self.woken[class] = (at, beats.len());
+        // A queued beat at the woken instant that ranks after the
+        // group's first (`beats` is in `hb_key` order) must leave the
+        // queue behind it; one that ranks before keeps its place.
+        if self.beat_order.is_empty() {
+            self.beat_order = (0..self.nodes.len() as u32)
+                .filter(|&i| self.nodes[i as usize].up)
+                .map(|i| self.beat_key(i))
+                .collect();
+        }
+        let (first, _) = beats[0];
+        let phase = at.as_micros() % interval;
+        for &(_, key, i) in self
+            .beat_order
+            .range((phase, first + 1, 0)..(phase + 1, i64::MIN, 0))
+        {
+            let rt = &self.nodes[i as usize];
+            if rt.heartbeat_ev != EventId::NONE && rt.next_beat == at {
                 ctx.cancel(rt.heartbeat_ev);
-                beats.push((rt.hb_key, i));
+                beats.push((key, i));
             }
         }
         beats.sort_unstable();
-        for (_, i) in beats {
+        for &(_, i) in &beats {
             let rt = &mut self.nodes[i as usize];
             rt.heartbeat_ev = ctx.schedule_at(rt.next_beat, Ev::Heartbeat(dfs::NodeId(i)));
         }
+        self.wake_beats = beats;
     }
 }

@@ -285,7 +285,8 @@ fn grid_beat_before(i: u32, t: SimTime) -> SimTime {
 /// A 10 s sweep, while the first job runs and inside the idle gap
 /// after it (longer than every liveness deadline), must see each node's
 /// last grid beat, parked or not, so nothing is suspended, hibernated
-/// or expired, and the job after the gap finds every stamp on the grid.
+/// or expired. The job after the gap wakes only the parked nodes due
+/// first, and the sweep after it still finds every stamp on the grid.
 #[test]
 fn parked_beats_keep_idle_nodes_alive() {
     let mut sim = idle_gap_sim(None);
@@ -326,20 +327,111 @@ fn parked_beats_keep_idle_nodes_alive() {
         parked_seen.iter().all(|&n| n > 0),
         "[while the job ran, in the gap]: {parked_seen:?}"
     );
+    // The submit wakes the parked volatile nodes due first after it,
+    // stamped at their last grid beat; the rest wait their turn.
     sim.run_until(submit);
     let w = sim.model();
     assert!(w.jobs[1].job.is_some());
-    for (i, rt) in w.nodes.iter().enumerate() {
-        let n = NodeId(i as u32);
-        assert_ne!(
-            rt.heartbeat_ev,
-            EventId::NONE,
-            "{n} still parked after the submit"
-        );
-        let beat = grid_beat_before(n.0, submit);
+    let (at, queued) = w.woken[0];
+    assert!(queued > 0 && at > submit && at <= submit + HEARTBEAT_INTERVAL);
+    for (i, rt) in (0..).zip(&w.nodes).filter(|(_, rt)| rt.woken) {
+        let n = NodeId(i);
+        assert_eq!(rt.next_beat, at, "{n} woken off its group's instant");
+        let beat = grid_beat_before(i, submit);
         assert_eq!(w.nn.last_heartbeat(n), beat, "{n} namenode stamp at submit");
         assert_eq!(w.jt.last_heartbeat(n), beat, "{n} tracker stamp at submit");
     }
+    assert!(w.nodes.iter().any(|rt| rt.heartbeat_ev == EventId::NONE));
+    // The next sweep still finds every stamp on the grid.
+    let sweep = SimTime::from_secs(submit.as_micros() / 10_000_000 * 10 + 10);
+    sim.run_until(sweep);
+    let w = sim.model();
+    for i in 0..w.nodes.len() as u32 {
+        let n = NodeId(i);
+        let beat = grid_beat_before(i, sweep);
+        assert_eq!(
+            w.nn.last_heartbeat(n),
+            beat,
+            "{n} namenode stamp at {sweep}"
+        );
+        assert_eq!(w.jt.last_heartbeat(n), beat, "{n} tracker stamp at {sweep}");
+    }
+}
+
+/// A queued beat at a woken instant that ranks after the woken one is
+/// queued again behind it. Node 61 of [`idle_gap_sim`] comes back from
+/// an outage 0.5 s before parked node 20's beat at 3001.000001 s, so
+/// its first beat, with a fresh `hb_key`, is queued at that instant
+/// before the second job's submit wakes node 20 there. Had node 20
+/// never been parked, its beat would go first, as it does here: node
+/// 20 takes map 0, and node 61 then maps 1 and 2.
+#[test]
+fn a_woken_beat_leaves_the_queue_before_later_ranked_beats_at_its_instant() {
+    let horizon = ClusterConfig::default().horizon;
+    let at = SimTime::from_micros(3_001_000_001);
+    let mut traces = vec![AvailabilityTrace::always_available(horizon); 66];
+    traces[61] = AvailabilityTrace::new(
+        vec![availability::Outage {
+            start: SimTime::from_secs(2990),
+            end: SimTime::from_micros(at.as_micros() - 500_000),
+        }],
+        horizon,
+    );
+    let mut sim = idle_gap_sim(Some(traces));
+    sim.run_until(SimTime::from_micros(at.as_micros() - 1));
+    let w = sim.model();
+    assert!(w.nodes[20].woken && w.nodes[61].hb_key > w.nodes[20].hb_key);
+    assert_eq!(w.nodes[61].next_beat, at);
+    sim.run_until(at);
+    let w = sim.model();
+    let maps = |i: u32| -> Vec<u32> {
+        let mut v: Vec<u32> = w.jt.attempts_on(NodeId(i)).map(|a| a.task.index).collect();
+        v.sort_unstable();
+        v
+    };
+    assert_eq!((maps(20), maps(61)), (vec![0, 9], vec![1, 2]));
+}
+
+/// DESIGN.md §7's residual tie (1): the second job of [`idle_gap_sim`]
+/// finds every node parked, and its 16 maps outlast the beats of one
+/// instant, so parked volatile nodes wake one instant at a time — node
+/// 20 at 3001.000001 s, then node 21 at 3001.050001 s, queued only once
+/// node 20's beat has run. An event due at node 21's microsecond and
+/// queued between the submit and that wake (a `NodeDown` here, so that
+/// the order shows in its stamp; a `NetPoll` or `ComputeDone` whose
+/// time lands there ties the same way) leaves the queue before node
+/// 21's beat. Woken at the submit, the beat would have gone first.
+/// The cancelled woken beat leaves the group bookkeeping consistent,
+/// and the wake moves on to node 22.
+#[test]
+fn an_event_queued_before_a_lazy_wake_precedes_the_woken_beat() {
+    let mut sim = idle_gap_sim(None);
+    let submit = SimTime::from_secs(1) + IDLE_GAP;
+    let first = SimTime::from_micros(submit.as_micros() + 1);
+    let second = SimTime::from_micros(first.as_micros() + 50_000);
+    sim.run_until(submit);
+    let w = sim.model();
+    assert_eq!(w.woken[0], (first, 1));
+    assert!(w.nodes[20].woken);
+    assert!(w.is_parked(21), "node 21 woken with node 20");
+    sim.schedule_at(second, Ev::NodeDown(NodeId(21)));
+    sim.run_until(first);
+    let w = sim.model();
+    assert_eq!(w.jt.attempts_on(NodeId(20)).count(), 2);
+    assert_eq!(w.woken[0], (second, 1));
+    assert!(w.nodes[21].woken);
+    sim.run_until(second);
+    let w = sim.model();
+    let n = NodeId(21);
+    assert!(!w.nodes[21].up);
+    let beat = grid_beat_before(21, second);
+    assert_eq!(w.nn.last_heartbeat(n), beat, "{n} beat at {second}");
+    assert_eq!(w.jt.last_heartbeat(n), beat, "{n} beat at {second}");
+    assert_eq!(w.jt.attempts_on(n).count(), 0);
+    let third = SimTime::from_micros(second.as_micros() + 50_000);
+    assert_eq!(w.woken[0], (third, 1));
+    assert!(w.nodes[22].woken);
+    assert_eq!(w.audit_job_counters(), Vec::<String>::new());
 }
 
 /// A node that goes down while its beat is parked under a running job

@@ -406,9 +406,10 @@ struct Golden {
     name: &'static str,
     run: fn() -> RunResult,
     digest: u64,
-    /// The event count recorded with the digest, before beats were
-    /// parked while jobs run, for a run whose idle beats parking must
-    /// remove: the golden then shows that it exercises parking.
+    /// The event count recorded with the digest before a change that
+    /// must remove idle beats from the run — parking beats while jobs
+    /// run, or waking parked beats one instant at a time: the golden
+    /// then shows that it exercises that change.
     events_before: Option<u64>,
 }
 
@@ -617,10 +618,8 @@ fn runs_match_recorded_digests() {
         Golden {
             name: "wide-release stream, 186 nodes",
             run: wide_release_stream,
-            // 4,027 events before parked beats were woken one instant
-            // at a time.
             digest: 0x2045_926c_0714_48fe,
-            events_before: None,
+            events_before: Some(4_027),
         },
     ];
     let mut wrong = Vec::new();
