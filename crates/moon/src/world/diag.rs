@@ -207,7 +207,7 @@ impl World {
         }
         // The parked order indexes, the woken groups and the beat order
         // of up nodes, from the node table.
-        let mut parked: [BTreeSet<(u64, i64, u32)>; 2] = Default::default();
+        let mut parked: [BTreeSet<_>; 2] = Default::default();
         let mut woken = [0usize; 2];
         for (i, rt) in (0u32..).zip(&self.nodes) {
             let class = self.class(i);

@@ -62,6 +62,7 @@ use availability::{AvailabilityTrace, TraceGenerator, Transition};
 use dfs::{BlockId, FileId, NameNode, NodeClass, NodeId};
 use mapred::{AttemptId, JobId, JobStatus, JobTracker};
 use netsim::{Changes, FlowId, FlowNet, ResourceId};
+use nodes::BeatKey;
 use simkit::{Ctx, EventId, Model, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use workloads::{ArrivalModel, JobStream, WorkloadSpec};
@@ -254,12 +255,13 @@ pub struct World {
     net_poll_ev: Option<EventId>,
     /// Next `NodeRt::hb_key` handed out by a `NodeUp`.
     next_hb_key: i64,
-    /// Parked nodes of the volatile and of the dedicated class, keyed
-    /// by `nodes::beat_key`: beat phase, then `hb_key`.
-    parked: [BTreeSet<(u64, i64, u32)>; 2],
-    /// Every up node by `nodes::beat_key`, or empty until a wake first
-    /// needs it: it finds the queued beats at a woken instant.
-    beat_order: BTreeSet<(u64, i64, u32)>,
+    /// Parked nodes of the volatile and of the dedicated class, by
+    /// beat phase, then `hb_key`.
+    parked: [BTreeSet<BeatKey>; 2],
+    /// Every up node by beat phase, then `hb_key`, or empty until a
+    /// wake first needs it: it finds the queued beats at a woken
+    /// instant.
+    beat_order: BTreeSet<BeatKey>,
     /// Each class's outstanding woken group: its instant, and how many
     /// of its beats are still queued (nodes with `NodeRt::woken`).
     woken: [(SimTime, usize); 2],

@@ -19,7 +19,7 @@
 //! control plane turns off.
 //!
 //! **Woken one instant at a time.** Each class's parked nodes sit in
-//! `World::parked` by [`beat_key`]: a node's grid phase changes only at
+//! `World::parked` by [`BeatKey`]: a node's grid phase changes only at
 //! `NodeUp`, so stamps never re-key it, and the order from `now`'s
 //! phase round the grid is the order of the nodes' next beats. After
 //! every event, [`World::wake_idle`] asks the JobTracker whether an
@@ -37,17 +37,11 @@ use simkit::{Ctx, EventId, SimDuration, SimTime, StreamId};
 use super::attempts::Phase;
 
 /// A node's place in the wake order: the phase of its beats on the 3 s
-/// grid, then its `hb_key`, then its id.
-pub(super) fn beat_key(n: u32, next_beat: SimTime, hb_key: i64) -> (u64, i64, u32) {
-    (
-        next_beat.as_micros() % HEARTBEAT_INTERVAL.as_micros(),
-        hb_key,
-        n,
-    )
-}
+/// grid, then its `hb_key`, then its id ([`World::beat_key`]).
+pub(super) type BeatKey = (u64, i64, u32);
 
 /// The keys of every node whose beats have phase `phase`.
-fn phase_range(phase: u64) -> std::ops::Range<(u64, i64, u32)> {
+fn phase_range(phase: u64) -> std::ops::Range<BeatKey> {
     (phase, i64::MIN, 0)..(phase + 1, i64::MIN, 0)
 }
 
@@ -195,10 +189,15 @@ impl World {
         usize::from(self.cluster.is_dedicated(n))
     }
 
-    /// `n`'s [`beat_key`].
-    pub(super) fn beat_key(&self, n: u32) -> (u64, i64, u32) {
+    /// `n`'s [`BeatKey`]. Stamps move `next_beat` by whole periods,
+    /// so only a `NodeUp` changes it.
+    pub(super) fn beat_key(&self, n: u32) -> BeatKey {
         let rt = &self.nodes[n as usize];
-        beat_key(n, rt.next_beat, rt.hb_key)
+        (
+            rt.next_beat.as_micros() % HEARTBEAT_INTERVAL.as_micros(),
+            rt.hb_key,
+            n,
+        )
     }
 
     /// The instant from which an idle node of this class must beat
