@@ -1639,6 +1639,233 @@ mod tests {
         let cmds = nn.replication_scan(t(1), 10, &mut rng());
         assert!(cmds.is_empty());
     }
+
+    /// Active nodes of `class` in ascending id, read from the node
+    /// table: the candidate walk the reference pickers start from.
+    fn reference_active(nn: &NameNode, class: NodeClass) -> Vec<NodeId> {
+        nn.nodes_iter()
+            .filter(|(_, n)| n.liveness == NodeLiveness::Active && n.class == class)
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    /// Stock-HDFS placement as a walk over both classes, sorted back
+    /// into id order, then one shuffle.
+    fn reference_pick_any<R: Rng>(
+        nn: &NameNode,
+        want: usize,
+        client: Option<NodeId>,
+        exclude: &BTreeSet<NodeId>,
+        rng: &mut R,
+    ) -> Vec<NodeId> {
+        let mut cands: Vec<NodeId> = reference_active(nn, NodeClass::Dedicated)
+            .into_iter()
+            .chain(reference_active(nn, NodeClass::Volatile))
+            .filter(|id| !exclude.contains(id))
+            .collect();
+        cands.sort_unstable();
+        let mut chosen = Vec::with_capacity(want);
+        if let Some(c) = client {
+            if let Some(pos) = cands.iter().position(|&x| x == c) {
+                chosen.push(cands.swap_remove(pos));
+            }
+        }
+        cands.shuffle(rng);
+        let rest = want.saturating_sub(chosen.len());
+        chosen.extend(cands.into_iter().take(rest));
+        chosen.truncate(want);
+        chosen
+    }
+
+    /// Dedicated placement: open nodes shuffled, then saturated ones.
+    fn reference_pick_dedicated<R: Rng>(
+        nn: &NameNode,
+        want: usize,
+        exclude: &BTreeSet<NodeId>,
+        rng: &mut R,
+    ) -> Vec<NodeId> {
+        let mut open: Vec<NodeId> = Vec::new();
+        let mut saturated: Vec<NodeId> = Vec::new();
+        for id in reference_active(nn, NodeClass::Dedicated) {
+            if exclude.contains(&id) {
+                continue;
+            }
+            let throttled = nn
+                .node_ref(id)
+                .throttle
+                .as_ref()
+                .is_some_and(|t| t.is_throttled());
+            if throttled {
+                saturated.push(id);
+            } else {
+                open.push(id);
+            }
+        }
+        open.shuffle(rng);
+        saturated.shuffle(rng);
+        open.extend(saturated);
+        open.truncate(want);
+        open
+    }
+
+    /// Volatile placement: the client's own node first when it is an
+    /// eligible Active volatile node, then a shuffle of the rest.
+    fn reference_pick_volatile<R: Rng>(
+        nn: &NameNode,
+        want: usize,
+        client: Option<NodeId>,
+        exclude: &BTreeSet<NodeId>,
+        rng: &mut R,
+    ) -> Vec<NodeId> {
+        let mut chosen = Vec::with_capacity(want);
+        if want == 0 {
+            return chosen;
+        }
+        if let Some(c) = client {
+            if !exclude.contains(&c) {
+                if let Some(n) = nn.nodes.get(c.0 as usize).and_then(Option::as_ref) {
+                    if n.liveness == NodeLiveness::Active && n.class == NodeClass::Volatile {
+                        chosen.push(c);
+                    }
+                }
+            }
+        }
+        let local = chosen.first().copied();
+        let mut cands: Vec<NodeId> = reference_active(nn, NodeClass::Volatile)
+            .into_iter()
+            .filter(|id| !exclude.contains(id) && Some(*id) != local)
+            .collect();
+        cands.shuffle(rng);
+        for id in cands {
+            if chosen.len() == want {
+                break;
+            }
+            chosen.push(id);
+        }
+        chosen
+    }
+
+    /// The three pickers, each fed the replica set `replicas` plus the
+    /// ids in `also` as its exclusions (a write's volatile pick also
+    /// excludes the dedicated targets just chosen).
+    fn picks<R: Rng>(
+        nn: &NameNode,
+        want: usize,
+        client: Option<NodeId>,
+        replicas: &BTreeSet<NodeId>,
+        also: &[NodeId],
+        rng: &mut R,
+    ) -> [Vec<NodeId>; 3] {
+        let mut exclude = replicas.clone();
+        exclude.extend(also.iter().copied());
+        [
+            nn.pick_any(want, client, &exclude, rng),
+            nn.pick_dedicated(want, &exclude, rng),
+            nn.pick_volatile(want, client, &exclude, rng),
+        ]
+    }
+
+    #[test]
+    fn pickers_match_the_reference_walk_under_churn() {
+        // Seeded churn across every index transition (Active ⇄
+        // Hibernated ⇄ Dead, throttle open ⇄ closed) on a fleet whose
+        // classes interleave in id order. After every pick the pickers
+        // and the reference walk return the same targets and leave
+        // their RNGs at the same next draw.
+        let cfg = NameNodeConfig {
+            hibernate_interval: SimDuration::from_secs(60),
+            expiry_interval: SimDuration::from_secs(120),
+            throttle_window: 2,
+            ..Default::default()
+        };
+        let mut nn = NameNode::new(cfg);
+        const N: u32 = 48;
+        let dedicated = |i: u32| i % 7 == 3;
+        for i in 0..N {
+            let class = if dedicated(i) {
+                NodeClass::Dedicated
+            } else {
+                NodeClass::Volatile
+            };
+            nn.register_node(t(0), NodeId(i), class);
+        }
+        let f = nn.create_file(FileKind::Opportunistic, ReplicationFactor::new(1, 3));
+        let blocks: Vec<BlockId> = (0..6).map(|_| nn.allocate_block(f, 64)).collect();
+        let mut r = StdRng::seed_from_u64(0x51ce);
+        // Seen: hibernation, expiry, revival, throttle closing and
+        // opening, a client picked first and a client left out.
+        let mut seen = [false; 7];
+        for step in 1..300u64 {
+            let now = t(step * 20);
+            for i in 0..N {
+                if r.gen_range(0..100u32) >= 45 {
+                    continue;
+                }
+                let n = NodeId(i);
+                let was_dead = nn.node_liveness(n) == NodeLiveness::Dead;
+                let throttled = |nn: &NameNode| {
+                    nn.node_ref(n)
+                        .throttle
+                        .as_ref()
+                        .is_some_and(|t| t.is_throttled())
+                };
+                let was_throttled = throttled(&nn);
+                // Dedicated nodes plateau near 100 (closing the
+                // throttle) and sometimes drop (opening it).
+                let bw = if r.gen_range(0..4u32) == 0 {
+                    10.0
+                } else {
+                    100.0 + r.gen_range(0..5u32) as f64
+                };
+                nn.heartbeat(now, n, bw);
+                seen[2] |= was_dead;
+                seen[3] |= !was_throttled && throttled(&nn);
+                seen[4] |= was_throttled && !throttled(&nn);
+            }
+            let report = nn.check_liveness(now);
+            seen[0] |= !report.hibernated.is_empty();
+            seen[1] |= !report.expired.is_empty();
+            // Replicas land on any node, live or not.
+            let b = blocks[r.gen_range(0..blocks.len())];
+            if r.gen_range(0..3u32) == 0 {
+                nn.commit_replica(b, NodeId(r.gen_range(0..N)));
+            }
+            for _ in 0..4 {
+                let b = blocks[r.gen_range(0..blocks.len())];
+                let replicas = nn.block_ref(b).expect("live block").replicas.clone();
+                let client = match r.gen_range(0..4u32) {
+                    0 => None,
+                    1 => Some(NodeId(N + 5)), // not a registered node
+                    _ => Some(NodeId(r.gen_range(0..N))),
+                };
+                let also: Vec<NodeId> = (0..r.gen_range(0..3u32))
+                    .map(|_| NodeId(r.gen_range(0..N)))
+                    .collect();
+                let want = r.gen_range(0..6usize);
+                let seed = r.gen::<u64>();
+                let mut mine = StdRng::seed_from_u64(seed);
+                let mut theirs = StdRng::seed_from_u64(seed);
+                let got = picks(&nn, want, client, &replicas, &also, &mut mine);
+                let mut exclude = replicas.clone();
+                exclude.extend(also.iter().copied());
+                let expect = [
+                    reference_pick_any(&nn, want, client, &exclude, &mut theirs),
+                    reference_pick_dedicated(&nn, want, &exclude, &mut theirs),
+                    reference_pick_volatile(&nn, want, client, &exclude, &mut theirs),
+                ];
+                assert_eq!(got, expect, "step {step}: want {want}, client {client:?}");
+                assert_eq!(mine.gen::<u64>(), theirs.gen::<u64>(), "step {step}: draws");
+                if want > 0 {
+                    if let Some(c) = client.filter(|c| c.0 < N && !dedicated(c.0)) {
+                        let first = expect[2].first() == Some(&c);
+                        seen[5] |= first;
+                        seen[6] |= !first;
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, [true; 7], "churn must reach every case");
+    }
 }
 
 #[cfg(test)]
