@@ -175,10 +175,13 @@ pub struct NameNode {
     wants_dedicated: BTreeSet<BlockId>,
     estimator: SlidingWindowEstimator,
     /// Active dedicated nodes, ascending id (incrementally maintained so
-    /// placement never walks the full node table).
-    active_dedicated: BTreeSet<NodeId>,
+    /// placement copies its candidates instead of walking the node
+    /// table).
+    active_dedicated: Vec<NodeId>,
     /// Active volatile nodes, ascending id.
-    active_volatile: BTreeSet<NodeId>,
+    active_volatile: Vec<NodeId>,
+    /// The pickers' candidate list, reused from call to call.
+    pick_buf: Vec<NodeId>,
     /// Registered volatile nodes (estimator denominator).
     n_volatile_total: usize,
     /// Registered dedicated nodes (capacity clamp for replication
@@ -204,8 +207,9 @@ impl NameNode {
             queue: ReplicationQueue::new(),
             wants_dedicated: BTreeSet::new(),
             estimator,
-            active_dedicated: BTreeSet::new(),
-            active_volatile: BTreeSet::new(),
+            active_dedicated: Vec::new(),
+            active_volatile: Vec::new(),
+            pick_buf: Vec::new(),
             n_volatile_total: 0,
             n_dedicated_total: 0,
             unthrottled_active_dedicated: 0,
@@ -268,11 +272,9 @@ impl NameNode {
                 if !node.throttle.as_ref().is_some_and(|t| t.is_throttled()) {
                     self.unthrottled_active_dedicated -= 1;
                 }
-                self.active_dedicated.remove(&id);
+                remove_sorted(&mut self.active_dedicated, id);
             }
-            NodeClass::Volatile => {
-                self.active_volatile.remove(&id);
-            }
+            NodeClass::Volatile => remove_sorted(&mut self.active_volatile, id),
         }
     }
 
@@ -286,11 +288,9 @@ impl NameNode {
                 if !node.throttle.as_ref().is_some_and(|t| t.is_throttled()) {
                     self.unthrottled_active_dedicated += 1;
                 }
-                self.active_dedicated.insert(id);
+                insert_sorted(&mut self.active_dedicated, id);
             }
-            NodeClass::Volatile => {
-                self.active_volatile.insert(id);
-            }
+            NodeClass::Volatile => insert_sorted(&mut self.active_volatile, id),
         }
     }
 
@@ -303,8 +303,8 @@ impl NameNode {
     /// campaign-aborting panic.
     pub fn audit_indexes(&self) -> Vec<String> {
         let mut issues = Vec::new();
-        let mut dedicated = BTreeSet::new();
-        let mut volatile = BTreeSet::new();
+        let mut dedicated = Vec::new();
+        let mut volatile = Vec::new();
         let mut unthrottled = 0usize;
         let mut n_volatile = 0usize;
         let mut n_dedicated = 0usize;
@@ -318,14 +318,12 @@ impl NameNode {
             }
             match n.class {
                 NodeClass::Dedicated => {
-                    dedicated.insert(id);
+                    dedicated.push(id);
                     if !n.throttle.as_ref().is_some_and(|t| t.is_throttled()) {
                         unthrottled += 1;
                     }
                 }
-                NodeClass::Volatile => {
-                    volatile.insert(id);
-                }
+                NodeClass::Volatile => volatile.push(id),
             }
         }
         if dedicated != self.active_dedicated {
@@ -673,32 +671,37 @@ impl NameNode {
 
     /// Stock-HDFS placement: one pool of every Active node outside
     /// `exclude`, the writing client's own node first if it is in the
-    /// pool, the rest uniformly at random.
+    /// pool, the rest uniformly at random. `buf` is the candidate list.
     fn pick_any<R: Rng>(
         &self,
+        buf: &mut Vec<NodeId>,
         want: usize,
         client: Option<NodeId>,
         exclude: &BTreeSet<NodeId>,
         rng: &mut R,
     ) -> Vec<NodeId> {
-        // Ascending id order, the sequence a full-table walk produced.
-        let mut cands: Vec<NodeId> = self
-            .active_dedicated
-            .iter()
-            .chain(self.active_volatile.iter())
-            .copied()
-            .filter(|id| !exclude.contains(id))
-            .collect();
-        cands.sort_unstable();
+        // Both classes merged in ascending id order, the sequence a
+        // full-table walk produced: the volatile run below each
+        // dedicated id, then that id.
+        buf.clear();
+        let mut rest = self.active_volatile.as_slice();
+        for &d in &self.active_dedicated {
+            let below = rest.partition_point(|&v| v < d);
+            buf.extend_from_slice(&rest[..below]);
+            buf.push(d);
+            rest = &rest[below..];
+        }
+        buf.extend_from_slice(rest);
+        remove_each(buf, exclude);
         let mut chosen = Vec::with_capacity(want);
         if let Some(c) = client {
-            if let Some(pos) = cands.iter().position(|&x| x == c) {
-                chosen.push(cands.swap_remove(pos));
+            if let Ok(pos) = buf.binary_search(&c) {
+                chosen.push(buf.swap_remove(pos));
             }
         }
-        cands.shuffle(rng);
+        buf.shuffle(rng);
         let rest = want.saturating_sub(chosen.len());
-        chosen.extend(cands.into_iter().take(rest));
+        chosen.extend(buf.iter().take(rest));
         chosen.truncate(want);
         chosen
     }
@@ -738,13 +741,16 @@ impl NameNode {
     }
 
     /// Choose volatile targets uniformly at random among Active volatile
-    /// nodes (HDFS-style randomized placement), preferring the writing
-    /// client's own node first (HDFS writes the first replica locally).
+    /// nodes outside `exclude` and `also` (HDFS-style randomized
+    /// placement), preferring the writing client's own node first (HDFS
+    /// writes the first replica locally). `buf` is the candidate list.
     fn pick_volatile<R: Rng>(
         &self,
+        buf: &mut Vec<NodeId>,
         want: usize,
         client: Option<NodeId>,
         exclude: &BTreeSet<NodeId>,
+        also: &[NodeId],
         rng: &mut R,
     ) -> Vec<NodeId> {
         let mut chosen = Vec::with_capacity(want);
@@ -752,7 +758,7 @@ impl NameNode {
             return chosen;
         }
         if let Some(c) = client {
-            if !exclude.contains(&c) {
+            if !exclude.contains(&c) && !also.contains(&c) {
                 if let Some(n) = self.nodes.get(c.0 as usize).and_then(Option::as_ref) {
                     if n.liveness == NodeLiveness::Active && n.class == NodeClass::Volatile {
                         chosen.push(c);
@@ -760,20 +766,12 @@ impl NameNode {
                 }
             }
         }
-        let local = chosen.first().copied();
-        let mut cands: Vec<NodeId> = self
-            .active_volatile
-            .iter()
-            .copied()
-            .filter(|id| !exclude.contains(id) && Some(*id) != local)
-            .collect();
-        cands.shuffle(rng);
-        for id in cands {
-            if chosen.len() == want {
-                break;
-            }
-            chosen.push(id);
-        }
+        buf.clear();
+        buf.extend_from_slice(&self.active_volatile);
+        remove_each(buf, exclude.iter().chain(also).chain(&chosen));
+        buf.shuffle(rng);
+        let rest = want - chosen.len();
+        chosen.extend(buf.iter().take(rest));
         chosen
     }
 
@@ -786,16 +784,19 @@ impl NameNode {
         client: Option<NodeId>,
         rng: &mut R,
     ) -> WritePlan {
+        let mut buf = std::mem::take(&mut self.pick_buf);
         let meta = self.block_ref(block).expect("unknown block");
         let file = self.file_ref(meta.file).expect("block has a file");
         let factor = file.factor;
         let kind = file.kind;
-        let exclude: BTreeSet<NodeId> = meta.replicas.clone();
+        let exclude = &meta.replicas;
 
         if !self.cfg.hybrid {
+            let volatile = self.pick_any(&mut buf, factor.total() as usize, client, exclude, rng);
+            self.pick_buf = buf;
             return WritePlan {
                 dedicated: Vec::new(),
-                volatile: self.pick_any(factor.total() as usize, client, &exclude, rng),
+                volatile,
                 dedicated_declined: false,
                 effective_volatile: factor.total(),
             };
@@ -807,10 +808,10 @@ impl NameNode {
         } else {
             match kind {
                 // Reliable writes are always satisfied on dedicated nodes.
-                FileKind::Reliable => self.pick_dedicated(factor.dedicated as usize, &exclude, rng),
+                FileKind::Reliable => self.pick_dedicated(factor.dedicated as usize, exclude, rng),
                 FileKind::Opportunistic => {
                     if self.dedicated_available_for_opportunistic() {
-                        self.pick_dedicated(factor.dedicated as usize, &exclude, rng)
+                        self.pick_dedicated(factor.dedicated as usize, exclude, rng)
                     } else {
                         declined = true;
                         Vec::new()
@@ -823,18 +824,20 @@ impl NameNode {
         // get its dedicated copy, raise v to v′ to meet the availability
         // goal under the current estimate p̂ (§IV-A).
         let mut v_eff = factor.volatile;
-        if kind == FileKind::Opportunistic && dedicated.is_empty() && factor.dedicated > 0 {
-            if self.cfg.adaptive_replication {
-                let p = self.estimated_unavailability(now);
-                let v_prime = adaptive_volatile_degree(p, AVAILABILITY_GOAL, MAX_VOLATILE_DEGREE);
-                v_eff = v_eff.max(v_prime);
-            }
-            self.wants_dedicated.insert(block);
+        let wants_dedicated =
+            kind == FileKind::Opportunistic && dedicated.is_empty() && factor.dedicated > 0;
+        if wants_dedicated && self.cfg.adaptive_replication {
+            let p = self.estimated_unavailability(now);
+            let v_prime = adaptive_volatile_degree(p, AVAILABILITY_GOAL, MAX_VOLATILE_DEGREE);
+            v_eff = v_eff.max(v_prime);
         }
 
-        let mut exclude_v = exclude;
-        exclude_v.extend(dedicated.iter().copied());
-        let volatile = self.pick_volatile(v_eff as usize, client, &exclude_v, rng);
+        let volatile =
+            self.pick_volatile(&mut buf, v_eff as usize, client, exclude, &dedicated, rng);
+        self.pick_buf = buf;
+        if wants_dedicated {
+            self.wants_dedicated.insert(block);
+        }
 
         WritePlan {
             dedicated,
@@ -1052,6 +1055,7 @@ impl NameNode {
     ) -> Vec<ReplicationCommand> {
         let mut commands = Vec::new();
         let mut requeue = Vec::new();
+        let mut buf = std::mem::take(&mut self.pick_buf);
         while commands.len() < max_commands {
             let Some(req) = self.queue.pop() else { break };
             let block = req.block;
@@ -1072,10 +1076,10 @@ impl NameNode {
             let exclude = &bm.replicas;
             let targets = if self.cfg.hybrid {
                 let mut t = self.pick_dedicated(d_deficit as usize, exclude, rng);
-                t.extend(self.pick_volatile(v_deficit as usize, None, exclude, rng));
+                t.extend(self.pick_volatile(&mut buf, v_deficit as usize, None, exclude, &[], rng));
                 t
             } else {
-                self.pick_any(v_deficit as usize, None, exclude, rng)
+                self.pick_any(&mut buf, v_deficit as usize, None, exclude, rng)
             };
             if targets.is_empty() {
                 requeue.push(block);
@@ -1087,6 +1091,7 @@ impl NameNode {
                 size: bm.size,
             }));
         }
+        self.pick_buf = buf;
         // Re-derive the request instead of re-enqueuing the popped copy:
         // the popped `live_replicas` snapshot may be stale, and queue
         // priority must reflect the current replica count.
@@ -1154,6 +1159,30 @@ impl NameNode {
     /// incrementally maintained liveness sets, O(1). Telemetry gauge.
     pub fn live_node_counts(&self) -> (usize, usize) {
         (self.active_volatile.len(), self.active_dedicated.len())
+    }
+}
+
+/// Insert `id` into the ascending, duplicate-free `ids`.
+fn insert_sorted(ids: &mut Vec<NodeId>, id: NodeId) {
+    let pos = ids.partition_point(|&x| x < id);
+    debug_assert_ne!(ids.get(pos), Some(&id));
+    ids.insert(pos, id);
+}
+
+/// Remove `id`, which must be present, from the ascending `ids`.
+fn remove_sorted(ids: &mut Vec<NodeId>, id: NodeId) {
+    let pos = ids.binary_search(&id).expect("indexed node");
+    ids.remove(pos);
+}
+
+/// Remove each listed id that the ascending `ids` holds. The lists are
+/// a block's few replicas and targets, so each is found by binary
+/// search instead of testing every candidate against them.
+fn remove_each<'a>(ids: &mut Vec<NodeId>, skip: impl IntoIterator<Item = &'a NodeId>) {
+    for id in skip {
+        if let Ok(pos) = ids.binary_search(id) {
+            ids.remove(pos);
+        }
     }
 }
 
@@ -1758,10 +1787,11 @@ mod tests {
     ) -> [Vec<NodeId>; 3] {
         let mut exclude = replicas.clone();
         exclude.extend(also.iter().copied());
+        let mut buf = Vec::new();
         [
-            nn.pick_any(want, client, &exclude, rng),
+            nn.pick_any(&mut buf, want, client, &exclude, rng),
             nn.pick_dedicated(want, &exclude, rng),
-            nn.pick_volatile(want, client, &exclude, rng),
+            nn.pick_volatile(&mut buf, want, client, replicas, also, rng),
         ]
     }
 
