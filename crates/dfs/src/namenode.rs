@@ -81,6 +81,9 @@ struct NodeInfo {
     class: NodeClass,
     liveness: NodeLiveness,
     last_heartbeat: SimTime,
+    /// The node's beats are parked ([`NameNode::set_parked`]), so
+    /// `last_heartbeat` may lag.
+    parked: bool,
     throttle: Option<IoThrottle>,
     /// Blocks physically stored on the node (survive death; a node that
     /// returns re-reports them, as an HDFS block report would).
@@ -376,6 +379,7 @@ impl NameNode {
             class,
             liveness: NodeLiveness::Active,
             last_heartbeat: now,
+            parked: false,
             throttle,
             blocks: BTreeSet::new(),
         });
@@ -446,12 +450,31 @@ impl NameNode {
     /// Record a beat of an Active, unthrottled node at `at` — all that
     /// [`heartbeat`](Self::heartbeat) does for such a node. Lets the
     /// embedding model skip beats that only stamp the time and stamp
-    /// the last one before the next liveness sweep reads it.
+    /// the last one when the stamp must be exact.
     pub fn stamp_heartbeat(&mut self, id: NodeId, at: SimTime) {
         let node = self.node_mut(id);
         debug_assert!(node.liveness == NodeLiveness::Active && node.throttle.is_none());
         debug_assert!(at >= node.last_heartbeat);
         node.last_heartbeat = at;
+    }
+
+    /// Mark whether an Active, unthrottled node's beats are *parked*:
+    /// still sent, on a period shorter than both liveness intervals,
+    /// but held back by the embedding model, which stamps them only
+    /// when the stamp must be exact. The liveness sweep cannot act on
+    /// a parked node, so it skips it instead of reading its lagging
+    /// stamp.
+    pub fn set_parked(&mut self, id: NodeId, parked: bool) {
+        let node = self.node_mut(id);
+        debug_assert!(
+            !parked || (node.liveness == NodeLiveness::Active && node.throttle.is_none())
+        );
+        node.parked = parked;
+    }
+
+    /// Is the node's beat marked parked?
+    pub fn is_parked(&self, id: NodeId) -> bool {
+        self.node_ref(id).parked
     }
 
     /// Does the node's heartbeat carry a bandwidth sample anyone reads?
@@ -468,7 +491,8 @@ impl NameNode {
 
     /// Sweep for nodes whose heartbeats have stopped; apply the
     /// hibernate/expiry transitions and queue the re-replications the
-    /// paper calls for.
+    /// paper calls for. Parked nodes are skipped
+    /// ([`set_parked`](Self::set_parked)).
     pub fn check_liveness(&mut self, now: SimTime) -> LivenessReport {
         debug_assert_eq!(self.audit_indexes(), Vec::<String>::new());
         let mut report = LivenessReport::default();
@@ -480,7 +504,7 @@ impl NameNode {
         let threshold = self.cfg.hibernate_interval.min(self.cfg.expiry_interval);
         let mut candidates: Vec<(SimTime, NodeId)> = self
             .nodes_iter()
-            .filter(|(_, n)| n.liveness != NodeLiveness::Dead)
+            .filter(|(_, n)| n.liveness != NodeLiveness::Dead && !n.parked)
             .filter(|(_, n)| now.since(n.last_heartbeat) >= threshold)
             .map(|(id, n)| (n.last_heartbeat, id))
             .collect();
@@ -1330,6 +1354,26 @@ mod tests {
     /// A sweep applies transitions longest-silent first, and the order
     /// shows in the replication queue: each request records the live
     /// replica count at the moment it was queued.
+    #[test]
+    fn sweep_skips_parked_nodes_until_they_are_unparked() {
+        let mut nn = small_cluster(NameNodeConfig::default());
+        nn.set_parked(NodeId(2), true);
+        for i in [0, 1, 3, 4, 5] {
+            nn.heartbeat(t(90), NodeId(i), 0.0);
+        }
+        let report = nn.check_liveness(t(90));
+        assert_eq!(
+            report,
+            LivenessReport::default(),
+            "a parked node is beating"
+        );
+        assert!(nn.is_parked(NodeId(2)));
+        // Unparked with its stamp still at 0 s: the sweep reads it.
+        nn.set_parked(NodeId(2), false);
+        let report = nn.check_liveness(t(90));
+        assert_eq!(report.hibernated, vec![NodeId(2)]);
+    }
+
     #[test]
     fn sweep_applies_longest_silent_first() {
         let mut nn = small_cluster(NameNodeConfig::default());

@@ -186,6 +186,24 @@ fn tracker_expiry_kills_and_reschedules() {
     assert_eq!(m.duplicated_tasks, 2);
 }
 
+#[test]
+fn sweep_skips_parked_trackers_until_they_are_unparked() {
+    let mut jt = JobTracker::new(
+        SchedulerPolicy::Moon(MoonPolicy::default()),
+        FetchFailurePolicy::HadoopMajority,
+    );
+    cluster(&mut jt, 2, 0);
+    jt.set_parked(NodeId(0), true);
+    jt.heartbeat(t(60), NodeId(1));
+    let sweep = jt.check_trackers(t(61));
+    assert!(sweep.suspended.is_empty() && sweep.expired.is_empty());
+    assert!(jt.is_parked(NodeId(0)));
+    // Unparked with its stamp still at 0 s: the sweep reads it.
+    jt.set_parked(NodeId(0), false);
+    let sweep = jt.check_trackers(t(61));
+    assert_eq!(sweep.suspended, vec![NodeId(0)]);
+}
+
 /// A sweep applies transitions in node order, not silence order:
 /// the kill list feeds the deterministic event stream.
 #[test]

@@ -24,6 +24,9 @@ pub(super) struct Tracker {
     pub(super) map_slots: u32,
     pub(super) reduce_slots: u32,
     pub(super) last_heartbeat: SimTime,
+    /// The tracker's beats are parked ([`JobTracker::set_parked`]), so
+    /// `last_heartbeat` may lag.
+    pub(super) parked: bool,
     pub(super) state: TrackerState,
     /// Live attempts assigned to this tracker: maintained at launch and
     /// release, recounted by [`JobTracker::audit_indexes`].
@@ -49,6 +52,7 @@ impl JobTracker {
             map_slots,
             reduce_slots,
             last_heartbeat: now,
+            parked: false,
             state: TrackerState::Alive,
             running: BTreeSet::new(),
         };
@@ -81,7 +85,8 @@ impl JobTracker {
     }
 
     /// Sweep tracker liveness (call periodically). Suspends and expires
-    /// silent trackers per the policy's intervals.
+    /// silent trackers per the policy's intervals; parked trackers are
+    /// skipped ([`set_parked`](Self::set_parked)).
     pub fn check_trackers(&mut self, now: SimTime) -> TrackerSweep {
         debug_assert_eq!(self.audit_indexes(), Vec::<String>::new());
         let mut sweep = TrackerSweep::default();
@@ -95,7 +100,7 @@ impl JobTracker {
         let nodes: Vec<NodeId> = (0u32..)
             .zip(&self.trackers)
             .filter_map(|(i, tr)| Some((NodeId(i), tr.as_ref()?)))
-            .filter(|(_, tr)| tr.state != TrackerState::Dead)
+            .filter(|(_, tr)| tr.state != TrackerState::Dead && !tr.parked)
             .filter(|(_, tr)| now.since(tr.last_heartbeat) >= threshold)
             .map(|(node, _)| node)
             .collect();
@@ -157,12 +162,28 @@ impl JobTracker {
     /// and would be granted nothing — all that
     /// [`heartbeat`](Self::heartbeat) does then (see
     /// [`Self::idle_grant_at`]). Lets the embedding model skip beats
-    /// that only stamp the time and stamp the last one before the next
-    /// tracker sweep reads it.
+    /// that only stamp the time and stamp the last one when the stamp
+    /// must be exact.
     pub fn stamp_heartbeat(&mut self, node: NodeId, at: SimTime) {
         let tr = self.tracker_mut(node);
         debug_assert!(tr.state == TrackerState::Alive && at >= tr.last_heartbeat);
         tr.last_heartbeat = at;
+    }
+
+    /// Mark whether an Alive tracker's beats are *parked*: still sent,
+    /// on a period shorter than both liveness intervals, but held back
+    /// by the embedding model, which stamps them only when the stamp
+    /// must be exact. The sweep cannot act on a parked tracker, so it
+    /// skips it instead of reading its lagging stamp.
+    pub fn set_parked(&mut self, node: NodeId, parked: bool) {
+        let tr = self.tracker_mut(node);
+        debug_assert!(!parked || tr.state == TrackerState::Alive);
+        tr.parked = parked;
+    }
+
+    /// Is the tracker's beat marked parked?
+    pub fn is_parked(&self, node: NodeId) -> bool {
+        self.tracker(node).parked
     }
 
     /// Time of the tracker's last heartbeat.

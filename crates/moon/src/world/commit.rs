@@ -89,9 +89,7 @@ impl World {
     }
 
     pub(super) fn on_tracker_check(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        // The sweeps read `last_heartbeat`. This event was queued 10 s
-        // ago, so it precedes every beat due now.
-        self.stamp_all_parked(ctx.now());
+        // Both sweeps skip parked nodes, whose stamps may lag (`nodes`).
         let sweep = self.jt.check_trackers(ctx.now());
         for a in sweep.killed {
             self.cancel_attempt_physical(ctx, a);

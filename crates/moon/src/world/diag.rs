@@ -150,8 +150,9 @@ impl World {
 
     /// Recount the world's job-slot counters and commit-pending set
     /// from the slots and the JobTracker's job statuses, and the
-    /// parked-beat counts from the nodes, one line per discrepancy
-    /// (empty = no drift); a parked node must hold no live attempt.
+    /// parked-beat counts and the trackers' parked marks from the
+    /// nodes, one line per discrepancy (empty = no drift); a parked node
+    /// must hold no live attempt.
     /// Debug builds assert it is empty at each commit sweep; the
     /// end-of-run audit runs it in release builds too.
     pub(super) fn audit_job_counters(&self) -> Vec<String> {
@@ -205,17 +206,26 @@ impl World {
                 self.commit_pending
             ));
         }
-        // The parked order indexes, the woken groups and the beat order
-        // of up nodes, from the node table.
+        // The parked order indexes, the trackers' parked marks, the
+        // woken groups and the beat order of up nodes, from the node
+        // table.
         let mut parked: [BTreeSet<_>; 2] = Default::default();
         let mut woken = [0usize; 2];
+        let control = self.control_plane_active();
         for (i, rt) in (0u32..).zip(&self.nodes) {
             let class = self.class(i);
-            if self.is_parked(i as usize) {
+            let is_parked = self.is_parked(i as usize);
+            if is_parked {
                 parked[class].insert(self.beat_key(i));
                 if self.jt.attempts_on(NodeId(i)).next().is_some() {
                     issues.push(format!("node {i} is parked with live attempts"));
                 }
+            }
+            let marks = (self.nn.is_parked(NodeId(i)), self.jt.is_parked(NodeId(i)));
+            if marks != (is_parked, is_parked && control) {
+                issues.push(format!(
+                    "node {i} parked marks (namenode, jobtracker) {marks:?}, parked {is_parked}"
+                ));
             }
             if rt.woken {
                 woken[class] += 1;

@@ -298,6 +298,18 @@ impl World {
         workload: WorkloadSpec,
         stream: Option<JobStream>,
     ) -> Self {
+        // The liveness sweeps skip parked nodes, whose last beat is at
+        // most one period old: only sound if no deadline is that short.
+        let deadlines = [
+            policy.namenode.hibernate_interval,
+            policy.namenode.expiry_interval,
+            policy.scheduler.suspension_interval(),
+            policy.scheduler.tracker_expiry(),
+        ];
+        assert!(
+            deadlines.iter().all(|&d| d > HEARTBEAT_INTERVAL),
+            "liveness deadlines {deadlines:?} must exceed the beat interval"
+        );
         let nn = NameNode::new(policy.namenode.clone());
         let mut jt = JobTracker::new(policy.scheduler.clone(), policy.fetch)
             .with_cross_job(policy.cross_job)
@@ -527,9 +539,8 @@ impl World {
     /// job's tasks complete — *including* idle gaps between stream
     /// arrivals (an unsubmitted slot or an owed closed-stream
     /// successor keeps it on). Parked beats in such a gap still count:
-    /// the JobTracker's liveness sweep only sees `last_heartbeat`, so
-    /// each sweep is preceded by stamping the parked beats it would
-    /// have seen, and healthy trackers stay alive. Off before any
+    /// the JobTracker's liveness sweep skips parked nodes while the
+    /// control plane is on, so healthy trackers stay alive. Off before any
     /// submission and in the final output-replication tail, exactly as
     /// in the single-job run.
     pub(super) fn control_plane_active(&self) -> bool {

@@ -13,10 +13,14 @@
 //! nothing can only stamp `last_heartbeat` in the NameNode and, while
 //! the control plane is active, the JobTracker. Such a node's beat is
 //! *parked*: nothing is queued, and `NodeRt::next_beat` keeps its 3 s
-//! grid. The only readers of the stamp are the liveness sweeps, so the
-//! beats the grid implies strictly before `now` are stamped before each
-//! sweep (`on_tracker_check`), when the node goes down, and when the
-//! control plane turns off.
+//! grid. The only readers of the stamp are the liveness sweeps. A
+//! parked node's last beat is at most one period old, and every sweep
+//! deadline is longer (asserted in `World::with_stream`), so the sweeps
+//! skip parked nodes (`on_tracker_check`) instead of stamping them. The
+//! beats the grid implies strictly before `now` are stamped where the
+//! stamp must be exact: when the node wakes, when it goes down, and when
+//! the control plane turns off, after which the JobTracker hears no
+//! beat and its sweep reads every stamp.
 //!
 //! **Woken one instant at a time.** Each class's parked nodes sit in
 //! `World::parked` by [`BeatKey`]: a node's grid phase changes only at
@@ -57,6 +61,7 @@ impl World {
         let key = self.beat_key(n.0);
         if self.is_parked(n.0 as usize) {
             self.stamp_parked(n, ctx.now());
+            self.unpark(n);
             self.parked[class].remove(&key);
         }
         self.beat_order.remove(&key);
@@ -174,6 +179,10 @@ impl World {
         };
         if park {
             self.parked[class].insert(self.beat_key(n.0));
+            self.nn.set_parked(n, true);
+            if self.control_plane_active() {
+                self.jt.set_parked(n, true);
+            }
         }
     }
 
@@ -213,17 +222,23 @@ impl World {
         }
     }
 
+    /// The last beat parked node `n` would have sent strictly before
+    /// `now`, or `None` if none was due since its last stamp.
+    pub(super) fn parked_beat_before(&self, n: u32, now: SimTime) -> Option<SimTime> {
+        let interval = HEARTBEAT_INTERVAL.as_micros();
+        let due = self.nodes[n as usize].next_beat.as_micros();
+        (due < now.as_micros())
+            .then(|| SimTime::from_micros(due + (now.as_micros() - 1 - due) / interval * interval))
+    }
+
     /// Apply the beats a parked node `n` would have sent strictly
     /// before `now`. Each would only have stamped the time, so the last
     /// one suffices; `next_beat` moves past it.
     fn stamp_parked(&mut self, n: dfs::NodeId, now: SimTime) {
-        let interval = HEARTBEAT_INTERVAL.as_micros();
-        let due = self.nodes[n.0 as usize].next_beat.as_micros();
-        if due >= now.as_micros() {
+        let Some(last) = self.parked_beat_before(n.0, now) else {
             return;
-        }
-        let last = due + (now.as_micros() - 1 - due) / interval * interval;
-        let last = SimTime::from_micros(last);
+        };
+        let interval = HEARTBEAT_INTERVAL.as_micros();
         self.nn.stamp_heartbeat(n, last);
         // A node parks only without local attempts, and wakes at the
         // first instant the JobTracker could grant it one, so none was
@@ -236,13 +251,22 @@ impl World {
         self.nodes[n.0 as usize].next_beat = SimTime::from_micros(last.as_micros() + interval);
     }
 
-    /// Stamp every parked node's beats strictly before `now`: called
-    /// before the liveness sweeps read `last_heartbeat`, and before the
-    /// control plane turns off.
+    /// Clear `n`'s parked marks: it woke or went down, and its stamps
+    /// are exact.
+    fn unpark(&mut self, n: dfs::NodeId) {
+        self.nn.set_parked(n, false);
+        self.jt.set_parked(n, false);
+    }
+
+    /// As the control plane turns off, stamp every parked node's beats
+    /// strictly before `now` and clear its JobTracker mark: that
+    /// tracker hears no more beats, so its sweep must read the exact
+    /// last one.
     pub(super) fn stamp_all_parked(&mut self, now: SimTime) {
         let parked = std::mem::take(&mut self.parked);
         for &(_, _, i) in parked.iter().flatten() {
             self.stamp_parked(dfs::NodeId(i), now);
+            self.jt.set_parked(dfs::NodeId(i), false);
         }
         self.parked = parked;
     }
@@ -330,6 +354,7 @@ impl World {
             let key = self.beat_key(i);
             self.parked[class].remove(&key);
             self.stamp_parked(dfs::NodeId(i), at);
+            self.unpark(dfs::NodeId(i));
             self.nodes[i as usize].woken = true;
         }
         self.woken[class] = (at, beats.len());

@@ -282,17 +282,32 @@ fn grid_beat_before(i: u32, t: SimTime) -> SimTime {
     SimTime::from_micros(first + k * 3_000_000)
 }
 
+/// A node's last beat as the sweeps at `t` see it: a parked node's
+/// stamp plus the beats its grid implies strictly before `t`.
+fn effective_beats(w: &World, i: u32, t: SimTime) -> (SimTime, SimTime) {
+    let n = NodeId(i);
+    let stored = (w.nn.last_heartbeat(n), w.jt.last_heartbeat(n));
+    match w.is_parked(i as usize).then(|| w.parked_beat_before(i, t)) {
+        Some(Some(beat)) => (beat, beat),
+        _ => stored,
+    }
+}
+
 /// A 10 s sweep, while the first job runs and inside the idle gap
-/// after it (longer than every liveness deadline), must see each node's
-/// last grid beat, parked or not, so nothing is suspended, hibernated
-/// or expired. The job after the gap wakes only the parked nodes due
-/// first, and the sweep after it still finds every stamp on the grid.
+/// after it (longer than every liveness deadline), must find each
+/// node's last grid beat, stamped or implied by its parked grid, so
+/// nothing is suspended, hibernated or expired; the sweeps stamp no
+/// parked node, so most stamps fall far behind. The job after the gap
+/// wakes only the parked nodes due first, stamped at their last grid
+/// beat, and the sweep after it still finds every beat on the grid.
 #[test]
 fn parked_beats_keep_idle_nodes_alive() {
     let mut sim = idle_gap_sim(None);
     let submit = SimTime::from_secs(1) + IDLE_GAP;
-    // Parked beats seen while the first job runs, and in the gap.
+    // Parked beats seen while the first job runs, and in the gap, and
+    // how many of them carried a stamp older than a minute.
     let mut parked_seen = [0, 0];
+    let mut stale = 0;
     let mut sweep = SimTime::from_secs(10);
     while sweep < submit {
         sim.run_until(sweep);
@@ -311,14 +326,11 @@ fn parked_beats_keep_idle_nodes_alive() {
                 "{n} at {sweep}"
             );
             let beat = grid_beat_before(i, sweep);
-            assert_eq!(
-                w.nn.last_heartbeat(n),
-                beat,
-                "{n} namenode stamp at {sweep}"
-            );
-            assert_eq!(w.jt.last_heartbeat(n), beat, "{n} tracker stamp at {sweep}");
-            if w.nodes[i as usize].heartbeat_ev == EventId::NONE {
+            assert_eq!(effective_beats(w, i, sweep), (beat, beat), "{n} at {sweep}");
+            if w.is_parked(i as usize) {
                 parked_seen[usize::from(gap)] += 1;
+                stale +=
+                    usize::from(sweep.since(w.nn.last_heartbeat(n)) > SimDuration::from_mins(1));
             }
         }
         sweep += SimDuration::from_secs(10);
@@ -327,6 +339,7 @@ fn parked_beats_keep_idle_nodes_alive() {
         parked_seen.iter().all(|&n| n > 0),
         "[while the job ran, in the gap]: {parked_seen:?}"
     );
+    assert!(stale > 0, "no parked stamp fell behind a sweep deadline");
     // The submit wakes the parked volatile nodes due first after it,
     // stamped at their last grid beat; the rest wait their turn.
     sim.run_until(submit);
@@ -342,19 +355,17 @@ fn parked_beats_keep_idle_nodes_alive() {
         assert_eq!(w.jt.last_heartbeat(n), beat, "{n} tracker stamp at submit");
     }
     assert!(w.nodes.iter().any(|rt| rt.heartbeat_ev == EventId::NONE));
-    // The next sweep still finds every stamp on the grid.
+    // The next sweep still finds every beat on the grid.
     let sweep = SimTime::from_secs(submit.as_micros() / 10_000_000 * 10 + 10);
     sim.run_until(sweep);
     let w = sim.model();
     for i in 0..w.nodes.len() as u32 {
-        let n = NodeId(i);
         let beat = grid_beat_before(i, sweep);
         assert_eq!(
-            w.nn.last_heartbeat(n),
-            beat,
-            "{n} namenode stamp at {sweep}"
+            effective_beats(w, i, sweep),
+            (beat, beat),
+            "n{i} at {sweep}"
         );
-        assert_eq!(w.jt.last_heartbeat(n), beat, "{n} tracker stamp at {sweep}");
     }
 }
 
