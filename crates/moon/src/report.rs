@@ -320,16 +320,30 @@ pub mod json {
     pub const MAX_DEPTH: usize = 64;
 
     /// Parse one JSON document. Trailing whitespace is allowed, trailing
-    /// garbage is an error. Errors carry a byte offset for triage.
+    /// garbage is an error. Errors name the line and byte offset where
+    /// parsing stopped.
     pub fn parse(src: &str) -> Result<Value, String> {
         let bytes = src.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
+        let parsed = parse_value(bytes, &mut pos, 0).and_then(|value| {
+            skip_ws(bytes, &mut pos);
+            if pos == bytes.len() {
+                Ok(value)
+            } else {
+                Err(fail("trailing garbage", pos))
+            }
+        });
+        parsed.map_err(|Fail(what, at)| {
+            let line = 1 + bytes[..at].iter().filter(|&&b| b == b'\n').count();
+            format!("{what} at line {line}, byte {at}")
+        })
+    }
+
+    /// A parse failure: what went wrong, and the byte offset where.
+    struct Fail(String, usize);
+
+    fn fail(what: impl Into<String>, at: usize) -> Fail {
+        Fail(what.into(), at)
     }
 
     fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -338,21 +352,21 @@ pub mod json {
         }
     }
 
-    fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
+    fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), Fail> {
         if *pos < bytes.len() && bytes[*pos] == b {
             *pos += 1;
             Ok(())
         } else {
-            Err(format!("expected '{}' at byte {pos}", b as char))
+            Err(fail(format!("expected '{}'", b as char), *pos))
         }
     }
 
-    fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
+    fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Fail> {
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
-            None => Err("unexpected end of input".into()),
+            None => Err(fail("unexpected end of input", *pos)),
             Some(b'[' | b'{') if depth == MAX_DEPTH => {
-                Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+                Err(fail(format!("nesting deeper than {MAX_DEPTH}"), *pos))
             }
             Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
             Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
@@ -375,7 +389,7 @@ pub mod json {
                             *pos += 1;
                             return Ok(Value::Arr(items));
                         }
-                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
+                        _ => return Err(fail("expected ',' or ']'", *pos)),
                     }
                 }
             }
@@ -400,7 +414,7 @@ pub mod json {
                             *pos += 1;
                             return Ok(Value::Obj(fields));
                         }
-                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+                        _ => return Err(fail("expected ',' or '}'", *pos)),
                     }
                 }
             }
@@ -415,27 +429,27 @@ pub mod json {
                     *pos += 1;
                 }
                 let raw = std::str::from_utf8(&bytes[start..*pos])
-                    .map_err(|_| format!("invalid number at byte {start}"))?;
+                    .map_err(|_| fail("invalid number", start))?;
                 // Validate eagerly so garbage like "1.2.3" is rejected
                 // here, not at the (possibly distant) use site.
                 raw.parse::<f64>()
-                    .map_err(|_| format!("invalid number {raw:?} at byte {start}"))?;
+                    .map_err(|_| fail(format!("invalid number {raw:?}"), start))?;
                 Ok(Value::Num(raw.to_string()))
             }
-            Some(&b) => Err(format!("unexpected byte '{}' at byte {pos}", b as char)),
+            Some(&b) => Err(fail(format!("unexpected byte '{}'", b as char), *pos)),
         }
     }
 
-    fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
+    fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, Fail> {
         if bytes[*pos..].starts_with(lit.as_bytes()) {
             *pos += lit.len();
             Ok(value)
         } else {
-            Err(format!("expected {lit} at byte {pos}"))
+            Err(fail(format!("expected {lit}"), *pos))
         }
     }
 
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Fail> {
         expect(bytes, pos, b'"')?;
         let mut out = String::new();
         loop {
@@ -445,7 +459,7 @@ pub mod json {
             }
             out.push_str(
                 std::str::from_utf8(&bytes[start..*pos])
-                    .map_err(|_| format!("invalid utf-8 in string at byte {start}"))?,
+                    .map_err(|_| fail("invalid utf-8 in string", start))?,
             );
             match bytes.get(*pos) {
                 Some(b'"') => {
@@ -467,22 +481,22 @@ pub mod json {
                             let hex = bytes
                                 .get(*pos + 1..*pos + 5)
                                 .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| format!("truncated \\u escape at byte {pos}"))?;
+                                .ok_or_else(|| fail("truncated \\u escape", *pos))?;
                             let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {pos}"))?;
+                                .map_err(|_| fail("bad \\u escape", *pos))?;
                             // The emitters in this workspace only escape
                             // control characters, so bare BMP scalars
                             // suffice; reject surrogates outright.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| format!("bad \\u scalar at byte {pos}"))?;
+                            let c =
+                                char::from_u32(code).ok_or_else(|| fail("bad \\u scalar", *pos))?;
                             out.push(c);
                             *pos += 4;
                         }
-                        _ => return Err(format!("bad escape at byte {pos}")),
+                        _ => return Err(fail("bad escape", *pos)),
                     }
                     *pos += 1;
                 }
-                _ => return Err("unterminated string".into()),
+                _ => return Err(fail("unterminated string", *pos)),
             }
         }
     }
@@ -622,7 +636,7 @@ mod tests {
         let e = json::parse(&nest("[", "]", json::MAX_DEPTH + 1)).unwrap_err();
         assert_eq!(
             e,
-            format!("nesting deeper than 64 at byte {}", json::MAX_DEPTH)
+            format!("nesting deeper than 64 at line 1, byte {}", json::MAX_DEPTH)
         );
         for open in ["[", "{\"k\":"] {
             let e = json::parse(&open.repeat(100_000)).unwrap_err();
@@ -647,5 +661,77 @@ mod tests {
         let s = "weird \\ chars\t\"quoted\"\nnewline \u{1}";
         let doc = json::parse(&format!("\"{}\"", json::escape(s))).unwrap();
         assert_eq!(doc.as_str(), Some(s));
+    }
+
+    #[test]
+    fn json_errors_name_the_line() {
+        let e = json::parse("{\n  \"a\": 1,\n  \"b\": tru\n}").unwrap_err();
+        assert_eq!(e, "expected true at line 3, byte 19");
+        let e = json::parse("[1,\n").unwrap_err();
+        assert_eq!(e, "unexpected end of input at line 2, byte 4");
+    }
+
+    /// One record line of a quick fig4 campaign checkpoint.
+    const CHECKPOINT_LINE: &str = r#"{"cell":1,"attempts":1,"detail":"","result":{"label":"Hadoop10Min","workload":"sleep(sort)","unavailability":0.3,"job_time_us":113000000,"outcome":"completed","job":{"duplicated_tasks":8,"killed_maps":0,"killed_reduces":8,"killed_by_tracker_expiry":0,"map_output_relaunches":0,"completed_maps":48,"completed_reduces":25,"preempted":0},"profile":{"avg_map_time":24.17713514583333,"avg_shuffle_time":36.511726800000005,"avg_reduce_time":37.9956706,"killed_maps":0,"killed_reduces":8},"fetch_failures":0,"events":1029,"seed":42,"jobs":null,"audit":[]},"metrics_frag":null,"trace_frag":null}"#;
+
+    #[test]
+    fn json_parse_survives_seeded_byte_mutations() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data/results");
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect();
+        paths.sort();
+        let mut corpus: Vec<(String, String)> = paths
+            .iter()
+            .map(|p| (p.display().to_string(), std::fs::read_to_string(p).unwrap()))
+            .collect();
+        assert!(corpus.len() >= 8, "{corpus:?}");
+        corpus.push(("a checkpoint line".into(), CHECKPOINT_LINE.into()));
+        // Bytes JSON gives meaning to, and a few that it does not.
+        const ALPHABET: &[u8] = b"{}[],:\"\\/-+.0123456789eEtrufalsnu \n\t\r\0\x7f";
+        let mut rng = StdRng::seed_from_u64(0x150_5eed);
+        for (name, text) in &corpus {
+            json::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            for _ in 0..300 {
+                let mut bytes = text.clone().into_bytes();
+                for _ in 0..rng.gen_range(1..=3) {
+                    let at = rng.gen_range(0..=bytes.len());
+                    let byte = ALPHABET[rng.gen_range(0..ALPHABET.len())];
+                    match rng.gen_range(0..4u32) {
+                        0 if at < bytes.len() => bytes[at] = byte,
+                        1 if at < bytes.len() => {
+                            bytes.remove(at);
+                        }
+                        2 => bytes.truncate(at),
+                        _ => bytes.insert(at, byte),
+                    }
+                }
+                // `parse` takes `&str`; invalid UTF-8 never reaches it.
+                let Ok(mutant) = String::from_utf8(bytes) else {
+                    continue;
+                };
+                let parsed = std::panic::catch_unwind(|| json::parse(&mutant))
+                    .unwrap_or_else(|_| panic!("parse panicked on a mutant of {name}:\n{mutant}"));
+                let Err(e) = parsed else { continue };
+                // "... at line L, byte B", with L the line of byte B.
+                let (line, at) = e
+                    .rsplit_once(" at line ")
+                    .and_then(|(_, at)| at.split_once(", byte "))
+                    .and_then(|(l, b)| Some((l.parse::<usize>().ok()?, b.parse::<usize>().ok()?)))
+                    .unwrap_or_else(|| panic!("no line and byte in {e:?}"));
+                assert!(
+                    at <= mutant.len(),
+                    "{e}: past the end of a mutant of {name}"
+                );
+                let expect = 1 + mutant.as_bytes()[..at]
+                    .iter()
+                    .filter(|&&b| b == b'\n')
+                    .count();
+                assert_eq!(line, expect, "{e}: wrong line in a mutant of {name}");
+            }
+        }
     }
 }
